@@ -16,13 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CubeRef, DyadicMeasure, magnify
-from .geometry import value_bins, value_entropy
+from .dyadic import CubeRef, DyadicMeasure, _capped_fill_entropy, _shannon, magnify
+from .geometry import (
+    _check_pin_separation,
+    _quantile_leaves,
+    _value_cell_masses,
+    value_entropy,
+)
 from .sigma import IntervalDecomposition
 
 _TOL = 1e-9
 
 _SAMPLE_LIMIT = 4096  # exact leaf integration up to this support size
+
+# The robust rhs caps each block cell at this multiple of Theta.
+_ROBUST_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -115,41 +123,9 @@ def _integration_leaves(mu: DyadicMeasure):
     w = mu.leaf_mass_vector()
     if len(keys) <= _SAMPLE_LIMIT:
         return keys, w / w.sum()
-    cum = np.cumsum(w) / w.sum()
-    targets = (np.arange(_SAMPLE_LIMIT) + 0.5) / _SAMPLE_LIMIT
-    idx = np.unique(np.minimum(np.searchsorted(cum, targets), len(keys) - 1))
+    idx = _quantile_leaves(w, _SAMPLE_LIMIT)
     sub_w = w[idx]
     return [keys[i] for i in idx], sub_w / sub_w.sum()
-
-
-def _check_separation(mu: DyadicMeasure, y: np.ndarray) -> None:
-    dist = np.linalg.norm(mu.leaf_centers() - y, axis=1)
-    if float(dist.min()) < 2.0 * 2.0 ** (-mu.m):
-        raise ValueError("pin not separated from the support")
-
-
-def _value_robust_entropy(values, weights, level: int, Theta: float) -> float:
-    """Robust entropy of a weighted value cloud: greedy descending fill of
-    dyadic bin masses capped at Theta times each bin."""
-    idx = value_bins(values, level)
-    w = np.asarray(weights, dtype=float)
-    tot = float(w.sum())
-    if tot <= 0:
-        return 0.0
-    order = np.argsort(idx, kind="stable")
-    idx, w = idx[order], w[order]
-    cuts = np.nonzero(np.diff(idx))[0] + 1
-    bins = np.add.reduceat(w, np.concatenate(([0], cuts))) / tot
-    remaining = 1.0
-    h = 0.0
-    for p in sorted(bins, reverse=True):
-        take = min(Theta * p, remaining)
-        if take > 1e-300:
-            h -= take * math.log2(take)
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return max(0.0, h)
 
 
 def _rhs_sum(
@@ -173,15 +149,14 @@ def _rhs_sum(
             sub = magnify(mu, CubeRef(A, anc))
             centers = sub.leaf_centers()
             masses = sub.leaf_mass_vector()
-            side = 2.0 ** (-A)
             for i in groups[anc]:
                 x = (np.array(int_keys[i], dtype=float) + 0.5) * 2.0 ** (-mu.m)
                 u = linearization_direction(map_kind, x, y)
-                vals = centers @ u
+                cells = _value_cell_masses(centers @ u, masses, B - A)
                 if robust_theta is None:
-                    h = value_entropy(vals, masses, B - A)
+                    h = _shannon(cells)
                 else:
-                    h = _value_robust_entropy(vals, masses, B - A, robust_theta)
+                    h = _capped_fill_entropy(cells.tolist(), robust_theta)
                 rhs += float(int_w[i]) * h
     return rhs
 
@@ -202,7 +177,7 @@ def chain_sides(
     if schedule.M > mu.m:
         raise ValueError("schedule depth exceeds measure depth")
     y = np.asarray(y, dtype=float)
-    _check_separation(mu, y)
+    _check_pin_separation(mu, y)
     vals = _map_values(map_kind, mu.leaf_centers(), y)
     lhs = value_entropy(vals, mu.leaf_mass_vector(), schedule.M)
     keys, w = _integration_leaves(mu)
@@ -217,11 +192,10 @@ def chain_sides_robust(
     y,
     schedule: ScaleSchedule,
     Theta: float,
-    cap_multiplier: float = 4.0,
 ) -> tuple[float, float, int]:
     """Robust chain sides: mu' <= Theta * mu verified leafwise; the rhs uses
-    the capped (robust) block entropy at cap_multiplier * Theta and integrates
-    against mu'."""
+    the capped (robust) block entropy at 4 * Theta and integrates against
+    mu'."""
     if mu.m != mu_prime.m or mu.d != mu_prime.d:
         raise ValueError("mu and mu' must share shape")
     worst = 0.0
@@ -236,11 +210,11 @@ def chain_sides_robust(
     if not mu.normalized or not mu_prime.normalized:
         raise ValueError("both measures must be normalized")
     y = np.asarray(y, dtype=float)
-    _check_separation(mu, y)
+    _check_pin_separation(mu, y)
     vals = _map_values(map_kind, mu_prime.leaf_centers(), y)
     lhs = value_entropy(vals, mu_prime.leaf_mass_vector(), schedule.M)
     keys, w = _integration_leaves(mu_prime)
-    rhs = _rhs_sum(mu, map_kind, y, schedule, keys, w, cap_multiplier * Theta)
+    rhs = _rhs_sum(mu, map_kind, y, schedule, keys, w, _ROBUST_CAP * Theta)
     return lhs, rhs, schedule.J
 
 

@@ -43,18 +43,21 @@ def _parse_profile(spec: str):
         for part in rest.split(","):
             key, _, val = part.partition("=")
             params[key] = float(val)
-    if kind == "highdim":
-        return HighDimProfile(int(params["d"]), params["s"])
-    if kind == "planar":
-        return PlanarProfile(params["s"], eta=params.get("eta", 0.01))
-    if kind == "kaufman":
-        return KaufmanProfile(params["s"], d=params.get("d", 2.0))
-    if kind == "trivial":
-        return TrivialHalfProfile(d=params.get("d", 2.0))
-    if kind == "custom":
-        with open(rest) as fh:
-            rec = json.load(fh)
-        return CustomProfile(rec["breakpoints"], rec["values"], rec["d"])
+    try:
+        if kind == "highdim":
+            return HighDimProfile(int(params["d"]), params["s"])
+        if kind == "planar":
+            return PlanarProfile(params["s"], eta=params.get("eta", 0.01))
+        if kind == "kaufman":
+            return KaufmanProfile(params["s"], d=params.get("d", 2.0))
+        if kind == "trivial":
+            return TrivialHalfProfile(d=params.get("d", 2.0))
+        if kind == "custom":
+            with open(rest) as fh:
+                rec = json.load(fh)
+            return CustomProfile(rec["breakpoints"], rec["values"], rec["d"])
+    except KeyError as e:
+        raise ValueError(f"profile spec {spec!r} is missing parameter {e}") from None
     raise ValueError(f"unknown profile spec {spec!r}")
 
 

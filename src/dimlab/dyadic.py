@@ -31,6 +31,43 @@ _MASS_FLOOR = 1e-300
 
 _NORM_TOL = 1e-9
 
+# Rows of the pairwise distance matrix per block in riesz_energy; bounds the
+# temporaries to _RIESZ_CHUNK * n * d doubles.
+_RIESZ_CHUNK = 2048
+
+
+def _shannon(p: np.ndarray) -> float:
+    """Shannon entropy (bits) of the probability vector p, clamped at 0."""
+    p = p[p > _MASS_FLOOR]
+    return max(0.0, float(-(p * np.log2(p)).sum()))
+
+
+def _capped_fill_entropy(masses, Theta: float) -> float:
+    """Entropy of the greedy extreme point: fill cells by mass descending,
+    each up to its cap Theta * mass, until total mass 1."""
+    remaining = 1.0
+    h = 0.0
+    for p in sorted(masses, reverse=True):
+        take = min(Theta * p, remaining)
+        if take > _MASS_FLOOR:
+            h -= take * math.log2(take)
+        remaining -= take
+        if remaining <= 0.0:
+            break
+    return max(0.0, h)
+
+
+def _sum_by_key(keys: np.ndarray, weights) -> dict[tuple[int, ...], float]:
+    """Sum the weights of equal rows of the (n, k) integer array `keys`.
+
+    bincount adds each key's weights in input order, as a per-key dict loop
+    would, so the sums are bit-identical to that loop; the keys come back as
+    int tuples in sorted order.  Memory is O(n) whatever the key range.
+    """
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.bincount(inv.reshape(-1), weights=weights, minlength=len(uniq))
+    return dict(zip(map(tuple, uniq.tolist()), sums.tolist()))
+
 
 @dataclass(frozen=True)
 class CubeRef:
@@ -90,8 +127,8 @@ class DyadicMeasure:
         top = 1 << m
         leaves = {}
         for coords, mass in leaf_masses.items():
-            if mass < 0:
-                raise ValueError(f"negative mass {mass} at {coords}")
+            if not (0.0 <= mass < math.inf):
+                raise ValueError(f"mass {mass} at {coords} is negative or not finite")
             if mass == 0.0:
                 continue
             coords = tuple(int(c) for c in coords)
@@ -165,11 +202,7 @@ class DyadicMeasure:
         if not self.normalized:
             raise ValueError("entropy requires a normalized measure")
         cells = self.level_masses(level)
-        h = 0.0
-        for p in cells.values():
-            if p > _MASS_FLOOR:
-                h -= p * math.log2(p)
-        return max(0.0, h)
+        return _shannon(np.fromiter(cells.values(), float, len(cells)))
 
     def robust_entropy(self, level: int, Theta: float) -> float:
         """Minimal level-entropy over probability vectors dominated by Theta*mu.
@@ -184,17 +217,7 @@ class DyadicMeasure:
             return 0.0
         if not self.normalized:
             raise ValueError("robust_entropy requires a normalized measure")
-        cells = sorted(self.level_masses(level).values(), reverse=True)
-        remaining = 1.0
-        h = 0.0
-        for p in cells:
-            take = min(Theta * p, remaining)
-            if take > _MASS_FLOOR:
-                h -= take * math.log2(take)
-            remaining -= take
-            if remaining <= 0.0:
-                break
-        return max(0.0, h)
+        return _capped_fill_entropy(self.level_masses(level).values(), Theta)
 
     def box_count(self, level: int) -> int:
         """Number of level-`level` dyadic cubes carrying positive mass."""
@@ -285,7 +308,7 @@ class DyadicMeasure:
 
     # -- energies ------------------------------------------------------------
 
-    def riesz_energy(self, s: float, chunk: int = 2048) -> float:
+    def riesz_energy(self, s: float) -> float:
         """Truncated discrete Riesz s-energy over leaf-cube centers.
 
         Off-diagonal pairs use the center distance; same-leaf pairs use the
@@ -300,8 +323,8 @@ class DyadicMeasure:
         n = len(w)
         diag_sep = 2.0 ** (-self.m)
         total = float(np.sum(w * w)) * diag_sep ** (-s)
-        for i0 in range(0, n, chunk):
-            p = pts[i0 : i0 + chunk]
+        for i0 in range(0, n, _RIESZ_CHUNK):
+            p = pts[i0 : i0 + _RIESZ_CHUNK]
             dist = np.sqrt(
                 np.maximum(
                     np.sum((p[:, None, :] - pts[None, :, :]) ** 2, axis=2), 0.0
@@ -309,7 +332,7 @@ class DyadicMeasure:
             )
             kern = np.zeros_like(dist)
             np.divide(1.0, dist ** s, out=kern, where=dist > 0)
-            total += float(w[i0 : i0 + chunk] @ kern @ w)
+            total += float(w[i0 : i0 + _RIESZ_CHUNK] @ kern @ w)
         return total
 
     def l2_density_norm(self, level: int) -> float:
@@ -371,7 +394,7 @@ def build_from_atoms(
         raise ValueError("no atoms given")
     d = len(pts[0][0])
     top = 1 << depth
-    leaves: dict[tuple[int, ...], float] = {}
+    keys, weights = [], []
     for coords, w in pts:
         if w < 0:
             raise ValueError(f"negative weight {w}")
@@ -382,9 +405,10 @@ def build_from_atoms(
                 raise ValueError(f"coordinate {x} outside [0,1)")
         if w == 0:
             continue
-        key = tuple(min(int(x * top), top - 1) for x in coords)
-        leaves[key] = leaves.get(key, 0.0) + float(w)
-    return DyadicMeasure(d, depth, leaves)
+        keys.append([min(int(x * top), top - 1) for x in coords])
+        weights.append(float(w))
+    keys = np.array(keys, dtype=np.int64).reshape(-1, d)
+    return DyadicMeasure(d, depth, _sum_by_key(keys, weights))
 
 
 def restrict_normalize(mu: DyadicMeasure, keep: Iterable[CubeRef]) -> DyadicMeasure:

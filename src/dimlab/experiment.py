@@ -135,27 +135,28 @@ def build_scene_measure(cfg: SceneConfig) -> DyadicMeasure:
                 return DyadicMeasure.from_text(fh.read())
     except ConfigError:
         raise
+    except KeyError as e:
+        raise ConfigError(f"generator {kind!r} is missing parameter {e}") from e
     except Exception as e:
         raise StageError("build", str(e)) from e
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
-def split_separated(mu: DyadicMeasure, axis: int = 0,
-                    min_gap: float = MIN_GAP) -> tuple[DyadicMeasure, DyadicMeasure]:
-    """Mass-balanced cut along one axis; both halves are renormalized and
-    separated by at least min_gap.
+def split_separated(mu: DyadicMeasure) -> tuple[DyadicMeasure, DyadicMeasure]:
+    """Mass-balanced cut along the first axis; both halves are renormalized
+    and separated by at least MIN_GAP.
 
     A natural support gap is used when one exists; otherwise a band of width
-    min_gap around the weighted median is discarded to create the gap."""
+    MIN_GAP around the weighted median is discarded to create the gap."""
     centers = mu.leaf_centers()
     w = mu.leaf_mass_vector()
-    xs = centers[:, axis]
+    xs = centers[:, 0]
     order = np.argsort(xs, kind="stable")
     xs_s = xs[order]
     cum = np.cumsum(w[order])
     side = 2.0 ** (-mu.m)
     gaps = xs_s[1:] - xs_s[:-1]
-    ok = np.nonzero(gaps - side >= min_gap)[0]
+    ok = np.nonzero(gaps - side >= MIN_GAP)[0]
     if len(ok):
         # most mass-balanced admissible gap
         i = ok[int(np.argmin(np.abs(cum[ok] - 0.5 * cum[-1])))]
@@ -164,17 +165,23 @@ def split_separated(mu: DyadicMeasure, axis: int = 0,
     else:
         # no natural gap: carve one around the weighted median
         med = float(xs_s[int(np.searchsorted(cum, 0.5 * cum[-1]))])
-        lo, hi = med - 0.5 * min_gap - side, med + 0.5 * min_gap + side
-    left = [k for k in mu._sorted_keys if (k[axis] + 0.5) * side < lo]
-    right = [k for k in mu._sorted_keys if (k[axis] + 0.5) * side > hi]
+        lo, hi = med - 0.5 * MIN_GAP - side, med + 0.5 * MIN_GAP + side
+    left = [k for k in mu._sorted_keys if (k[0] + 0.5) * side < lo]
+    right = [k for k in mu._sorted_keys if (k[0] + 0.5) * side > hi]
     if not left or not right:
-        raise StageError("split", f"no separated mass balance along axis {axis}")
+        raise StageError("split", "no separated mass balance along axis 0")
     mu_half = restrict_normalize(mu, [CubeRef(mu.m, k) for k in left])
     nu_half = restrict_normalize(mu, [CubeRef(mu.m, k) for k in right])
-    gap = float(nu_half.leaf_centers()[:, axis].min()
-                - mu_half.leaf_centers()[:, axis].max()) - side
-    assert gap >= min_gap - 1e-12, f"split gap {gap} below contract"
+    gap = _split_gap(mu_half, nu_half)
+    if gap < MIN_GAP - 1e-12:
+        raise StageError("split", f"split gap {gap} below {MIN_GAP}")
     return mu_half, nu_half
+
+
+def _split_gap(mu_half: DyadicMeasure, nu_half: DyadicMeasure) -> float:
+    """Distance along axis 0 between the closest leaf cubes of the halves."""
+    return float(nu_half.leaf_centers()[:, 0].min()
+                 - mu_half.leaf_centers()[:, 0].max()) - 2.0 ** (-mu_half.m)
 
 
 def _distance_curve(nu: DyadicMeasure, pin, levels) -> list[tuple[int, float]]:
@@ -208,8 +215,7 @@ def run_experiment(cfg: SceneConfig) -> ExperimentResult:
     mu_half, nu_half = split_separated(mu_full)
 
     # tube radii scale with the split gap: 4 * max radius must stay below it
-    gap = float(nu_half.leaf_centers()[:, 0].min()
-                - mu_half.leaf_centers()[:, 0].max()) - 2.0 ** (-cfg.depth)
+    gap = _split_gap(mu_half, nu_half)
     j_min = max(3, math.ceil(math.log2(4.0 / gap)))
     radii = [2.0 ** (-j) for j in range(j_min, j_min + 4) if j < cfg.depth]
     try:

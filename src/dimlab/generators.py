@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicMeasure
+from .dyadic import DyadicMeasure, _sum_by_key
 
 __all__ = [
     "gen_cantor_product",
@@ -33,7 +33,6 @@ def _cantor_1d_leaves(k: int, depth: int) -> dict[tuple[int], float]:
     """Two-branch self-similar set with contraction 2^{-k}: keep the first
     and last subinterval of length r in each parent, uniform mass."""
     gens = max(1, math.ceil(depth / k))
-    top = 1 << depth
     # left endpoints as integers at scale 2^{-k*gens}, then truncated to depth
     pts = np.zeros(1, dtype=np.int64)
     step_bits = k * gens
@@ -41,13 +40,14 @@ def _cantor_1d_leaves(k: int, depth: int) -> dict[tuple[int], float]:
         # offset of the right branch at generation g: (1 - 2^{-k}) * 2^{-k(g-1)}
         off = ((1 << k) - 1) << (step_bits - k * g)
         pts = np.concatenate([pts, pts + off])
-    w = 1.0 / len(pts)
-    shift = step_bits - depth
-    leaves: dict[tuple[int], float] = {}
-    for p in np.sort(pts).tolist():
-        key = (min(p >> shift, top - 1) if shift >= 0 else p << (-shift),)
-        leaves[key] = leaves.get(key, 0.0) + w
-    return leaves
+    return _uniform_leaves(pts, step_bits, depth)
+
+
+def _uniform_leaves(pts: np.ndarray, step_bits: int, depth: int) -> dict[tuple[int], float]:
+    """Equal masses on integer points at scale 2^{-step_bits}, binned to the
+    coarser level-`depth` grid (step_bits >= depth)."""
+    keys = pts >> (step_bits - depth)
+    return _sum_by_key(keys[:, None], np.full(len(pts), 1.0 / len(pts)))
 
 
 def _product_leaves(factors: list[dict[tuple[int], float]]) -> dict[tuple[int, ...], float]:
@@ -84,14 +84,7 @@ def _lattice_1d_leaves(p: int, depth: int) -> dict[tuple[int], float]:
         if g % 2 == 1:  # free digit
             offs = np.arange(1 << p, dtype=np.int64) << (step_bits - p * g)
             pts = (pts[:, None] + offs[None, :]).ravel()
-    w = 1.0 / len(pts)
-    shift = step_bits - depth
-    top = 1 << depth
-    leaves: dict[tuple[int], float] = {}
-    for q in np.sort(pts).tolist():
-        key = (min(q >> shift, top - 1) if shift >= 0 else q << (-shift),)
-        leaves[key] = leaves.get(key, 0.0) + w
-    return leaves
+    return _uniform_leaves(pts, step_bits, depth)
 
 
 def gen_lattice_falconer(q: int, d: int, depth: int) -> DyadicMeasure:
@@ -137,28 +130,23 @@ def gen_train_track(delta_level: int, depth: int, n_tracks: int | None = None) -
     return DyadicMeasure(2, depth, leaves)
 
 
-def gen_circle_pair(depth: int, radius: float = 0.25, center=(0.5, 0.5),
-                    half_width: float = math.pi / 4.0) -> DyadicMeasure:
-    """Arc-length measure on two opposite arcs of a circle.
+def gen_circle_pair(depth: int, radius: float = 0.25) -> DyadicMeasure:
+    """Arc-length measure on two opposite quarter-circle arcs of the circle
+    about (1/2, 1/2).
 
     A smooth curve of dimension 1 whose two components are separated in x,
     so the standard split-and-project pipeline applies; used as a
     calibration scene where every projection-type exponent is known."""
     n = 4 << min(depth, 16)
     ts = (np.arange(n) + 0.5) / n
-    # two arcs centered at angles 0 and pi
+    # two arcs of half-width pi/4 centered at angles 0 and pi
+    half_width = math.pi / 4.0
     ang = np.where(ts < 0.5, (4 * ts - 1) * half_width,
                    math.pi + (4 * (ts - 0.5) - 1) * half_width)
-    cx, cy = center
-    xs = cx + radius * np.cos(ang)
-    ys = cy + radius * np.sin(ang)
+    pts = 0.5 + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     top = 1 << depth
-    w = 1.0 / n
-    leaves: dict[tuple[int, ...], float] = {}
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        key = (min(int(x * top), top - 1), min(int(y * top), top - 1))
-        leaves[key] = leaves.get(key, 0.0) + w
-    return DyadicMeasure(2, depth, leaves)
+    keys = np.minimum((pts * top).astype(np.int64), top - 1)
+    return DyadicMeasure(2, depth, _sum_by_key(keys, np.full(n, 1.0 / n)))
 
 
 def gen_product_set(A_spec: dict, depth: int) -> DyadicMeasure:

@@ -12,9 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicMeasure
+from .dyadic import DyadicMeasure, _shannon, _sum_by_key
 
 _TOL = 1e-9
+
+# Directions per block in tube_mass_max; bounds the (leaves, chunk) temporaries.
+_DIRECTION_CHUNK = 128
 
 
 # -- output measure types ---------------------------------------------------
@@ -61,12 +64,12 @@ class DirectionMeasure:
             raise ValueError("need at least 2 cells")
         self.d = d
         self.n_cells = n_cells
-        self.cells = {int(i): float(m) for i, m in cells.items() if m > 0}
-        for i, m in self.cells.items():
+        for i, m in cells.items():
             if not (0 <= i < n_cells):
                 raise ValueError(f"cell index {i} out of range")
-            if m < 0:
-                raise ValueError("negative cell mass")
+            if not (0.0 <= m < math.inf):
+                raise ValueError(f"cell mass {m} is negative or not finite")
+        self.cells = {int(i): float(m) for i, m in cells.items() if m > 0}
 
     @property
     def resolution(self) -> float:
@@ -85,14 +88,6 @@ class DirectionMeasure:
             return np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return _sphere_lattice(self.n_cells)
 
-    def entropy(self) -> float:
-        tot = self.total_mass
-        if tot <= 0:
-            return 0.0
-        return -math.fsum(
-            (p / tot) * math.log2(p / tot) for p in self.cells.values() if p > 0
-        )
-
     def to_text(self) -> str:
         lines = [f"sphere {self.d} {self.n_cells}"]
         for i in sorted(self.cells):
@@ -102,9 +97,9 @@ class DirectionMeasure:
     @classmethod
     def from_text(cls, text: str) -> "DirectionMeasure":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "sphere":
-            raise ValueError("bad direction-measure header")
+        head = lines[0].split() if lines else []
+        if len(head) != 3 or head[0] != "sphere":
+            raise ValueError("bad direction-measure header; expected 'sphere d n_cells'")
         d, n = int(head[1]), int(head[2])
         cells = {}
         for ln in lines[1:]:
@@ -152,19 +147,23 @@ def value_bins(values: np.ndarray, level: int) -> np.ndarray:
     return np.floor(np.asarray(values) * 2.0 ** level).astype(np.int64)
 
 
-def value_entropy(values, weights, level: int) -> float:
-    """Entropy (bits) of a weighted value cloud over absolute dyadic cells."""
+def _value_cell_masses(values, weights, level: int) -> np.ndarray:
+    """Normalized masses of a weighted value cloud's occupied absolute dyadic
+    cells, in cell order (empty for zero total weight)."""
     idx = value_bins(values, level)
     w = np.asarray(weights, dtype=float)
     tot = float(w.sum())
     if tot <= 0:
-        return 0.0
+        return np.zeros(0)
     order = np.argsort(idx, kind="stable")
     idx, w = idx[order], w[order]
     cuts = np.nonzero(np.diff(idx))[0] + 1
-    sums = np.add.reduceat(w, np.concatenate(([0], cuts))) / tot
-    sums = sums[sums > 0]
-    return float(-(sums * np.log2(sums)).sum())
+    return np.add.reduceat(w, np.concatenate(([0], cuts))) / tot
+
+
+def value_entropy(values, weights, level: int) -> float:
+    """Entropy (bits) of a weighted value cloud over absolute dyadic cells."""
+    return _shannon(_value_cell_masses(values, weights, level))
 
 
 def value_box_count(values, level: int) -> int:
@@ -181,10 +180,7 @@ def _bin_line(values: np.ndarray, weights: np.ndarray, lo: float, hi: float,
         hi = lo + 2.0 ** (-out_depth)
     idx = np.minimum(((values - lo) / (hi - lo) * n).astype(np.int64), n - 1)
     idx = np.maximum(idx, 0)
-    leaves: dict[tuple[int, ...], float] = {}
-    for i, w in zip(idx.tolist(), weights.tolist()):
-        leaves[(i,)] = leaves.get((i,), 0.0) + w
-    return LineMeasure(DyadicMeasure(1, out_depth, leaves), lo, hi)
+    return LineMeasure(DyadicMeasure(1, out_depth, _sum_by_key(idx[:, None], weights)), lo, hi)
 
 
 def project_linear(mu: DyadicMeasure, theta, out_depth: int) -> LineMeasure:
@@ -201,6 +197,8 @@ def project_linear(mu: DyadicMeasure, theta, out_depth: int) -> LineMeasure:
 
 
 def _check_pin_separation(mu: DyadicMeasure, y) -> np.ndarray:
+    """Leaf-center offsets from the pin y; raises unless every leaf center is
+    at least two grid cells from y."""
     y = np.asarray(y, dtype=float)
     diff = mu.leaf_centers() - y
     dist = np.linalg.norm(diff, axis=1)
@@ -224,9 +222,7 @@ def project_radial(mu: DyadicMeasure, y, n_cells: int) -> DirectionMeasure:
         unit = diff / np.linalg.norm(diff, axis=1, keepdims=True)
         centers = _sphere_lattice(n_cells)
         idx = np.argmax(unit @ centers.T, axis=1)
-    cells: dict[int, float] = {}
-    for i, m in zip(idx.tolist(), w.tolist()):
-        cells[i] = cells.get(i, 0.0) + m
+    cells = {i: m for (i,), m in _sum_by_key(idx[:, None], w).items()}
     return DirectionMeasure(mu.d, n_cells, cells)
 
 
@@ -255,7 +251,6 @@ def _direction_grid(d: int, step: float) -> np.ndarray:
 
 def tube_mass_max(
     nu: DyadicMeasure, x, r: float, direction_grid_step: float | None = None,
-    chunk: int = 128,
 ) -> tuple[float, np.ndarray]:
     """Max of nu(tube) over r-tubes (closed slabs of half-width r about a
     line) through x, sampled on a direction grid with step <= r/4."""
@@ -273,8 +268,8 @@ def tube_mass_max(
     best = -1.0
     best_dir = dirs[0]
     r2 = r * r
-    for i0 in range(0, len(dirs), chunk):
-        U = dirs[i0 : i0 + chunk]
+    for i0 in range(0, len(dirs), _DIRECTION_CHUNK):
+        U = dirs[i0 : i0 + _DIRECTION_CHUNK]
         proj = pts @ U.T
         inside = (sq[:, None] - proj * proj) <= r2 + _TOL
         masses = w @ inside
@@ -285,15 +280,13 @@ def tube_mass_max(
     return best, best_dir
 
 
-def _quantile_pins(mu: DyadicMeasure, n_pins: int) -> np.ndarray:
-    """Mass-weighted deterministic quantile panel of support points."""
-    centers = mu.leaf_centers()
-    w = mu.leaf_mass_vector()
+def _quantile_leaves(w: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct indices of the leaves holding the mass quantiles
+    (k + 1/2)/n, k < n: a deterministic mass-weighted panel of the support.
+    `w` holds the leaf masses in sorted-key order."""
     cum = np.cumsum(w) / w.sum()
-    targets = (np.arange(n_pins) + 0.5) / n_pins
-    idx = np.searchsorted(cum, targets)
-    idx = np.unique(np.minimum(idx, len(w) - 1))
-    return centers[idx]
+    idx = np.searchsorted(cum, (np.arange(n) + 0.5) / n)
+    return np.unique(np.minimum(idx, len(w) - 1))
 
 
 def thin_tubes_profile(
@@ -312,7 +305,7 @@ def thin_tubes_profile(
     if len(rs) < 2:
         raise ValueError("need at least two tube radii")
     max_r = rs[-1]
-    pins = _quantile_pins(mu, n_pins)
+    pins = mu.leaf_centers()[_quantile_leaves(mu.leaf_mass_vector(), n_pins)]
     nu_pts = nu.leaf_centers()
     out = []
     for pin in pins:
@@ -359,6 +352,22 @@ def hyperplane_concentration(rho: DirectionMeasure, a: float) -> float:
     return float((masses @ near).max())
 
 
+def _failing_direction_mass(rho: DirectionMeasure, mu: DyadicMeasure, level: int,
+                            fails) -> float:
+    """rho-mass fraction of the cell directions theta for which
+    fails(project_linear(mu, theta, level)) holds."""
+    centers = rho.cell_centers()
+    bad = 0.0
+    total = 0.0
+    for i in sorted(rho.cells):
+        mass = rho.cells[i]
+        total += mass
+        theta = centers[i] / np.linalg.norm(centers[i])
+        if fails(project_linear(mu, theta, level)):
+            bad += mass
+    return bad / total if total > 0 else 0.0
+
+
 def adapted_audit(
     rho: DirectionMeasure,
     mu: DyadicMeasure,
@@ -368,19 +377,11 @@ def adapted_audit(
 ) -> float:
     """rho-mass fraction of directions whose linear projection of mu fails
     the robustness check at exponent s - eps and threshold 2^{-eps * level}."""
-    centers = rho.cell_centers()
     r = 2.0 ** (-eps * delta_level)
-    failing = 0.0
-    total = 0.0
-    for i in sorted(rho.cells):
-        mass = rho.cells[i]
-        total += mass
-        theta = centers[i] / np.linalg.norm(centers[i])
-        proj = project_linear(mu, theta, delta_level)
-        ok, _ = proj.measure.robustness_check(delta_level, s - eps, r)
-        if not ok:
-            failing += mass
-    return failing / total if total > 0 else 0.0
+    return _failing_direction_mass(
+        rho, mu, delta_level,
+        lambda proj: not proj.measure.robustness_check(delta_level, s - eps, r)[0],
+    )
 
 
 def entropy_projection_bound(
@@ -400,15 +401,5 @@ def entropy_projection_bound(
         )
     h_mu = mu.entropy(m)
     threshold = h_mu / mu.d - math.log2(1.0 / a) - fitted_constant
-    centers = rho.cell_centers()
-    bad = 0.0
-    total = 0.0
-    for i in sorted(rho.cells):
-        mass = rho.cells[i]
-        total += mass
-        theta = centers[i] / np.linalg.norm(centers[i])
-        h_proj = project_linear(mu, theta, m).entropy(m)
-        if h_proj < threshold:
-            bad += mass
-    bad_mass = bad / total if total > 0 else 0.0
+    bad_mass = _failing_direction_mass(rho, mu, m, lambda proj: proj.entropy(m) < threshold)
     return bad_mass, bad_mass <= b + _TOL

@@ -18,7 +18,6 @@ minimizing f).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -64,12 +63,6 @@ class Profile:
     def __call__(self, t):
         raise NotImplementedError
 
-    def params(self) -> dict:
-        return {}
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": type(self).__name__, "params": self.params()})
-
 
 class HighDimProfile(Profile):
     """D(t) = max(min(1, s + t - (d-1)), t/d)."""
@@ -83,9 +76,6 @@ class HighDimProfile(Profile):
         t = np.asarray(t, dtype=float)
         val = np.maximum(np.minimum(1.0, self.s + t - (self.d - 1.0)), t / self.d)
         return val if val.ndim else float(val)
-
-    def params(self):
-        return {"d": self.d, "s": self.s}
 
 
 class TrivialHalfProfile(Profile):
@@ -114,43 +104,31 @@ class KaufmanProfile(Profile):
         val = np.minimum(t, self.s)
         return val if val.ndim else float(val)
 
-    def params(self):
-        return {"s": self.s, "d": self.d}
-
 
 class PlanarProfile(Profile):
-    """Three-regime planar profile: identity, then a plateau s + eta(s, t),
-    then t/2 beyond the crossover s' solving s + eta(s, s') = s'/2.
+    """Three-regime planar profile: identity, then a plateau s + eta, then
+    t/2 beyond the crossover s' solving s + eta = s'/2 (capped at 2).
 
-    The plateau height eta is not pinned down numerically by the theory; a
-    constant default of 0.01 is shipped and clearly non-canonical.  A custom
-    eta may be passed as a callable (s, t) -> eta.
+    The plateau height eta is a positive constant.  The theory does not pin
+    it down numerically; the default of 0.01 is clearly non-canonical.
     """
 
-    def __init__(self, s: float, eta=0.01):
+    def __init__(self, s: float, eta: float = 0.01):
         if not (0.0 < s < 2.0):
             raise ValueError(f"s must be in (0, 2), got {s}")
+        if not eta > 0.0:
+            raise ValueError(f"eta must be positive, got {eta}")
         self.d = 2.0
         self.s = float(s)
         self.k = 1.0
-        if callable(eta):
-            self._eta = eta
-            self._eta_const = None
-        else:
-            self._eta_const = float(eta)
-            self._eta = lambda _s, _t, c=float(eta): c
+        self._eta = float(eta)
         self.s_prime = self._solve_crossover()
 
     def eta(self, t: float) -> float:
-        if t <= self.s:
-            return 0.0
-        val = self._eta(self.s, t)
-        if val is None or val <= 0.0:
-            raise ValueError(f"eta table gap or nonpositive value at (s={self.s}, t={t})")
-        return float(val)
+        return 0.0 if t <= self.s else self._eta
 
     def _solve_crossover(self) -> float:
-        # root of g(t) = s + eta(s, t) - t/2 on (s, 2]; g(s+) > 0, g nonincreasing
+        # root of g(t) = s + eta - t/2 on (s, 2]; g(s+) > 0, g nonincreasing
         g = lambda t: self.s + self.eta(t) - t / 2.0
         hi = 2.0
         if g(hi) >= 0.0:
@@ -166,21 +144,9 @@ class PlanarProfile(Profile):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if t.ndim:
-            if self._eta_const is not None:
-                plateau = self.s + self._eta_const
-            else:
-                plateau = self.s + np.vectorize(lambda x: self.eta(max(x, self.s + 1e-12)))(t)
-            return np.where(t <= self.s, t, np.where(t <= self.s_prime, plateau, t / 2.0))
-        tf = float(t)
-        if tf <= self.s:
-            return tf
-        if tf <= self.s_prime:
-            return self.s + self.eta(tf)
-        return tf / 2.0
-
-    def params(self):
-        return {"s": self.s, "s_prime": self.s_prime}
+        plateau = self.s + self._eta
+        val = np.where(t <= self.s, t, np.where(t <= self.s_prime, plateau, t / 2.0))
+        return val if val.ndim else float(val)
 
 
 class CustomProfile(Profile):
@@ -200,15 +166,6 @@ class CustomProfile(Profile):
         t = np.asarray(t, dtype=float)
         val = np.interp(t, self.xs, self.ys)
         return val if val.ndim else float(val)
-
-    def params(self):
-        return {"breakpoints": list(self.xs), "values": list(self.ys), "d": self.d}
-
-
-def profile_eval(D: Profile, t: float) -> float:
-    if not (0.0 <= t <= D.d + _TOL):
-        raise ValueError(f"t={t} outside profile domain [0, {D.d}]")
-    return float(D(t))
 
 
 # -- superlinearity --------------------------------------------------------
@@ -234,6 +191,17 @@ def best_slope(f: PLFunction, a: float, b: float) -> float:
 def is_superlinear(f: PLFunction, a: float, b: float, sigma: float, tol: float = _TOL) -> bool:
     """True iff f(x) >= f(a) + sigma (x - a) on [a, b]."""
     return best_slope(f, a, b) >= sigma - tol
+
+
+def _best_slope_matrix(f: PLFunction, G: np.ndarray) -> np.ndarray:
+    """B[i, j] = best_slope(f, G[i], G[j]) for i < j on the sorted grid G,
+    exact when G contains f's breakpoints (inf for j <= i)."""
+    fG = np.asarray(f(G))
+    dx = G[None, :] - G[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = (fG[None, :] - fG[:, None]) / dx
+    S[dx <= 0] = np.inf
+    return np.minimum.accumulate(S, axis=1)
 
 
 # -- interval decompositions -----------------------------------------------
@@ -296,9 +264,17 @@ def merge(
         raise ValueError("merge requires left slope >= right slope")
     if not is_superlinear(f, a, b1, s1) or not is_superlinear(f, b2, c, s2):
         raise ValueError("entries are not superlinear certificates for f")
-    sigma = (s1 * (b1 - a) + s2 * (c - b2)) / (c - a)
-    assert is_superlinear(f, a, c, sigma, tol=1e-7), "merged superlinearity failed"
+    sigma = _merged_slope(left, right)
+    if not is_superlinear(f, a, c, sigma, tol=1e-7):
+        raise ValueError(f"merged slope {sigma} is not superlinear on [{a}, {c}]")
     return (a, c, sigma)
+
+
+def _merged_slope(left, right) -> float:
+    """Length-weighted mean slope of adjacent entries (a, b, sigma); it keeps
+    sum_j sigma_j (b_j - a_j) unchanged."""
+    (a, b1, s1), (b2, c, s2) = left, right
+    return (s1 * (b1 - a) + s2 * (c - b2)) / (c - a)
 
 
 def merge_increasing(f: PLFunction, entries) -> IntervalDecomposition:
@@ -316,10 +292,7 @@ def merge_increasing(f: PLFunction, entries) -> IntervalDecomposition:
         cur = entry
         while stack and stack[-1][2] >= cur[2] - _TOL:
             prev = stack.pop()
-            sigma = (prev[2] * (prev[1] - prev[0]) + cur[2] * (cur[1] - cur[0])) / (
-                cur[1] - prev[0]
-            )
-            cur = (prev[0], cur[1], sigma)
+            cur = (prev[0], cur[1], _merged_slope(prev, cur))
         stack.append(cur)
     dec = IntervalDecomposition(stack, tau=min(b - a for a, b, _ in stack))
     dec.check(f=f, require_allowable=False)
@@ -349,13 +322,8 @@ def superlinear_decomposition(
         | {x for x in f.xs if a < x < b}
     )
     G = np.array(grid)
-    fG = np.asarray(f(G))
     K = len(G)
-    dx = G[None, :] - G[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S = (fG[None, :] - fG[:, None]) / dx
-    S[dx <= 0] = np.inf
-    B = np.minimum.accumulate(S, axis=1)  # best slope from G[i] over (G[i], G[j]]
+    B = _best_slope_matrix(f, G)
 
     NEG = -math.inf
     val = np.full(K, NEG)
@@ -404,12 +372,7 @@ def sigma_for_f(
     d = D.d
     xs = np.arange(grid_n + 1) / grid_n
     G = np.union1d(xs, np.clip(np.array(f.xs), 0.0, 1.0))
-    fG = np.asarray(f(G))
-    dx = G[None, :] - G[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S = (fG[None, :] - fG[:, None]) / dx
-    S[dx <= 0] = np.inf
-    B = np.minimum.accumulate(S, axis=1)
+    B = _best_slope_matrix(f, G)
     gi = np.searchsorted(G, xs)
     Bg = B[np.ix_(gi, gi)]  # best slope over [x_i, x_j]
 
@@ -494,7 +457,6 @@ def sigma_tau(
     slope_levels=None,
     grid_n: int | None = None,
     seed: int = 0,
-    nondecreasing: bool = True,
 ) -> SigmaTauResult:
     """Upper-bound the infimum of sigma_for_f over f in L(d, t).
 
@@ -509,8 +471,6 @@ def sigma_tau(
         raise ValueError(f"t must be in (0, {d}), got {t}")
     if slope_levels is None:
         slope_levels = [d * i / 8.0 for i in range(9)]
-    if not nondecreasing:
-        slope_levels = sorted(set(slope_levels) | {-s for s in slope_levels})
     if grid_n is None:
         grid_n = _default_grid_n(tau, n_segments)
 
@@ -611,7 +571,7 @@ def lipschitz_scan(D: Profile, t_range, tau: float, **kwargs) -> list[dict]:
 def verify_planar_bound(
     u: float,
     zeta: float,
-    eta=0.01,
+    eta: float = 0.01,
     tau: float = 0.01,
     budget: int = 1000,
     s_grid=None,
@@ -619,7 +579,7 @@ def verify_planar_bound(
 ) -> dict:
     """Check that the planar profile value exceeds s across s in (0, phi(u)-zeta].
 
-    Parametric in the supplied eta table; the shipped constant default is
+    Parametric in the plateau height eta; the shipped default is
     non-canonical.  Reports per-s margins; PASS iff all are strictly positive.
     """
     s_max = phi(u) - zeta

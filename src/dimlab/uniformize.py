@@ -115,7 +115,7 @@ def _prune_pass(mu: DyadicMeasure, surviving: set, T: int, ell: int):
     return surviving, classes, changed
 
 
-def extract_uniform(mu: DyadicMeasure, T: int, max_passes: int | None = None) -> UniformPiece:
+def extract_uniform(mu: DyadicMeasure, T: int) -> UniformPiece:
     """Extract a block-uniform subset retaining mass at least (2dT+2)^{-ell}.
 
     Per block level, leaf cubes are bucketed by the dyadic class of their
@@ -133,9 +133,7 @@ def extract_uniform(mu: DyadicMeasure, T: int, max_passes: int | None = None) ->
     ell = mu.m // T
     surviving = set(mu.leaves)
     classes = None
-    if max_passes is None:
-        max_passes = len(mu.leaves) + 2  # each changed pass prunes >= 1 cube
-    for _ in range(max_passes):
+    for _ in range(len(mu.leaves) + 2):  # each changed pass prunes >= 1 cube
         surviving, classes, changed = _prune_pass(mu, surviving, T, ell)
         if not surviving:
             raise ValueError("pruning emptied the measure")

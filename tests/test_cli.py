@@ -106,3 +106,38 @@ def test_experiment_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert os.path.exists(tmp_path / "out" / "report.csv")
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "profile_missing_s", "generator_missing_param", "rho_empty", "rho_truncated",
+    "measure_nan",
+])
+def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
+    mu = str(tmp_path / "mu.txt")
+    main(["measure", "build", "--kind", "cantor_product",
+          "--params", '{"r": 0.25, "d": 2}', "--depth", "6", "--out", mu])
+    capsys.readouterr()
+    f = _write(tmp_path / "f.json", '{"breakpoints": [0.0, 1.0], "values": [0.0, 1.5]}')
+    scene = _write(tmp_path / "scene.json", json.dumps({
+        "scenario": "tt", "generator": {"kind": "train_track", "params": {}},
+        "depth": 12}))
+    argv = {
+        "profile_missing_s": ["sigma", "eval", "--profile", "highdim:d=3", "--f", f,
+                              "--tau", "0.02"],
+        "generator_missing_param": ["experiment", "run", scene],
+        "rho_empty": ["audit", "adapted", "--rho", _write(tmp_path / "rho.txt", ""),
+                      "--mu", mu, "--level", "6", "--s", "0.5", "--eps", "0.1"],
+        "rho_truncated": ["audit", "adapted", "--rho",
+                          _write(tmp_path / "rho.txt", "sphere 2\n"),
+                          "--mu", mu, "--level", "6", "--s", "0.5", "--eps", "0.1"],
+        "measure_nan": ["measure", "info", _write(tmp_path / "nan.txt", "1 2\n0 nan\n")],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -28,6 +28,11 @@ def test_construction_rejects_bad_leaves():
         DyadicMeasure(2, 4, {(16, 0): 1.0})
     with pytest.raises(ValueError):
         DyadicMeasure(2, 4, {(0,): 1.0})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DyadicMeasure(1, 2, {(0,): bad})
+        with pytest.raises(ValueError):
+            DyadicMeasure.from_text(f"1 2\n0 {bad}\n")
     assert DyadicMeasure(2, 4, {}).trivial
     assert DyadicMeasure(2, 4, {(0, 0): 0.0}).trivial
 

@@ -99,6 +99,12 @@ def test_direction_measure_roundtrip_and_validation():
         DirectionMeasure.from_text("sphere 2 16\n0 0.5\n0 0.5\n")
     with pytest.raises(ValueError):
         DirectionMeasure(2, 8, {9: 1.0})
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DirectionMeasure(2, 4, {0: bad, 1: 1.0})
+    for text in ("", "sphere 2\n", "2 16\n0 1.0\n"):
+        with pytest.raises(ValueError):
+            DirectionMeasure.from_text(text)
 
 
 def test_tube_mass_basics():
