@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CubeRef, DyadicMeasure, _capped_fill_entropy, _shannon, magnify
+from .dyadic import (CubeRef, DyadicMeasure, _capped_fill_entropy, _find_rows, _group_rows,
+                     _shannon, magnify)
 from .geometry import (
     _check_pin_separation,
     _quantile_leaves,
@@ -116,16 +117,15 @@ def _map_values(map_kind: str, pts: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _integration_leaves(mu: DyadicMeasure):
-    """Leaf keys and normalized weights for the outer integral; exact when the
-    support is small, mass-weighted quantile subsample (deterministic) above
-    the limit."""
-    keys = mu._sorted_keys
-    w = mu.leaf_mass_vector()
-    if len(keys) <= _SAMPLE_LIMIT:
-        return keys, w / w.sum()
+    """Leaf coordinates and normalized weights for the outer integral; exact
+    when the support is small, mass-weighted quantile subsample
+    (deterministic) above the limit."""
+    w = mu.masses
+    if len(w) <= _SAMPLE_LIMIT:
+        return mu.coords, w / w.sum()
     idx = _quantile_leaves(w, _SAMPLE_LIMIT)
     sub_w = w[idx]
-    return [keys[i] for i in idx], sub_w / sub_w.sum()
+    return mu.coords[idx], sub_w / sub_w.sum()
 
 
 def _rhs_sum(
@@ -141,18 +141,16 @@ def _rhs_sum(
     level-A ancestor so each magnification is computed once."""
     rhs = 0.0
     for A, B in schedule.intervals:
-        shift = mu.m - A
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, leaf in enumerate(int_keys):
-            groups.setdefault(tuple(c >> shift for c in leaf), []).append(i)
-        for anc in sorted(groups):
+        ancestors, group = _group_rows(int_keys >> (mu.m - A))
+        members = np.split(np.argsort(group, kind="stable"),
+                           np.cumsum(np.bincount(group))[:-1])
+        for anc, idx in zip(map(tuple, ancestors.tolist()), members):
             sub = magnify(mu, CubeRef(A, anc))
             centers = sub.leaf_centers()
-            masses = sub.leaf_mass_vector()
-            for i in groups[anc]:
-                x = (np.array(int_keys[i], dtype=float) + 0.5) * 2.0 ** (-mu.m)
+            for i in idx:
+                x = (int_keys[i] + 0.5) * 2.0 ** (-mu.m)
                 u = linearization_direction(map_kind, x, y)
-                cells = _value_cell_masses(centers @ u, masses, B - A)
+                cells = _value_cell_masses(centers @ u, sub.masses, B - A)
                 if robust_theta is None:
                     h = _shannon(cells)
                 else:
@@ -179,7 +177,7 @@ def chain_sides(
     y = np.asarray(y, dtype=float)
     _check_pin_separation(mu, y)
     vals = _map_values(map_kind, mu.leaf_centers(), y)
-    lhs = value_entropy(vals, mu.leaf_mass_vector(), schedule.M)
+    lhs = value_entropy(vals, mu.masses, schedule.M)
     keys, w = _integration_leaves(mu)
     rhs = _rhs_sum(mu, map_kind, y, schedule, keys, w, None)
     return lhs, rhs, schedule.J
@@ -198,11 +196,11 @@ def chain_sides_robust(
     mu'."""
     if mu.m != mu_prime.m or mu.d != mu_prime.d:
         raise ValueError("mu and mu' must share shape")
-    worst = 0.0
-    for leaf, wp in mu_prime.leaves.items():
-        w = mu.leaves.get(leaf, 0.0)
-        ratio = math.inf if w <= 0 else wp / w
-        worst = max(worst, ratio)
+    at = _find_rows(mu.coords, mu_prime.coords)
+    w = np.zeros(len(at))
+    w[at >= 0] = mu.masses[at[at >= 0]]
+    ratio = np.divide(mu_prime.masses, w, out=np.full(len(w), math.inf), where=w > 0)
+    worst = float(ratio.max(initial=0.0))
     if worst > Theta * (1.0 + 1e-9):
         raise ValueError(f"domination violated: worst leaf ratio {worst} > {Theta}")
     if mu.trivial or mu_prime.trivial:
@@ -212,7 +210,7 @@ def chain_sides_robust(
     y = np.asarray(y, dtype=float)
     _check_pin_separation(mu, y)
     vals = _map_values(map_kind, mu_prime.leaf_centers(), y)
-    lhs = value_entropy(vals, mu_prime.leaf_mass_vector(), schedule.M)
+    lhs = value_entropy(vals, mu_prime.masses, schedule.M)
     keys, w = _integration_leaves(mu_prime)
     rhs = _rhs_sum(mu, map_kind, y, schedule, keys, w, _ROBUST_CAP * Theta)
     return lhs, rhs, schedule.J

@@ -84,7 +84,7 @@ def cmd_measure(args) -> int:
         _write_or_print(mu.to_text(), args.out)
         return PASS
     mu = _load_measure(args.file)
-    print(f"d={mu.d} depth={mu.m} leaves={len(mu.leaves)}")
+    print(f"d={mu.d} depth={mu.m} leaves={len(mu.masses)}")
     print(f"total_mass={mu.total_mass!r} normalized={mu.normalized}")
     if not mu.trivial and mu.normalized:
         print(f"entropy_at_depth={mu.entropy(mu.m)!r}")

@@ -1,10 +1,13 @@
 """Sparse dyadic-tree measures on [0,1)^d.
 
-A measure is stored as a map from integer leaf coordinates at the finest
-level m to positive masses.  Masses of coarser cubes are obtained by
-summation in a fixed (sorted-key) order, so cube/children consistency is
-bit-exact and runs are reproducible.  All instances are immutable; every
-operation returns a new object.
+A measure is stored as two arrays: ``coords``, the int64 coordinates of the
+leaves at the finest level m that carry positive mass, rows in
+lexicographic order, and ``masses``, their float64 masses.  Masses of
+coarser cubes are summed by np.bincount in that leaf order, so
+cube/children consistency is bit-exact and runs are reproducible.  All
+instances are immutable (their arrays reject writes); every operation
+returns a new object.  Other modules read and build measures only through
+these arrays and the helpers here, never a per-leaf Python loop.
 
 Entropies are in bits throughout.
 """
@@ -57,16 +60,59 @@ def _capped_fill_entropy(masses, Theta: float) -> float:
     return max(0.0, h)
 
 
-def _sum_by_key(keys: np.ndarray, weights) -> dict[tuple[int, ...], float]:
-    """Sum the weights of equal rows of the (n, k) integer array `keys`.
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the (n, k) integer array `keys` in lexicographic
+    order, and the index of each input row among them.
 
-    bincount adds each key's weights in input order, as a per-key dict loop
-    would, so the sums are bit-identical to that loop; the keys come back as
-    int tuples in sorted order.  Memory is O(n) whatever the key range.
+    The columns are combined mixed-radix into one int64 code that orders
+    like the rows, each with radix its value span.  Where that would
+    overflow, the code so far and the column are first replaced by their
+    1-d np.unique ranks, which bounds the radix by n^2.
     """
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.bincount(inv.reshape(-1), weights=weights, minlength=len(uniq))
-    return dict(zip(map(tuple, uniq.tolist()), sums.tolist()))
+    code = np.zeros(len(keys), dtype=np.int64)
+    radix = 1
+    for col in keys.T:
+        col = col - col.min(initial=0)
+        span = int(col.max(initial=0)) + 1
+        if radix * span >= 1 << 62:
+            vals, col = np.unique(col, return_inverse=True)
+            distinct, code = np.unique(code, return_inverse=True)
+            span, radix = len(vals), len(distinct)
+        code = code * span + col
+        radix *= span
+    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    return keys[first], inv
+
+
+def _sum_by_key(keys: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the (n, k) integer array `keys` in lexicographic
+    order, and the summed weights of each.
+
+    bincount adds each row's weights in input order, as a per-key dict loop
+    would, so the sums are bit-identical to that loop.
+    """
+    rows, inv = _group_rows(keys)
+    return rows, np.bincount(inv, weights=weights, minlength=len(rows))
+
+
+def _find_rows(table: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index of a row of `table` equal to each row of `query`, or -1."""
+    _, inv = _group_rows(np.concatenate([table, query]))
+    pos = np.full(len(table) + len(query), -1)
+    pos[inv[: len(table)]] = np.arange(len(table))
+    return pos[inv[len(table):]]
+
+
+def _check_shape(d: int, m: int) -> None:
+    if not (1 <= d <= 3):
+        raise ValueError(f"ambient dimension must be 1..3, got {d}")
+    if not (0 <= m <= 40):
+        raise ValueError(f"depth must be in 0..40, got {m}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -113,17 +159,15 @@ class FrostmanFit:
 class DyadicMeasure:
     """Finitely supported mass assignment on the level-m dyadic grid of [0,1)^d.
 
-    The zero measure is representable; it carries ``trivial=True`` and all
-    operations on it return defined sentinel values.
+    ``coords`` is the read-only (n, d) int64 array of the leaves carrying
+    positive mass, rows in lexicographic order, and ``masses`` the read-only
+    (n,) float64 array of their masses.  The zero measure is representable;
+    it carries ``trivial=True`` and all operations on it return defined
+    sentinel values.
     """
 
     def __init__(self, d: int, m: int, leaf_masses: Mapping[tuple[int, ...], float]):
-        if not (1 <= d <= 3):
-            raise ValueError(f"ambient dimension must be 1..3, got {d}")
-        if not (0 <= m <= 40):
-            raise ValueError(f"depth must be in 0..40, got {m}")
-        self.d = d
-        self.m = m
+        _check_shape(d, m)
         top = 1 << m
         leaves = {}
         for coords, mass in leaf_masses.items():
@@ -138,60 +182,82 @@ class DyadicMeasure:
                 if not (0 <= c < top):
                     raise ValueError(f"leaf coordinate {c} out of range at depth {m}")
             leaves[coords] = float(mass)
-        self.leaves = leaves
-        self.trivial = not leaves
-        self._level_cache: dict[int, dict[tuple[int, ...], float]] = {}
-        self._sorted_keys = sorted(leaves)
-        self._centers_cache: np.ndarray | None = None
+        coords = np.array(list(leaves), dtype=np.int64).reshape(-1, d)
+        order = np.lexsort(coords.T[::-1])
+        self._set(d, m, coords[order], np.array(list(leaves.values()))[order])
+
+    @classmethod
+    def _from_arrays(cls, d: int, m: int, coords: np.ndarray,
+                     masses: np.ndarray) -> "DyadicMeasure":
+        """Measure on leaves already known to be valid: distinct in-range rows
+        of the int64 array `coords` in lexicographic order, with finite
+        non-negative `masses`."""
+        _check_shape(d, m)
+        mu = cls.__new__(cls)
+        mu._set(d, m, coords, masses)
+        return mu
+
+    def _set(self, d: int, m: int, coords: np.ndarray, masses: np.ndarray) -> None:
+        keep = masses > 0.0
+        self.d = d
+        self.m = m
+        self.coords = _frozen(coords[keep].reshape(-1, d))
+        self.masses = _frozen(np.asarray(masses, dtype=float)[keep])
+        self.trivial = not len(self.masses)
+        self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._centers: np.ndarray | None = None
 
     # -- basic structure ---------------------------------------------------
 
     @property
+    def leaves(self) -> dict[tuple[int, ...], float]:
+        """Leaf masses keyed by coordinate tuple (a new dict on each access)."""
+        return dict(zip(map(tuple, self.coords.tolist()), self.masses.tolist()))
+
+    @property
     def total_mass(self) -> float:
-        # fixed left-to-right summation over sorted leaves
-        return math.fsum(self.leaves[k] for k in self._sorted_keys)
+        return math.fsum(self.masses.tolist())
 
     @property
     def normalized(self) -> bool:
         return abs(self.total_mass - 1.0) <= _NORM_TOL
 
-    def level_masses(self, level: int) -> dict[tuple[int, ...], float]:
-        """Masses of all positive cubes at the given level (cached)."""
+    def cells(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (coords, masses) arrays of the positive cubes at `level`,
+        rows in lexicographic order (cached).  Each cube's mass is summed
+        over its leaves in leaf order."""
         if not (0 <= level <= self.m):
             raise ValueError(f"level {level} outside [0, {self.m}]")
-        if level not in self._level_cache:
-            shift = self.m - level
-            acc: dict[tuple[int, ...], float] = {}
-            for key in self._sorted_keys:
-                coarse = tuple(c >> shift for c in key)
-                acc[coarse] = acc.get(coarse, 0.0) + self.leaves[key]
-            self._level_cache[level] = acc
-        return self._level_cache[level]
+        if level not in self._cells:
+            rows, sums = _sum_by_key(self.coords >> (self.m - level), self.masses)
+            self._cells[level] = (_frozen(rows), _frozen(sums))
+        return self._cells[level]
+
+    def level_masses(self, level: int) -> dict[tuple[int, ...], float]:
+        """Masses of all positive cubes at the given level, keyed by coordinate tuple."""
+        rows, sums = self.cells(level)
+        return dict(zip(map(tuple, rows.tolist()), sums.tolist()))
 
     def mass_of(self, cube: CubeRef) -> float:
         if cube.level > self.m:
             raise ValueError("cube finer than measure depth")
-        return self.level_masses(cube.level).get(cube.coords, 0.0)
+        if len(cube.coords) != self.d:
+            raise ValueError(f"cube {cube.coords} has wrong dimension")
+        rows, sums = self.cells(cube.level)
+        hit = np.flatnonzero((rows == cube.coords).all(axis=1))
+        return float(sums[hit[0]]) if len(hit) else 0.0
 
     def leaf_centers(self) -> np.ndarray:
-        """(n, d) array of leaf-cube centers, rows sorted by leaf key."""
-        if self._centers_cache is None:
-            side = 2.0 ** (-self.m)
-            arr = np.array(self._sorted_keys, dtype=float).reshape(-1, self.d)
-            self._centers_cache = (arr + 0.5) * side
-        return self._centers_cache
-
-    def leaf_mass_vector(self) -> np.ndarray:
-        return np.array([self.leaves[k] for k in self._sorted_keys])
+        """Read-only (n, d) array of leaf-cube centers, rows in leaf order."""
+        if self._centers is None:
+            self._centers = _frozen((self.coords + 0.5) * 2.0 ** (-self.m))
+        return self._centers
 
     def support_cubes(self, level: int) -> set[CubeRef]:
-        return {CubeRef(level, c) for c in self.level_masses(level)}
+        return {CubeRef(level, c) for c in map(tuple, self.cells(level)[0].tolist())}
 
     def normalize(self) -> "DyadicMeasure":
-        if self.trivial:
-            return self
-        tot = self.total_mass
-        return DyadicMeasure(self.d, self.m, {k: v / tot for k, v in self.leaves.items()})
+        return self._from_arrays(self.d, self.m, self.coords, self.masses / self.total_mass)
 
     # -- entropy and counting ----------------------------------------------
 
@@ -201,8 +267,7 @@ class DyadicMeasure:
             return 0.0
         if not self.normalized:
             raise ValueError("entropy requires a normalized measure")
-        cells = self.level_masses(level)
-        return _shannon(np.fromiter(cells.values(), float, len(cells)))
+        return _shannon(self.cells(level)[1])
 
     def robust_entropy(self, level: int, Theta: float) -> float:
         """Minimal level-entropy over probability vectors dominated by Theta*mu.
@@ -217,13 +282,11 @@ class DyadicMeasure:
             return 0.0
         if not self.normalized:
             raise ValueError("robust_entropy requires a normalized measure")
-        return _capped_fill_entropy(self.level_masses(level).values(), Theta)
+        return _capped_fill_entropy(self.cells(level)[1].tolist(), Theta)
 
     def box_count(self, level: int) -> int:
         """Number of level-`level` dyadic cubes carrying positive mass."""
-        if self.trivial:
-            return 0
-        return len(self.level_masses(level))
+        return len(self.cells(level)[1])
 
     # -- regularity diagnostics --------------------------------------------
 
@@ -243,7 +306,7 @@ class DyadicMeasure:
         if not (0 <= j_lo <= j_hi <= self.m):
             raise ValueError("scale_range outside measure depth")
         levels = list(range(j_lo, j_hi + 1))
-        worst = [max(self.level_masses(j).values()) for j in levels]
+        worst = [float(self.cells(j)[1].max()) for j in levels]
         logm = np.array([math.log2(w) for w in worst])
         js = np.array(levels, dtype=float)
 
@@ -278,8 +341,9 @@ class DyadicMeasure:
 
         The minimal cell count achieving mass > r is the greedy descending
         prefix (swapping any chosen cell for a heavier one never increases
-        the count).  Returns (ok, witness); the witness is the offending
-        greedy cell set when the check fails.
+        the count); ties in mass go to the lexicographically smaller cube.
+        Returns (ok, witness); the witness is the offending greedy cell set
+        when the check fails.
         """
         if not (0.0 < r < 1.0):
             raise ValueError(f"r must be in (0,1), got {r}")
@@ -287,24 +351,17 @@ class DyadicMeasure:
             return True, None
         if not self.normalized:
             raise ValueError("robustness_check requires a normalized measure")
-        cells = sorted(
-            self.level_masses(level).items(), key=lambda kv: (-kv[1], kv[0])
-        )
-        acc = 0.0
-        prefix: list[CubeRef] = []
-        for coords, p in cells:
-            acc += p
-            prefix.append(CubeRef(level, coords))
-            if acc > r:
-                break
-        else:
+        rows, sums = self.cells(level)
+        order = np.argsort(-sums, kind="stable")
+        over = np.flatnonzero(np.cumsum(sums[order]) > r)
+        if not len(over):
             # total mass never exceeds r: no violating set exists
             return True, None
-        needed = len(prefix)
+        needed = int(over[0]) + 1
         threshold = 2.0 ** (level * s)
         if needed > threshold:
             return True, None
-        return False, prefix
+        return False, [CubeRef(level, c) for c in map(tuple, rows[order[:needed]].tolist())]
 
     # -- energies ------------------------------------------------------------
 
@@ -316,10 +373,8 @@ class DyadicMeasure:
         """
         if s <= 0:
             raise ValueError("s must be positive")
-        if self.trivial:
-            return 0.0
         pts = self.leaf_centers()
-        w = self.leaf_mass_vector()
+        w = self.masses
         n = len(w)
         diag_sep = 2.0 ** (-self.m)
         total = float(np.sum(w * w)) * diag_sep ** (-s)
@@ -337,18 +392,15 @@ class DyadicMeasure:
 
     def l2_density_norm(self, level: int) -> float:
         """Squared L2 norm of the level-resolution density."""
-        if self.trivial:
-            return 0.0
-        cells = self.level_masses(level)
-        return math.fsum(p * p for p in cells.values()) * 2.0 ** (level * self.d)
+        p = self.cells(level)[1]
+        return math.fsum((p * p).tolist()) * 2.0 ** (level * self.d)
 
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
         lines = [f"{self.d} {self.m}"]
-        for key in self._sorted_keys:
-            coords = " ".join(str(c) for c in key)
-            lines.append(f"{coords} {self.leaves[key]!r}")
+        for key, mass in zip(self.coords.tolist(), self.masses.tolist()):
+            lines.append(f"{' '.join(map(str, key))} {mass!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -373,7 +425,7 @@ class DyadicMeasure:
 
     def __repr__(self):
         tag = "trivial " if self.trivial else ""
-        return f"DyadicMeasure({tag}d={self.d}, m={self.m}, leaves={len(self.leaves)})"
+        return f"DyadicMeasure({tag}d={self.d}, m={self.m}, leaves={len(self.masses)})"
 
 
 # -- constructors ---------------------------------------------------------
@@ -387,28 +439,32 @@ def build_from_atoms(
     Zero-weight atoms are dropped.  A zero total yields the flagged trivial
     measure.
     """
-    if not (0 <= depth <= 40):
-        raise ValueError(f"depth must be in 0..40, got {depth}")
     pts = list(points)
     if not pts:
         raise ValueError("no atoms given")
     d = len(pts[0][0])
+    _check_shape(d, depth)
+    if any(len(coords) != d for coords, _ in pts):
+        raise ValueError("inconsistent atom dimensions")
+    xs = np.array([coords for coords, _ in pts], dtype=float).reshape(-1, d)
+    w = np.array([w for _, w in pts], dtype=float)
+    bad = w[~((w >= 0.0) & (w < math.inf))]
+    if len(bad):
+        raise ValueError(f"weight {bad[0]} is negative or not finite")
+    bad = xs[~((xs >= 0.0) & (xs < 1.0))]
+    if len(bad):
+        raise ValueError(f"coordinate {bad[0]} outside [0,1)")
     top = 1 << depth
-    keys, weights = [], []
-    for coords, w in pts:
-        if w < 0:
-            raise ValueError(f"negative weight {w}")
-        if len(coords) != d:
-            raise ValueError("inconsistent atom dimensions")
-        for x in coords:
-            if not (0.0 <= x < 1.0):
-                raise ValueError(f"coordinate {x} outside [0,1)")
-        if w == 0:
-            continue
-        keys.append([min(int(x * top), top - 1) for x in coords])
-        weights.append(float(w))
-    keys = np.array(keys, dtype=np.int64).reshape(-1, d)
-    return DyadicMeasure(d, depth, _sum_by_key(keys, weights))
+    keys = np.minimum((xs * top).astype(np.int64), top - 1)
+    return DyadicMeasure._from_arrays(d, depth, *_sum_by_key(keys, w))
+
+
+def _restrict_normalize(mu: DyadicMeasure, keep: np.ndarray) -> DyadicMeasure:
+    """Restrict mu to the leaves selected by the boolean mask `keep` (over
+    mu's leaf rows) and renormalize."""
+    if not keep.any():
+        raise ValueError("kept set carries zero mass")
+    return DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords[keep], mu.masses[keep]).normalize()
 
 
 def restrict_normalize(mu: DyadicMeasure, keep: Iterable[CubeRef]) -> DyadicMeasure:
@@ -419,15 +475,10 @@ def restrict_normalize(mu: DyadicMeasure, keep: Iterable[CubeRef]) -> DyadicMeas
     level = keep[0].level
     if any(c.level != level for c in keep):
         raise ValueError("kept cubes must share a level")
-    shift = mu.m - level
-    kept_coords = {c.coords for c in keep}
-    leaves = {
-        k: v for k, v in mu.leaves.items() if tuple(c >> shift for c in k) in kept_coords
-    }
-    sub = DyadicMeasure(mu.d, mu.m, leaves)
-    if sub.trivial:
-        raise ValueError("kept set carries zero mass")
-    return sub.normalize()
+    if level > mu.m:
+        raise ValueError("cube finer than measure depth")
+    kept = np.array([c.coords for c in keep], dtype=np.int64).reshape(len(keep), mu.d)
+    return _restrict_normalize(mu, _find_rows(kept, mu.coords >> (mu.m - level)) >= 0)
 
 
 def magnify(mu: DyadicMeasure, Q: CubeRef) -> DyadicMeasure:
@@ -435,15 +486,12 @@ def magnify(mu: DyadicMeasure, Q: CubeRef) -> DyadicMeasure:
 
     The result has depth m - Q.level.
     """
-    if Q.level > mu.m:
-        raise ValueError("cube finer than measure depth")
     mass = mu.mass_of(Q)
     if mass <= 0.0:
         raise ValueError("cube carries zero mass")
     shift = mu.m - Q.level
-    leaves: dict[tuple[int, ...], float] = {}
-    for k, v in mu.leaves.items():
-        if tuple(c >> shift for c in k) == Q.coords:
-            rel = tuple(c - (q << shift) for c, q in zip(k, Q.coords))
-            leaves[rel] = leaves.get(rel, 0.0) + v / mass
-    return DyadicMeasure(mu.d, shift, leaves)
+    corner = np.array(Q.coords, dtype=np.int64)
+    inside = ((mu.coords >> shift) == corner).all(axis=1)
+    return DyadicMeasure._from_arrays(
+        mu.d, shift, mu.coords[inside] - (corner << shift), mu.masses[inside] / mass
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import CubeRef, DyadicMeasure, restrict_normalize
+from .dyadic import DyadicMeasure, _restrict_normalize
 from .generators import (
     gen_cantor_product,
     gen_circle_pair,
@@ -133,10 +133,10 @@ def build_scene_measure(cfg: SceneConfig) -> DyadicMeasure:
         if kind == "from_file":
             with open(p["path"]) as fh:
                 return DyadicMeasure.from_text(fh.read())
-    except ConfigError:
-        raise
     except KeyError as e:
         raise ConfigError(f"generator {kind!r} is missing parameter {e}") from e
+    except ValueError as e:
+        raise ConfigError(f"generator {kind!r}: {e}") from e
     except Exception as e:
         raise StageError("build", str(e)) from e
     raise ConfigError(f"unknown generator kind {kind!r}")
@@ -148,12 +148,10 @@ def split_separated(mu: DyadicMeasure) -> tuple[DyadicMeasure, DyadicMeasure]:
 
     A natural support gap is used when one exists; otherwise a band of width
     MIN_GAP around the weighted median is discarded to create the gap."""
-    centers = mu.leaf_centers()
-    w = mu.leaf_mass_vector()
-    xs = centers[:, 0]
+    xs = mu.leaf_centers()[:, 0]
     order = np.argsort(xs, kind="stable")
     xs_s = xs[order]
-    cum = np.cumsum(w[order])
+    cum = np.cumsum(mu.masses[order])
     side = 2.0 ** (-mu.m)
     gaps = xs_s[1:] - xs_s[:-1]
     ok = np.nonzero(gaps - side >= MIN_GAP)[0]
@@ -166,12 +164,12 @@ def split_separated(mu: DyadicMeasure) -> tuple[DyadicMeasure, DyadicMeasure]:
         # no natural gap: carve one around the weighted median
         med = float(xs_s[int(np.searchsorted(cum, 0.5 * cum[-1]))])
         lo, hi = med - 0.5 * MIN_GAP - side, med + 0.5 * MIN_GAP + side
-    left = [k for k in mu._sorted_keys if (k[0] + 0.5) * side < lo]
-    right = [k for k in mu._sorted_keys if (k[0] + 0.5) * side > hi]
-    if not left or not right:
+    left = xs < lo
+    right = xs > hi
+    if not left.any() or not right.any():
         raise StageError("split", "no separated mass balance along axis 0")
-    mu_half = restrict_normalize(mu, [CubeRef(mu.m, k) for k in left])
-    nu_half = restrict_normalize(mu, [CubeRef(mu.m, k) for k in right])
+    mu_half = _restrict_normalize(mu, left)
+    nu_half = _restrict_normalize(mu, right)
     gap = _split_gap(mu_half, nu_half)
     if gap < MIN_GAP - 1e-12:
         raise StageError("split", f"split gap {gap} below {MIN_GAP}")

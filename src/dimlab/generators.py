@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _sum_by_key
+from .dyadic import DyadicMeasure, _check_shape, _sum_by_key
 
 __all__ = [
     "gen_cantor_product",
@@ -29,7 +29,7 @@ def _dyadic_log(r: float) -> int:
     return k
 
 
-def _cantor_1d_leaves(k: int, depth: int) -> dict[tuple[int], float]:
+def _cantor_1d(k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-branch self-similar set with contraction 2^{-k}: keep the first
     and last subinterval of length r in each parent, uniform mass."""
     gens = max(1, math.ceil(depth / k))
@@ -40,25 +40,28 @@ def _cantor_1d_leaves(k: int, depth: int) -> dict[tuple[int], float]:
         # offset of the right branch at generation g: (1 - 2^{-k}) * 2^{-k(g-1)}
         off = ((1 << k) - 1) << (step_bits - k * g)
         pts = np.concatenate([pts, pts + off])
-    return _uniform_leaves(pts, step_bits, depth)
+    return _uniform_1d(pts, step_bits, depth)
 
 
-def _uniform_leaves(pts: np.ndarray, step_bits: int, depth: int) -> dict[tuple[int], float]:
+def _uniform_1d(pts: np.ndarray, step_bits: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal masses on integer points at scale 2^{-step_bits}, binned to the
     coarser level-`depth` grid (step_bits >= depth)."""
-    keys = pts >> (step_bits - depth)
-    return _sum_by_key(keys[:, None], np.full(len(pts), 1.0 / len(pts)))
+    cells, masses = _sum_by_key((pts >> (step_bits - depth))[:, None],
+                                np.full(len(pts), 1.0 / len(pts)))
+    return cells[:, 0], masses
 
 
-def _product_leaves(factors: list[dict[tuple[int], float]]) -> dict[tuple[int, ...], float]:
-    out: dict[tuple[int, ...], float] = {(): 1.0}
-    for f in factors:
-        nxt = {}
-        for key, w in out.items():
-            for (c,), wf in f.items():
-                nxt[key + (c,)] = w * wf
-        out = nxt
-    return out
+def _product(factors: list[tuple[np.ndarray, np.ndarray]], depth: int) -> DyadicMeasure:
+    """Product of 1-d factors, each a pair (sorted distinct int64 cells at
+    `depth`, their masses).  Earlier factors vary slowest, so the rows come
+    out in lexicographic order."""
+    _check_shape(len(factors), depth)  # before building up to 2^(d * depth) rows
+    grids = np.meshgrid(*[cells for cells, _ in factors], indexing="ij")
+    masses = np.ones(1)
+    for _, w in factors:
+        masses = np.outer(masses, w).ravel()
+    coords = np.stack([g.ravel() for g in grids], axis=1)
+    return DyadicMeasure._from_arrays(len(factors), depth, coords, masses)
 
 
 def gen_cantor_product(r: float, d: int, depth: int) -> DyadicMeasure:
@@ -67,14 +70,10 @@ def gen_cantor_product(r: float, d: int, depth: int) -> DyadicMeasure:
     r = 2^{-k} aligns the construction with the dyadic grid; each factor has
     exact similarity dimension 1/k (r = 1/2 degenerates to Lebesgue).
     """
-    k = _dyadic_log(r)
-    if not (1 <= d <= 3):
-        raise ValueError("d must be 1..3")
-    f = _cantor_1d_leaves(k, depth)
-    return DyadicMeasure(d, depth, _product_leaves([f] * d))
+    return _product([_cantor_1d(_dyadic_log(r), depth)] * d, depth)
 
 
-def _lattice_1d_leaves(p: int, depth: int) -> dict[tuple[int], float]:
+def _lattice_1d(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Base-q digits (q = 2^p) with every even-position digit forced to zero:
     a lattice-aligned set of dimension 1/2."""
     gens = max(1, math.ceil(depth / p))
@@ -84,7 +83,7 @@ def _lattice_1d_leaves(p: int, depth: int) -> dict[tuple[int], float]:
         if g % 2 == 1:  # free digit
             offs = np.arange(1 << p, dtype=np.int64) << (step_bits - p * g)
             pts = (pts[:, None] + offs[None, :]).ravel()
-    return _uniform_leaves(pts, step_bits, depth)
+    return _uniform_1d(pts, step_bits, depth)
 
 
 def gen_lattice_falconer(q: int, d: int, depth: int) -> DyadicMeasure:
@@ -97,11 +96,10 @@ def gen_lattice_falconer(q: int, d: int, depth: int) -> DyadicMeasure:
         raise ValueError(f"q must be a power of 2, got {q}")
     if q == 2:
         # degenerate: single-bit blocks leave no room for a zero block pattern
-        # at alternate generations below depth 2; emit the full uniform measure
-        full = {(i,): 2.0 ** (-depth) for i in range(1 << depth)}
-        return DyadicMeasure(d, depth, _product_leaves([full] * d))
-    f = _lattice_1d_leaves(p, depth)
-    return DyadicMeasure(d, depth, _product_leaves([f] * d))
+        # at alternate generations below depth 2; emit the full uniform
+        # measure (the ratio-1/2 Cantor factor)
+        return _product([_cantor_1d(1, depth)] * d, depth)
+    return _product([_lattice_1d(p, depth)] * d, depth)
 
 
 def gen_train_track(delta_level: int, depth: int, n_tracks: int | None = None) -> DyadicMeasure:
@@ -118,16 +116,10 @@ def gen_train_track(delta_level: int, depth: int, n_tracks: int | None = None) -
         raise ValueError("need 0 < delta_level < depth")
     if n_tracks is None:
         n_tracks = 1 << (delta_level // 2)
-    if n_tracks == 0:
-        return DyadicMeasure(2, depth, {})
-    x_leaves = _cantor_1d_leaves(2, depth)
-    leaves: dict[tuple[int, ...], float] = {}
-    row_w = 1.0 / n_tracks
-    for k in range(n_tracks):
-        yc = k << (depth - delta_level)
-        for (xc,), w in x_leaves.items():
-            leaves[(xc, yc)] = w * row_w
-    return DyadicMeasure(2, depth, leaves)
+    if not (0 <= n_tracks <= 1 << delta_level):
+        raise ValueError(f"n_tracks must be in 0..2^{delta_level}, got {n_tracks}")
+    rows = np.arange(n_tracks, dtype=np.int64) << (depth - delta_level)
+    return _product([_cantor_1d(2, depth), (rows, np.full(n_tracks, 1.0) / n_tracks)], depth)
 
 
 def gen_circle_pair(depth: int, radius: float = 0.25) -> DyadicMeasure:
@@ -137,6 +129,8 @@ def gen_circle_pair(depth: int, radius: float = 0.25) -> DyadicMeasure:
     A smooth curve of dimension 1 whose two components are separated in x,
     so the standard split-and-project pipeline applies; used as a
     calibration scene where every projection-type exponent is known."""
+    if not (0.0 < radius < 0.5):
+        raise ValueError(f"radius {radius} outside (0, 1/2): the arcs leave the unit square")
     n = 4 << min(depth, 16)
     ts = (np.arange(n) + 0.5) / n
     # two arcs of half-width pi/4 centered at angles 0 and pi
@@ -146,7 +140,7 @@ def gen_circle_pair(depth: int, radius: float = 0.25) -> DyadicMeasure:
     pts = 0.5 + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     top = 1 << depth
     keys = np.minimum((pts * top).astype(np.int64), top - 1)
-    return DyadicMeasure(2, depth, _sum_by_key(keys, np.full(n, 1.0 / n)))
+    return DyadicMeasure._from_arrays(2, depth, *_sum_by_key(keys, np.full(n, 1.0 / n)))
 
 
 def gen_product_set(A_spec: dict, depth: int) -> DyadicMeasure:
@@ -154,13 +148,15 @@ def gen_product_set(A_spec: dict, depth: int) -> DyadicMeasure:
     kind = A_spec.get("kind")
     params = A_spec.get("params", {})
     if kind == "cantor":
-        f = _cantor_1d_leaves(_dyadic_log(params.get("r", 0.25)), depth)
+        f = _cantor_1d(_dyadic_log(params.get("r", 0.25)), depth)
     elif kind == "lebesgue":
-        f = {(i,): 2.0 ** (-depth) for i in range(1 << depth)}
+        f = _cantor_1d(1, depth)
     elif kind == "point":
         x = params.get("x", 0.0)
+        if not (0.0 <= x <= 1.0):
+            raise ValueError(f"point x = {x} outside [0, 1]")
         top = 1 << depth
-        f = {(min(int(x * top), top - 1),): 1.0}
+        f = (np.array([min(int(x * top), top - 1)], dtype=np.int64), np.ones(1))
     else:
         raise ValueError(f"unknown 1-d generator kind {kind!r}")
-    return DyadicMeasure(2, depth, _product_leaves([f, f]))
+    return _product([f, f], depth)

@@ -180,7 +180,8 @@ def _bin_line(values: np.ndarray, weights: np.ndarray, lo: float, hi: float,
         hi = lo + 2.0 ** (-out_depth)
     idx = np.minimum(((values - lo) / (hi - lo) * n).astype(np.int64), n - 1)
     idx = np.maximum(idx, 0)
-    return LineMeasure(DyadicMeasure(1, out_depth, _sum_by_key(idx[:, None], weights)), lo, hi)
+    cells = DyadicMeasure._from_arrays(1, out_depth, *_sum_by_key(idx[:, None], weights))
+    return LineMeasure(cells, lo, hi)
 
 
 def project_linear(mu: DyadicMeasure, theta, out_depth: int) -> LineMeasure:
@@ -192,14 +193,15 @@ def project_linear(mu: DyadicMeasure, theta, out_depth: int) -> LineMeasure:
     if mu.trivial:
         raise ValueError("cannot project the trivial measure")
     vals = mu.leaf_centers() @ theta
-    return _bin_line(vals, mu.leaf_mass_vector(), float(vals.min()), float(vals.max()),
-                     out_depth)
+    return _bin_line(vals, mu.masses, float(vals.min()), float(vals.max()), out_depth)
 
 
 def _check_pin_separation(mu: DyadicMeasure, y) -> np.ndarray:
-    """Leaf-center offsets from the pin y; raises unless every leaf center is
-    at least two grid cells from y."""
+    """Leaf-center offsets from the pin y; raises unless y has mu.d
+    coordinates and every leaf center is at least two grid cells from y."""
     y = np.asarray(y, dtype=float)
+    if y.shape != (mu.d,):
+        raise ValueError(f"pin has {y.size} coordinates; the measure has d = {mu.d}")
     diff = mu.leaf_centers() - y
     dist = np.linalg.norm(diff, axis=1)
     if float(dist.min()) < 2.0 * 2.0 ** (-mu.m):
@@ -214,7 +216,6 @@ def project_radial(mu: DyadicMeasure, y, n_cells: int) -> DirectionMeasure:
     if mu.trivial:
         raise ValueError("cannot project the trivial measure")
     diff = _check_pin_separation(mu, y)
-    w = mu.leaf_mass_vector()
     if mu.d == 2:
         ang = np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * math.pi)
         idx = np.minimum((ang / (2.0 * math.pi) * n_cells).astype(np.int64), n_cells - 1)
@@ -222,8 +223,8 @@ def project_radial(mu: DyadicMeasure, y, n_cells: int) -> DirectionMeasure:
         unit = diff / np.linalg.norm(diff, axis=1, keepdims=True)
         centers = _sphere_lattice(n_cells)
         idx = np.argmax(unit @ centers.T, axis=1)
-    cells = {i: m for (i,), m in _sum_by_key(idx[:, None], w).items()}
-    return DirectionMeasure(mu.d, n_cells, cells)
+    cells, masses = _sum_by_key(idx[:, None], mu.masses)
+    return DirectionMeasure(mu.d, n_cells, dict(zip(cells[:, 0].tolist(), masses.tolist())))
 
 
 def pinned_distance(mu: DyadicMeasure, y, out_depth: int) -> LineMeasure:
@@ -232,7 +233,7 @@ def pinned_distance(mu: DyadicMeasure, y, out_depth: int) -> LineMeasure:
         raise ValueError("cannot project the trivial measure")
     diff = _check_pin_separation(mu, y)
     dist = np.linalg.norm(diff, axis=1)
-    return _bin_line(dist, mu.leaf_mass_vector(), 0.0, float(dist.max()), out_depth)
+    return _bin_line(dist, mu.masses, 0.0, float(dist.max()), out_depth)
 
 
 # -- tubes ------------------------------------------------------------------
@@ -262,7 +263,7 @@ def tube_mass_max(
         raise ValueError("direction grid step must be <= r/4")
     x = np.asarray(x, dtype=float)
     pts = nu.leaf_centers() - x
-    w = nu.leaf_mass_vector()
+    w = nu.masses
     sq = np.sum(pts * pts, axis=1)
     dirs = _direction_grid(nu.d, direction_grid_step)
     best = -1.0
@@ -283,7 +284,7 @@ def tube_mass_max(
 def _quantile_leaves(w: np.ndarray, n: int) -> np.ndarray:
     """Sorted distinct indices of the leaves holding the mass quantiles
     (k + 1/2)/n, k < n: a deterministic mass-weighted panel of the support.
-    `w` holds the leaf masses in sorted-key order."""
+    `w` holds the leaf masses in leaf order."""
     cum = np.cumsum(w) / w.sum()
     idx = np.searchsorted(cum, (np.arange(n) + 0.5) / n)
     return np.unique(np.minimum(idx, len(w) - 1))
@@ -305,7 +306,7 @@ def thin_tubes_profile(
     if len(rs) < 2:
         raise ValueError("need at least two tube radii")
     max_r = rs[-1]
-    pins = mu.leaf_centers()[_quantile_leaves(mu.leaf_mass_vector(), n_pins)]
+    pins = mu.leaf_centers()[_quantile_leaves(mu.masses, n_pins)]
     nu_pts = nu.leaf_centers()
     out = []
     for pin in pins:

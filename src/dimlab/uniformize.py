@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dyadic import CubeRef, DyadicMeasure, restrict_normalize
+import numpy as np
+
+from .dyadic import CubeRef, DyadicMeasure, _find_rows, _group_rows, _restrict_normalize
 from .plf import PLFunction
 
 _TOL = 1e-9
@@ -23,18 +25,23 @@ _TOL = 1e-9
 
 @dataclass
 class UniformPiece:
-    """A block-uniform subset: surviving level-m cubes, the branching
-    sequence beta, block size T, and the original mass retained."""
+    """A block-uniform subset: the branching sequence beta, block size T,
+    the original mass retained, and the normalized restriction of the
+    measure to the surviving leaves."""
 
-    subset: set[CubeRef]
     beta: tuple[float, ...]
     T: int
     mass_retained: float
-    measure: DyadicMeasure  # normalized restriction to the subset
+    measure: DyadicMeasure
 
     @property
     def ell(self) -> int:
         return len(self.beta)
+
+    @property
+    def subset(self) -> set[CubeRef]:
+        """The surviving level-m cubes."""
+        return self.measure.support_cubes(self.measure.m)
 
     def check_invariant(self) -> None:
         """Verify the two-sided ratio inequality exactly at every block level."""
@@ -43,16 +50,16 @@ class UniformPiece:
         for j in range(1, self.ell + 1):
             k = round(self.beta[j - 1] * T)
             bound = 2.0 ** (-k)
-            fine = mu.level_masses(j * T)
-            coarse = mu.level_masses((j - 1) * T)
-            for coords, mass in fine.items():
-                parent = tuple(c >> T for c in coords)
-                pm = coarse[parent]
-                if not (mass <= bound * pm + _TOL * pm and bound * pm <= 2.0 * mass + _TOL * pm):
-                    raise ValueError(
-                        f"uniformity violated at level {j * T}, cube {coords}: "
-                        f"ratio {mass / pm} outside [2^-{k + 1}, 2^-{k}]"
-                    )
+            fine, mass = mu.cells(j * T)
+            # the parents of the level-jT cubes are exactly the level-(j-1)T cubes
+            pm = mu.cells((j - 1) * T)[1][_group_rows(fine >> T)[1]]
+            ok = (mass <= bound * pm + _TOL * pm) & (bound * pm <= 2.0 * mass + _TOL * pm)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ValueError(
+                    f"uniformity violated at level {j * T}, cube {tuple(fine[i].tolist())}: "
+                    f"ratio {mass[i] / pm[i]} outside [2^-{k + 1}, 2^-{k}]"
+                )
 
     def to_text(self) -> str:
         head = f"beta {' '.join(repr(b) for b in self.beta)}\n"
@@ -60,59 +67,43 @@ class UniformPiece:
         return head + self.measure.to_text()
 
 
-def _ratio_class(ratio: float, max_k: int) -> int:
-    """Dyadic class k with ratio in [2^{-k-1}, 2^{-k}); k > max_k is overflow."""
-    if ratio > 1.0:
-        ratio = 1.0
-    k = 0
-    while k <= max_k and ratio <= 2.0 ** -(k + 1):
-        k += 1
-    return k  # k == max_k + 1 signals overflow
-
-
-def _prune_pass(mu: DyadicMeasure, surviving: set, T: int, ell: int):
+def _prune_pass(mu: DyadicMeasure, alive: np.ndarray, T: int, ell: int):
     """One top-down sweep: per block level, keep the heaviest ratio class.
 
-    Returns (surviving, classes, changed).  Masses are recomputed from the
-    current surviving leaves at each level.
+    `alive` masks mu's surviving leaves.  Returns (alive, classes, changed).
+    Masses are recomputed from the current surviving leaves at each level,
+    summed in leaf order.
     """
-    d = mu.d
-    max_k = d * T
+    max_k = mu.d * T
+    # a ratio is in class k when it lies in (2^{-k-1}, 2^{-k}]: k counts the
+    # bounds 2^{-1}, ..., 2^{-max_k-1} at or above it; k = max_k + 1 is overflow
+    bounds = 2.0 ** -np.arange(1.0, max_k + 2)
+    alive = alive.copy()
     classes = []
     changed = False
+    # each level's cube of every surviving leaf is the next level's parent
+    parent_of = np.zeros(len(mu.masses), dtype=np.intp)
     for j in range(1, ell + 1):
-        fine_level = j * T
-        shift_fine = mu.m - fine_level
-        shift_coarse = mu.m - (j - 1) * T
-        fine: dict = {}
-        coarse: dict = {}
-        for leaf in sorted(surviving):
-            w = mu.leaves[leaf]
-            fine_key = tuple(c >> shift_fine for c in leaf)
-            coarse_key = tuple(c >> shift_coarse for c in leaf)
-            fine[fine_key] = fine.get(fine_key, 0.0) + w
-            coarse[coarse_key] = coarse.get(coarse_key, 0.0) + w
-        weight_by_class: dict[int, float] = {}
-        class_of: dict = {}
-        for coords in sorted(fine):
-            parent = tuple(c >> T for c in coords)
-            k = _ratio_class(fine[coords] / coarse[parent], max_k)
-            class_of[coords] = k
-            weight_by_class[k] = weight_by_class.get(k, 0.0) + fine[coords]
+        coords, w = mu.coords[alive], mu.masses[alive]
+        fine, fine_of = _group_rows(coords >> (mu.m - j * T))
+        fine_mass = np.bincount(fine_of, weights=w, minlength=len(fine))
+        coarse_mass = np.bincount(parent_of[alive], weights=w)
+        parent = np.empty(len(fine), dtype=np.intp)
+        parent[fine_of] = parent_of[alive]
+        k = (bounds >= (fine_mass / coarse_mass[parent])[:, None]).sum(axis=1)
+        weight = np.bincount(k, weights=fine_mass, minlength=max_k + 2)[: max_k + 1]
+        present = np.bincount(k, minlength=max_k + 2)[: max_k + 1] > 0
+        if not present.any():
+            return np.zeros_like(alive), None, True
         # heaviest non-overflow class; smallest k wins ties
-        candidates = [(w, k) for k, w in weight_by_class.items() if k <= max_k]
-        if not candidates:
-            return set(), None, True
-        best_k = min(candidates, key=lambda wk: (-wk[0], wk[1]))[1]
+        best_k = int(np.argmax(np.where(present, weight, -1.0)))
         classes.append(best_k)
-        kept = {c for c, k in class_of.items() if k == best_k}
-        if len(kept) < len(fine):
+        parent_of[alive] = fine_of
+        kept = k == best_k
+        if not kept.all():
             changed = True
-            surviving = {
-                leaf for leaf in surviving
-                if tuple(c >> shift_fine for c in leaf) in kept
-            }
-    return surviving, classes, changed
+            alive[alive] = kept[fine_of]
+    return alive, classes, changed
 
 
 def extract_uniform(mu: DyadicMeasure, T: int) -> UniformPiece:
@@ -131,27 +122,21 @@ def extract_uniform(mu: DyadicMeasure, T: int) -> UniformPiece:
     if mu.m % T != 0:
         raise ValueError(f"depth {mu.m} is not divisible by block size {T}")
     ell = mu.m // T
-    surviving = set(mu.leaves)
+    alive = np.ones(len(mu.masses), dtype=bool)
     classes = None
-    for _ in range(len(mu.leaves) + 2):  # each changed pass prunes >= 1 cube
-        surviving, classes, changed = _prune_pass(mu, surviving, T, ell)
-        if not surviving:
+    for _ in range(len(mu.masses) + 2):  # each changed pass prunes >= 1 cube
+        alive, classes, changed = _prune_pass(mu, alive, T, ell)
+        if not alive.any():
             raise ValueError("pruning emptied the measure")
         if not changed:
             break
     else:
         raise RuntimeError("uniformization did not stabilize")
-    retained = math.fsum(mu.leaves[k] for k in sorted(surviving))
-    sub = restrict_normalize(
-        mu, [CubeRef(mu.m, c) for c in surviving]
-    )
-    beta = tuple(k / T for k in classes)
     piece = UniformPiece(
-        subset={CubeRef(mu.m, c) for c in surviving},
-        beta=beta,
+        beta=tuple(k / T for k in classes),
         T=T,
-        mass_retained=retained,
-        measure=sub,
+        mass_retained=math.fsum(mu.masses[alive].tolist()),
+        measure=_restrict_normalize(mu, alive),
     )
     piece.check_invariant()
     return piece
@@ -169,17 +154,15 @@ def decompose_uniform(mu: DyadicMeasure, T: int, eps: float) -> list[UniformPiec
         raise ValueError("input must be normalized")
     cutoff = 2.0 ** (-eps * mu.m)
     pieces: list[UniformPiece] = []
-    remaining = dict(mu.leaves)
+    remaining = np.ones(len(mu.masses), dtype=bool)
     residual_mass = 1.0
-    while residual_mass >= cutoff and remaining:
-        residual = DyadicMeasure(mu.d, mu.m, remaining).normalize()
-        piece = extract_uniform(residual, T)
+    while residual_mass >= cutoff and remaining.any():
+        piece = extract_uniform(_restrict_normalize(mu, remaining), T)
         # express retained mass relative to the original measure
         piece.mass_retained *= residual_mass
         pieces.append(piece)
-        for cube in piece.subset:
-            remaining.pop(cube.coords, None)
-        residual_mass = math.fsum(remaining[k] for k in sorted(remaining))
+        remaining &= _find_rows(piece.measure.coords, mu.coords) < 0
+        residual_mass = math.fsum(mu.masses[remaining].tolist())
     return pieces
 
 

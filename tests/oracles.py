@@ -129,3 +129,123 @@ def sigma_value_bruteforce(D, f, tau, grid_n):
 
     extend(0, 0.0)
     return best
+
+
+# -- dict-of-tuples references for the array-backed measure core -------------
+# The per-leaf loops the measure core ran before it stored sorted arrays.  A
+# measure is given here as its leaf dict {coords: mass} and depth m; the
+# property tests require exact (==) agreement with these.
+
+
+def level_masses_reference(leaves, m, level):
+    shift = m - level
+    acc = {}
+    for key in sorted(leaves):
+        coarse = tuple(c >> shift for c in key)
+        acc[coarse] = acc.get(coarse, 0.0) + leaves[key]
+    return acc
+
+
+def build_from_atoms_reference(points, depth):
+    top = 1 << depth
+    acc = {}
+    for coords, w in points:
+        if w > 0:
+            key = tuple(min(int(x * top), top - 1) for x in coords)
+            acc[key] = acc.get(key, 0.0) + float(w)
+    return acc
+
+
+def magnify_reference(leaves, m, level, q):
+    mass = level_masses_reference(leaves, m, level)[q]
+    shift = m - level
+    out = {}
+    for k, v in leaves.items():
+        if tuple(c >> shift for c in k) == q:
+            out[tuple(c - (qq << shift) for c, qq in zip(k, q))] = v / mass
+    return out
+
+
+def restrict_normalize_reference(leaves, m, level, kept):
+    shift = m - level
+    sub = {k: v for k, v in leaves.items() if tuple(c >> shift for c in k) in kept}
+    tot = math.fsum(sub.values())
+    return {k: v / tot for k, v in sub.items()}
+
+
+def _ratio_class(ratio, max_k):
+    if ratio > 1.0:
+        ratio = 1.0
+    k = 0
+    while k <= max_k and ratio <= 2.0 ** -(k + 1):
+        k += 1
+    return k
+
+
+def prune_pass_reference(leaves, m, d, surviving, T, ell):
+    """One sweep of the block-uniform extraction; returns (surviving,
+    classes, changed)."""
+    max_k = d * T
+    classes = []
+    changed = False
+    for j in range(1, ell + 1):
+        shift_fine = m - j * T
+        shift_coarse = m - (j - 1) * T
+        fine = {}
+        coarse = {}
+        for leaf in sorted(surviving):
+            w = leaves[leaf]
+            fine_key = tuple(c >> shift_fine for c in leaf)
+            coarse_key = tuple(c >> shift_coarse for c in leaf)
+            fine[fine_key] = fine.get(fine_key, 0.0) + w
+            coarse[coarse_key] = coarse.get(coarse_key, 0.0) + w
+        weight_by_class = {}
+        class_of = {}
+        for coords in sorted(fine):
+            parent = tuple(c >> T for c in coords)
+            k = _ratio_class(fine[coords] / coarse[parent], max_k)
+            class_of[coords] = k
+            weight_by_class[k] = weight_by_class.get(k, 0.0) + fine[coords]
+        candidates = [(w, k) for k, w in weight_by_class.items() if k <= max_k]
+        if not candidates:
+            return set(), None, True
+        best_k = min(candidates, key=lambda wk: (-wk[0], wk[1]))[1]
+        classes.append(best_k)
+        kept = {c for c, k in class_of.items() if k == best_k}
+        if len(kept) < len(fine):
+            changed = True
+            surviving = {
+                leaf for leaf in surviving
+                if tuple(c >> shift_fine for c in leaf) in kept
+            }
+    return surviving, classes, changed
+
+
+def extract_uniform_reference(leaves, m, d, T):
+    """(beta, surviving leaves, mass_retained) of the extraction sweep."""
+    surviving = set(leaves)
+    while True:
+        surviving, classes, changed = prune_pass_reference(leaves, m, d, surviving, T, m // T)
+        if not surviving:
+            raise ValueError("pruning emptied the measure")
+        if not changed:
+            break
+    retained = math.fsum(leaves[k] for k in sorted(surviving))
+    return tuple(k / T for k in classes), surviving, retained
+
+
+def decompose_uniform_reference(leaves, m, d, T, eps):
+    """[(beta, surviving leaves, mass_retained)] of the repeated extraction."""
+    cutoff = 2.0 ** (-eps * m)
+    pieces = []
+    remaining = dict(leaves)
+    residual_mass = 1.0
+    while residual_mass >= cutoff and remaining:
+        tot = math.fsum(remaining.values())
+        residual = {k: v / tot for k, v in remaining.items()}
+        beta, surviving, retained = extract_uniform_reference(residual, m, d, T)
+        pieces.append((beta, surviving, retained * residual_mass))
+        for k in surviving:
+            del remaining[k]
+        residual_mass = math.fsum(remaining[k] for k in sorted(remaining))
+    return pieces

@@ -121,7 +121,7 @@ def test_robust_domination_checked():
     sched = ScaleSchedule(8, ((4, 8),))
     y = (-0.5, 0.5)
     # restriction to half the mass is dominated with Theta = 1/mass
-    keys = mu._sorted_keys
+    keys = [tuple(k) for k in mu.coords.tolist()]
     half = keys[: len(keys) // 2]
     mu_half = restrict_normalize(mu, [CubeRef(8, k) for k in half])
     hm = math.fsum(mu.leaves[k] for k in half)

@@ -115,7 +115,8 @@ def _write(path, text):
 
 @pytest.mark.parametrize("case", [
     "profile_missing_s", "generator_missing_param", "rho_empty", "rho_truncated",
-    "measure_nan",
+    "measure_nan", "pin_wrong_dim_distance", "pin_wrong_dim_radial", "circle_pair_radius",
+    "lattice_dim",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -136,6 +137,12 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
                           _write(tmp_path / "rho.txt", "sphere 2\n"),
                           "--mu", mu, "--level", "6", "--s", "0.5", "--eps", "0.1"],
         "measure_nan": ["measure", "info", _write(tmp_path / "nan.txt", "1 2\n0 nan\n")],
+        "pin_wrong_dim_distance": ["distance", mu, "--pin", "-0.5", "--depth", "8"],
+        "pin_wrong_dim_radial": ["radial", mu, "--pin", "-0.5", "--cells", "16"],
+        "circle_pair_radius": ["measure", "build", "--kind", "circle_pair",
+                               "--params", '{"radius": 0.9}', "--depth", "8"],
+        "lattice_dim": ["measure", "build", "--kind", "lattice_falconer",
+                        "--params", '{"q": 4, "d": 5}', "--depth", "6"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

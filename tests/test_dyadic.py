@@ -10,7 +10,18 @@ from dimlab.dyadic import (
     magnify,
     restrict_normalize,
 )
-from oracles import min_cells_bruteforce, random_measure, robust_entropy_bruteforce
+from dimlab.uniformize import decompose_uniform, extract_uniform
+from oracles import (
+    build_from_atoms_reference,
+    decompose_uniform_reference,
+    extract_uniform_reference,
+    level_masses_reference,
+    magnify_reference,
+    min_cells_bruteforce,
+    random_measure,
+    restrict_normalize_reference,
+    robust_entropy_bruteforce,
+)
 
 
 def test_cuberef_validation():
@@ -147,7 +158,7 @@ def test_riesz_energy_small_oracle():
     rng = np.random.default_rng(11)
     mu = random_measure(rng, d=2, m=5, n_leaves=30)
     pts = mu.leaf_centers()
-    w = mu.leaf_mass_vector()
+    w = mu.masses
     s = 0.7
     expect = 0.0
     for i in range(len(w)):
@@ -209,3 +220,75 @@ def test_restrict_and_magnify():
     assert abs(res.total_mass - 1.0) < 1e-9
     with pytest.raises(ValueError):
         restrict_normalize(mu, [])
+    # a cube of the wrong dimension must not broadcast against the leaves
+    with pytest.raises(ValueError):
+        magnify(mu, CubeRef(2, Q.coords[:1]))
+
+
+def _check_level_ops(mu):
+    leaves, m = mu.leaves, mu.m
+    for level in range(m + 1):
+        ref = level_masses_reference(leaves, m, level)
+        assert mu.level_masses(level) == ref
+        cubes = sorted(ref)
+        for q in cubes[:3]:
+            got = magnify(mu, CubeRef(level, q)).leaves
+            assert got == magnify_reference(leaves, m, level, q)
+        kept = set(cubes[::2])
+        if kept:
+            got = restrict_normalize(mu, [CubeRef(level, q) for q in kept]).leaves
+            assert got == restrict_normalize_reference(leaves, m, level, kept)
+
+
+def _pieces(pieces):
+    return [(p.beta, {c.coords for c in p.subset}, p.mass_retained) for p in pieces]
+
+
+def _exact_split_measure(rng, d, m):
+    """Each cube splits its mass equally over 1, 2 or 4 of its children, so
+    every ratio to an ancestor is an exact power of two: the ratio-class
+    boundaries of the extraction are hit exactly."""
+    leaves = {(0,) * d: 1.0}
+    sizes = [k for k in (1, 2, 4) if k <= 2 ** d]
+    for _ in range(m):
+        nxt = {}
+        for key, mass in leaves.items():
+            n = int(rng.choice(sizes))
+            for child in rng.choice(2 ** d, size=n, replace=False).tolist():
+                nxt[tuple(2 * c + (child >> i & 1) for i, c in enumerate(key))] = mass / n
+        leaves = nxt
+    return DyadicMeasure(d, m, leaves)
+
+
+def test_array_core_matches_dict_loops():
+    rng = np.random.default_rng(12)
+    trivial = DyadicMeasure(2, 4, {})
+    _check_level_ops(trivial)
+    with pytest.raises(ValueError):
+        extract_uniform(trivial, 2)
+    for d in (1, 2, 3):
+        for _ in range(8):
+            m = int(rng.integers(1, 9 if d < 3 else 7))
+            _check_level_ops(random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(1, 150))))
+        pts = [(tuple(rng.random(d).tolist()), float(rng.random())) for _ in range(200)]
+        pts += pts[:40]
+        deep = build_from_atoms(pts, 40)
+        assert deep.leaves == build_from_atoms_reference(pts, 40)
+        _check_level_ops(deep.normalize())
+    # the acceptance-06 family (d = 2, m = 8, T = 2), d = 1 and d = 3, then
+    # measures whose ratios sit exactly on the class boundaries
+    cases = [random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(5, 120)))
+             for d, m, count in ((2, 8, 30), (1, 8, 10), (3, 6, 10)) for _ in range(count)]
+    cases += [_exact_split_measure(rng, d, m) for d, m in ((1, 8), (2, 6), (3, 4)) * 4]
+    for mu in cases:
+        leaves, d, m = mu.leaves, mu.d, mu.m
+        assert _pieces([extract_uniform(mu, 2)]) == [extract_uniform_reference(leaves, m, d, 2)]
+        assert _pieces(decompose_uniform(mu, 2, 0.2)) == \
+            decompose_uniform_reference(leaves, m, d, 2, 0.2)
+
+
+def test_measure_arrays_reject_writes():
+    mu = random_measure(np.random.default_rng(3), d=2, m=5, n_leaves=10)
+    for arr in (mu.coords, mu.masses, mu.leaf_centers(), *mu.cells(2)):
+        with pytest.raises(ValueError):
+            arr[0] = 0
