@@ -63,8 +63,7 @@ def _parse_profile(spec: str):
 
 def _write_or_print(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        exp_mod._write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -148,6 +147,7 @@ def cmd_sigma(args) -> int:
         res = sigma_tau(D, args.t, args.tau, budget=args.budget, seed=args.seed)
         print(f"estimate={res.estimate!r} candidates={res.n_candidates}")
         print(f"certificate={res.certificate.to_json()}")
+        print(f"full_evaluations={res.n_full_evals}")
         return PASS
     if args.action == "verify-planar":
         rep = verify_planar_bound(args.u, args.zeta, eta=args.eta,

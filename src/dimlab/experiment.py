@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,11 +282,25 @@ def emit_report(results, out_dir: str) -> list[str]:
             )
         for name, curve in sorted(res.curves.items()):
             path = os.path.join(out_dir, f"{res.scenario}_{name}.dat")
-            with open(path, "w") as fh:
-                for j, v in curve:
-                    fh.write(f"{j} {v!r}\n")
+            _write_file(path, "".join(f"{j} {v!r}\n" for j, v in curve))
             written.append(path)
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_file(csv_path, "\n".join(lines) + "\n")
     written.insert(0, csv_path)
     return written
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write text to path as a new file, removing an existing regular file
+    first.
+
+    Truncating an existing file and writing it again makes ext4 flush the
+    file when it is closed (about 50 ms each); a new file costs no flush.
+    Symlinks and devices (such as /dev/stdout) are written through, as before.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "w") as fh:
+        fh.write(text)

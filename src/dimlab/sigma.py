@@ -357,6 +357,49 @@ def superlinear_decomposition(
 # -- exact inner maximization ----------------------------------------------
 
 
+def _grid(grid_n: int) -> np.ndarray:
+    """The endpoint grid {i/grid_n : 0 <= i <= grid_n}."""
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    return np.arange(grid_n + 1) / grid_n
+
+
+def _grid_dp(D: Profile, f: PLFunction, tau: float, xs: np.ndarray):
+    """Weighted interval scheduling over allowable families with endpoints in
+    the sorted grid xs.
+
+    Returns (value, take, Bg): take[j] is the start index of the interval
+    ending at xs[j] in an optimal family on xs[:j+1] (-1 if none), and
+    Bg[i, j] the best superlinear slope over [xs[i], xs[j]].
+    """
+    d = D.d
+    G = np.union1d(xs, np.clip(np.array(f.xs), 0.0, 1.0))
+    gi = np.searchsorted(G, xs)
+    Bg = _best_slope_matrix(f, G)[np.ix_(gi, gi)]
+
+    n = len(xs) - 1
+    NEG = -math.inf
+    # interval weights; invalid when no sigma in [0, d] certifies the interval
+    lens = xs[None, :] - xs[:, None]
+    allowable = (lens >= tau - _TOL) & (lens <= xs[:, None] + _TOL) & (lens > 0)
+    sig = np.clip(Bg, 0.0, d)
+    W = np.where(allowable & (Bg >= -_TOL), lens * np.asarray(D(sig)), NEG)
+
+    best = np.zeros(n + 1)
+    take = np.full(n + 1, -1, dtype=int)
+    for j in range(1, n + 1):
+        b = best[j - 1]
+        t = -1
+        cand = best[:j] + W[:j, j]
+        i = int(np.argmax(cand))
+        if cand[i] > b:
+            b = cand[i]
+            t = i
+        best[j] = b
+        take[j] = t
+    return float(best[n]), take, Bg
+
+
 def sigma_for_f(
     D: Profile, f: PLFunction, tau: float, grid_n: int
 ) -> tuple[float, IntervalDecomposition]:
@@ -369,48 +412,34 @@ def sigma_for_f(
     """
     if not (0.0 < tau <= 0.5):
         raise ValueError(f"tau must be in (0, 1/2], got {tau}")
-    d = D.d
-    xs = np.arange(grid_n + 1) / grid_n
-    G = np.union1d(xs, np.clip(np.array(f.xs), 0.0, 1.0))
-    B = _best_slope_matrix(f, G)
-    gi = np.searchsorted(G, xs)
-    Bg = B[np.ix_(gi, gi)]  # best slope over [x_i, x_j]
-
-    n = grid_n
-    NEG = -math.inf
-    # interval weights; invalid when no sigma in [0, d] certifies the interval
-    lens = xs[None, :] - xs[:, None]
-    allowable = (lens >= tau - _TOL) & (lens <= xs[:, None] + _TOL) & (lens > 0)
-    sig = np.clip(Bg, 0.0, d)
-    W = np.where(allowable & (Bg >= -_TOL), lens * np.asarray(D(sig)), NEG)
-
-    best = np.zeros(n + 1)
-    take = np.full(n + 1, -1, dtype=int)  # start index of interval ending at j
-    for j in range(1, n + 1):
-        b = best[j - 1]
-        t = -1
-        cand = best[:j] + W[:j, j]
-        i = int(np.argmax(cand))
-        if cand[i] > b:
-            b = cand[i]
-            t = i
-        best[j] = b
-        take[j] = t
+    xs = _grid(grid_n)
+    value, take, Bg = _grid_dp(D, f, tau, xs)
     # recover certificate
     entries = []
-    j = n
+    j = grid_n
     while j > 0:
         i = take[j]
         if i < 0:
             j -= 1
             continue
-        sigma = float(np.clip(Bg[i, j], 0.0, d))
+        sigma = float(np.clip(Bg[i, j], 0.0, D.d))
         entries.append((float(xs[i]), float(xs[j]), sigma))
         j = i
     entries.reverse()
-    value = float(best[n])
     dec = IntervalDecomposition(entries, tau=tau, value_against=(D, value))
     return value, dec
+
+
+def _pruning_bound(D: Profile, f: PLFunction, tau: float, xs: np.ndarray) -> float:
+    """Lower bound for the value of f on the grid xs: its value on the
+    sub-grid xs[::4].
+
+    Every family with endpoints on the sub-grid is a family on xs, and the
+    sub-grid points are the same floats, so the bound holds up to rounding
+    in the best slopes (exact on the grid united with f's breakpoints), far
+    below 1e-12.
+    """
+    return _grid_dp(D, f, tau, xs[::4])[0]
 
 
 # -- adversarial outer minimization ----------------------------------------
@@ -421,6 +450,7 @@ class SigmaTauResult:
     estimate: float
     certificate: PLFunction
     n_candidates: int
+    n_full_evals: int
     decomposition: IntervalDecomposition = field(repr=False, default=None)
 
 
@@ -465,26 +495,43 @@ def sigma_tau(
     ladder is small enough, otherwise seeded random sampling plus structured
     two-slope candidates and local slope descent.  Every reported value is
     certified by the minimizing candidate.
+
+    A candidate is a generated function that lies in L(d, t); every one
+    counts toward `budget` and `n_candidates`.  A full evaluation is a
+    `sigma_for_f` call on the grid; once a certificate exists, a candidate
+    whose value on the quarter sub-grid (a lower bound for its grid value)
+    already exceeds the best value cannot win and gets none, so
+    `n_full_evals <= n_candidates` and the result is the same as with a full
+    evaluation of every candidate.
     """
     d = D.d
     if not (0.0 < t < d):
         raise ValueError(f"t must be in (0, {d}), got {t}")
+    if not (0.0 < tau <= 0.5):
+        raise ValueError(f"tau must be in (0, 1/2], got {tau}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if slope_levels is None:
         slope_levels = [d * i / 8.0 for i in range(9)]
     if grid_n is None:
         grid_n = _default_grid_n(tau, n_segments)
+    xs = _grid(grid_n)
 
     best_val = math.inf
     best_f = None
     best_dec = None
     n_eval = 0
+    n_full = 0
 
     def consider(f: PLFunction):
-        nonlocal best_val, best_f, best_dec, n_eval
+        nonlocal best_val, best_f, best_dec, n_eval, n_full
         if not f.in_class(d, t):
             return
-        val, dec = sigma_for_f(D, f, tau, grid_n)
         n_eval += 1
+        if best_val < math.inf and _pruning_bound(D, f, tau, xs) > best_val + 1e-12:
+            return
+        val, dec = sigma_for_f(D, f, tau, grid_n)
+        n_full += 1
         if val < best_val:
             best_val, best_f, best_dec = val, f, dec
 
@@ -542,7 +589,7 @@ def sigma_tau(
 
     if best_f is None:
         raise ValueError("no feasible candidate found")
-    return SigmaTauResult(best_val, best_f, n_eval, best_dec)
+    return SigmaTauResult(best_val, best_f, n_eval, n_full, best_dec)
 
 
 def lipschitz_scan(D: Profile, t_range, tau: float, **kwargs) -> list[dict]:

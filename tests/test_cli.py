@@ -46,6 +46,22 @@ def test_distance_and_radial(tmp_path):
     assert open(rad).read().startswith("sphere 2 64")
 
 
+def test_out_rewrites_files_and_writes_through_symlinks(tmp_path, capsys):
+    argv = ["measure", "build", "--kind", "cantor_product",
+            "--params", '{"r": 0.25, "d": 2}', "--depth", "6", "--out"]
+    out = tmp_path / "mu.txt"
+    out.write_text("stale\n" * 1000)
+    assert main(argv + [str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith("2 6\n") and "stale" not in text
+    target = tmp_path / "target.txt"
+    target.write_text("stale\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == text
+
+
 def test_sigma_phi_and_cdtable(capsys):
     assert main(["sigma", "phi", "--u", "1.0"]) == 0
     assert "0.618033988749894" in capsys.readouterr().out
@@ -58,7 +74,12 @@ def test_sigma_inf(capsys):
     rc = main(["sigma", "inf", "--profile", "trivial", "--t", "1.0",
                "--tau", "0.1", "--budget", "50"])
     assert rc == 0
-    assert "estimate=" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("estimate=") and " candidates=" in lines[0]
+    assert lines[1].startswith("certificate=")
+    assert lines[2].startswith("full_evaluations=")
+    full = int(lines[2].partition("=")[2])
+    assert 1 <= full <= int(lines[0].partition(" candidates=")[2])
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
@@ -116,7 +137,8 @@ def _write(path, text):
 @pytest.mark.parametrize("case", [
     "profile_missing_s", "generator_missing_param", "rho_empty", "rho_truncated",
     "measure_nan", "pin_wrong_dim_distance", "pin_wrong_dim_radial", "circle_pair_radius",
-    "lattice_dim",
+    "lattice_dim", "sigma_inf_tau_zero", "sigma_inf_budget_negative", "verify_planar_tau_zero",
+    "verify_highdim_tau_zero", "sigma_eval_grid_zero",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -143,6 +165,16 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
                                "--params", '{"radius": 0.9}', "--depth", "8"],
         "lattice_dim": ["measure", "build", "--kind", "lattice_falconer",
                         "--params", '{"q": 4, "d": 5}', "--depth", "6"],
+        "sigma_inf_tau_zero": ["sigma", "inf", "--profile", "trivial", "--t", "1.0",
+                               "--tau", "0"],
+        "sigma_inf_budget_negative": ["sigma", "inf", "--profile", "trivial", "--t", "1.0",
+                                      "--tau", "0.1", "--budget", "-1"],
+        "verify_planar_tau_zero": ["sigma", "verify-planar", "--u", "1.0", "--zeta", "0.05",
+                                   "--tau", "0"],
+        "verify_highdim_tau_zero": ["sigma", "verify-highdim", "--d", "3", "--t", "1.5",
+                                    "--s", "1.2", "--tau", "0"],
+        "sigma_eval_grid_zero": ["sigma", "eval", "--profile", "trivial", "--f", f,
+                                 "--tau", "0.1", "--grid", "0"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

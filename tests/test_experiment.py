@@ -116,6 +116,14 @@ def test_emit_report_deterministic(tmp_path):
     assert len(files1) == len(files2) > 1
     for f1, f2 in zip(files1, files2):
         assert open(f1, "rb").read() == open(f2, "rb").read()
+    # rewriting over existing (here longer) files leaves the same bytes
+    for f1 in files1:
+        with open(f1, "a") as fh:
+            fh.write("stale tail\n" * 100)
+    assert emit_report([res1], str(out1)) == files1
+    for f1, f2 in zip(files1, files2):
+        with open(f1, "rb") as a, open(f2, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_emit_report_empty(tmp_path):

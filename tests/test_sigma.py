@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dimlab import sigma
 from dimlab.plf import PLFunction, from_slopes, linear
 from dimlab.sigma import (
     CustomProfile,
@@ -286,6 +287,102 @@ def test_sigma_tau_certified_upper_bound():
 def test_sigma_tau_rejects_bad_t():
     with pytest.raises(ValueError):
         sigma_tau(TrivialHalfProfile(), 2.5, 0.1)
+
+
+def test_sigma_tau_and_sigma_for_f_reject_bad_input():
+    D = TrivialHalfProfile()
+    for tau in (0.0, -0.1, 0.6):
+        with pytest.raises(ValueError, match="tau"):
+            sigma_tau(D, 1.0, tau)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget"):
+            sigma_tau(D, 1.0, 0.1, budget=budget)
+    for grid_n in (0, -4):
+        with pytest.raises(ValueError, match="grid_n"):
+            sigma_for_f(D, linear(1.0), 0.1, grid_n)
+        with pytest.raises(ValueError, match="grid_n"):
+            sigma_tau(D, 1.0, 0.1, grid_n=grid_n)
+
+
+def _all_profiles(rng):
+    return [
+        HighDimProfile(3, float(rng.uniform(1.0, 1.5))),
+        TrivialHalfProfile(),
+        KaufmanProfile(float(rng.uniform(0.3, 1.0))),
+        PlanarProfile(float(rng.uniform(0.2, 0.9))),
+        CustomProfile([0.0, 0.7, 1.4, 2.0], sorted(rng.uniform(0.0, 1.0, 4)), 2.0),
+    ]
+
+
+def _random_in_class(rng, d):
+    """A nondecreasing d-Lipschitz PL function and the largest t with f in L(d, t)."""
+    if rng.random() < 0.5:
+        f = from_slopes(rng.uniform(0.0, d, int(rng.integers(2, 9))).tolist())
+    else:
+        x0 = float(rng.integers(1, 16)) / 16.0
+        s1, s2 = (float(v) for v in rng.uniform(0.0, d, 2))
+        f = PLFunction((0.0, x0, 1.0), (0.0, s1 * x0, s1 * x0 + s2 * (1.0 - x0)))
+    t = min(y / x for x, y in zip(f.xs[1:], f.ys[1:]))
+    assert f.is_nondecreasing() and f.in_class(d, t)
+    return f
+
+
+def test_pruning_bound_is_a_lower_bound():
+    """The quarter-sub-grid value never exceeds the grid value, also when
+    the grid size is not a multiple of 4."""
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        for D in _all_profiles(rng):
+            f = _random_in_class(rng, D.d)
+            tau = float(rng.choice([0.05, 0.1, 0.2, 0.3]))
+            for grid_n in (80, 96, 101):
+                fine, _ = sigma_for_f(D, f, tau, grid_n)
+                coarse = sigma._pruning_bound(D, f, tau, sigma._grid(grid_n))
+                assert coarse <= fine + 1e-12, (type(D).__name__, grid_n, coarse, fine)
+
+
+_SEARCH_CONFIGS = {
+    # 5**4 = 625 slope vectors fit the budget: exhaustive enumeration
+    "exhaustive": (PlanarProfile(0.4), 1.0, 0.1,
+                   dict(budget=700, n_segments=4, slope_levels=[0.0, 0.5, 1.0, 1.5, 2.0])),
+    # 9**4 > budget; the two-slope phase alone uses up the budget
+    "two_slope": (KaufmanProfile(0.8), 0.6, 0.1, dict(budget=120, n_segments=4)),
+    # the two-slope phase has 137 feasible shapes (t = 3/4 d), fewer than
+    # the budget, so the random and descent phases run
+    "random_descent": (HighDimProfile(3, 1.2), 2.25, 0.125,
+                       dict(budget=148, n_segments=4, seed=0)),
+    "random_descent_planar": (PlanarProfile(0.6), 1.5, 0.125,
+                              dict(budget=148, n_segments=4, seed=3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_CONFIGS))
+def test_pruned_sigma_tau_equals_full_evaluation(name, monkeypatch):
+    D, t, tau, kwargs = _SEARCH_CONFIGS[name]
+    random_calls = []
+    real_random = sigma._feasible_random_slopes
+    monkeypatch.setattr(sigma, "_feasible_random_slopes",
+                        lambda *a: random_calls.append(1) or real_random(*a))
+    pruned = sigma_tau(D, t, tau, **kwargs)
+    phase_calls = len(random_calls)
+    monkeypatch.setattr(sigma, "_pruning_bound", lambda *a: -math.inf)
+    full = sigma_tau(D, t, tau, **kwargs)
+
+    assert pruned.estimate == full.estimate
+    assert pruned.certificate.xs == full.certificate.xs
+    assert pruned.certificate.ys == full.certificate.ys
+    assert pruned.decomposition.entries == full.decomposition.entries
+    assert pruned.n_candidates == full.n_candidates
+    assert full.n_full_evals == full.n_candidates
+    assert 1 <= pruned.n_full_evals < pruned.n_candidates
+    budget = kwargs["budget"]
+    if name == "exhaustive":
+        assert phase_calls == 0 and pruned.n_candidates < budget
+    elif name == "two_slope":
+        assert phase_calls == 0 and pruned.n_candidates >= budget
+    else:
+        # the random phase ran, and descent evaluated past the budget
+        assert phase_calls > 0 and pruned.n_candidates > budget
 
 
 def test_lipschitz_scan_monotone():
