@@ -81,6 +81,9 @@ class SceneConfig:
             raise ConfigError("scale_window must fit the depth and span >= 6 levels")
         if not (0.0 <= self.zeta < 1.0):
             raise ConfigError(f"zeta {self.zeta} outside [0, 1)")
+        count = self.pins.get("count", 8) if isinstance(self.pins, dict) else None
+        if not (isinstance(count, (int, float)) and 1 <= count < math.inf):
+            raise ConfigError(f"pins.count must be a number >= 1, not {count!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "SceneConfig":

@@ -16,7 +16,7 @@ from .dyadic import DyadicMeasure, _shannon, _sum_by_key
 
 _TOL = 1e-9
 
-# Directions per block in tube_mass_max; bounds the (leaves, chunk) temporaries.
+# Directions per block in _tube_mass_grid; bounds the (leaves, chunk) temporaries.
 _DIRECTION_CHUNK = 128
 
 
@@ -123,7 +123,7 @@ class ThinTubeProfile:
     table: list[tuple[float, float]] = field(repr=False)  # (r, worst tube mass)
 
     def __post_init__(self):
-        if self.t < 0 and self.t < -1e-6:
+        if self.t < -1e-6:
             raise ValueError("fitted exponent must be >= 0")
         if not (0 < self.c <= 1):
             raise ValueError("retained fraction must be in (0, 1]")
@@ -250,22 +250,74 @@ def _direction_grid(d: int, step: float) -> np.ndarray:
     return pts[pts[:, 2] >= 0][:n]
 
 
-def tube_mass_max(
-    nu: DyadicMeasure, x, r: float, direction_grid_step: float | None = None,
-) -> tuple[float, np.ndarray]:
+def tube_mass_max(nu: DyadicMeasure, x, r: float) -> tuple[float, np.ndarray]:
     """Max of nu(tube) over r-tubes (closed slabs of half-width r about a
-    line) through x, sampled on a direction grid with step <= r/4."""
+    line) through x, with a direction of a heaviest tube.
+
+    d=2: exact, by an angular sweep over the arcs of directions whose slab
+    holds each leaf center (O(N log N)); the direction attains the mass up to
+    the rounding of one arc endpoint.  d=3: sampled on a direction grid with
+    step r/4, so a lower bound for the true maximum.
+    """
+    if not math.isfinite(r):
+        raise ValueError(f"tube radius {r} is not finite")
     if r < 2.0 ** (-nu.m):
         raise ValueError("tube radius below the grid scale")
-    if direction_grid_step is None:
-        direction_grid_step = r / 4.0
-    if direction_grid_step > r / 4.0 + _TOL:
-        raise ValueError("direction grid step must be <= r/4")
+    if nu.d not in (2, 3):
+        raise ValueError(f"tubes need d = 2 or 3, not d = {nu.d}")
     x = np.asarray(x, dtype=float)
+    if x.shape != (nu.d,):
+        raise ValueError(f"pin has {x.size} coordinates; the measure has d = {nu.d}")
     pts = nu.leaf_centers() - x
-    w = nu.masses
+    if nu.d == 2:
+        return _tube_mass_sweep(pts, nu.masses, r)
+    return _tube_mass_grid(pts, nu.masses, r, _direction_grid(3, r / 4.0))
+
+
+def _tube_mass_sweep(pts: np.ndarray, w: np.ndarray, r: float) -> tuple[float, np.ndarray]:
+    """Exact planar maximum over line directions theta in [0, pi).
+
+    A leaf at offset p with |p|^2 > r^2 + _TOL lies in the slab of direction
+    theta exactly when theta is within alpha = arcsin(sqrt(r^2 + _TOL)/|p|) of
+    p's angle mod pi; leaves with |p|^2 <= r^2 + _TOL lie in every slab.
+    """
+    r2 = r * r + _TOL
     sq = np.sum(pts * pts, axis=1)
-    dirs = _direction_grid(nu.d, direction_grid_step)
+    far = sq > r2
+    p = pts[far]
+    alpha = np.arcsin(np.sqrt(r2 / sq[far]))
+    start = np.mod(np.arctan2(p[:, 1], p[:, 0]) - alpha, math.pi)
+    mass, theta = _heaviest_point(start, start + 2.0 * alpha, w[far])
+    return float(w[~far].sum()) + mass, np.array([math.cos(theta), math.sin(theta)])
+
+
+def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """(mass, theta) of a heaviest point theta in [0, pi) of the closed
+    weighted arcs [start, end] on the circle of length pi, given
+    0 <= start < pi and end - start < pi; (0.0, 0.0) without arcs.
+
+    Coverage rises only at starts, so its maximum is at one.  At theta it is
+    the mass of the starts <= theta, less the ends < theta, plus the arcs
+    that wrap past pi and are still open at theta (ends >= theta + pi).
+    """
+    if not len(w):
+        return 0.0, 0.0
+    s_order = np.argsort(start, kind="stable")
+    s = start[s_order]
+    e_order = np.argsort(end, kind="stable")
+    e = end[e_order]
+    ended = np.concatenate(([0.0], np.cumsum(w[e_order])))  # mass of the first k ends
+    cover = (np.cumsum(w[s_order]) - ended[np.searchsorted(e, s)]
+             + (ended[-1] - ended[np.searchsorted(e, s + math.pi)]))
+    k = int(np.argmax(cover))
+    return float(cover[k]), float(s[k])
+
+
+def _tube_mass_grid(pts: np.ndarray, w: np.ndarray, r: float,
+                    dirs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Max slab mass over the directions `dirs`, leaf offsets `pts` from the
+    pin, in blocks of _DIRECTION_CHUNK directions."""
+    sq = np.sum(pts * pts, axis=1)
     best = -1.0
     best_dir = dirs[0]
     r2 = r * r
@@ -302,9 +354,17 @@ def thin_tubes_profile(
     No exceptional-mass removal is performed (c = 1); the reported exponent
     is the log-log least-squares slope of the worst-tube curve.
     """
+    if mu.d != nu.d:
+        raise ValueError(f"pin measure has dimension {mu.d}, tube measure {nu.d}")
+    if n_pins < 1:
+        raise ValueError(f"need at least one pin, not {n_pins}")
     rs = sorted(float(r) for r in r_levels)
     if len(rs) < 2:
         raise ValueError("need at least two tube radii")
+    if not all(map(math.isfinite, rs)):
+        raise ValueError(f"tube radii must be finite: {rs}")
+    if len(set(rs)) != len(rs):
+        raise ValueError(f"tube radii must be distinct: {rs}")
     max_r = rs[-1]
     pins = mu.leaf_centers()[_quantile_leaves(mu.masses, n_pins)]
     nu_pts = nu.leaf_centers()

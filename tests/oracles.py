@@ -131,6 +131,31 @@ def sigma_value_bruteforce(D, f, tau, grid_n):
     return best
 
 
+# Slack on the squared perpendicular distance for the leaf that defines an
+# arc endpoint: it sits on its slab's boundary, and rounding the endpoint
+# angle moves its distance by about 1e-16.
+_ENDPOINT_SLACK = 1e-12
+
+
+def tube_mass_max_bruteforce(nu, x, r):
+    """Max nu-mass of a closed r-slab about a line through x (d = 2), by the
+    perpendicular-distance test at every endpoint of every leaf's arc of
+    slab directions: the maximum over directions is attained at one."""
+    pts = nu.leaf_centers() - np.asarray(x, dtype=float)
+    w = nu.masses
+    sq = np.sum(pts * pts, axis=1)
+    r2 = r * r + _TOL
+    far = sq > r2
+    best = float(w[~far].sum())
+    phi = np.arctan2(pts[far, 1], pts[far, 0])
+    alpha = np.arcsin(np.sqrt(r2 / sq[far]))
+    for theta in np.concatenate([phi - alpha, phi + alpha]):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        inside = sq - (pts @ u) ** 2 <= r2 + _ENDPOINT_SLACK
+        best = max(best, float(w[inside].sum()))
+    return best
+
+
 # -- dict-of-tuples references for the array-backed measure core -------------
 # The per-leaf loops the measure core ran before it stored sorted arrays.  A
 # measure is given here as its leaf dict {coords: mass} and depth m; the

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ def test_measure_build_and_info(tmp_path, capsys):
     rc = main(["measure", "build", "--kind", "cantor_product",
                "--params", '{"r": 0.25, "d": 2}', "--depth", "8", "--out", out])
     assert rc == 0
-    mu = DyadicMeasure.from_text(open(out).read())
+    mu = DyadicMeasure.from_text(Path(out).read_text())
     assert mu.m == 8 and mu.d == 2
     rc = main(["measure", "info", out])
     assert rc == 0
@@ -38,12 +39,12 @@ def test_distance_and_radial(tmp_path):
     rc = main(["distance", src, "--pin", "-0.5", "0.5", "--depth", "8",
                "--out", dist])
     assert rc == 0
-    assert open(dist).read().startswith("range ")
+    assert Path(dist).read_text().startswith("range ")
     rad = str(tmp_path / "rad.txt")
     rc = main(["radial", src, "--pin", "-0.5", "0.5", "--cells", "64",
                "--out", rad])
     assert rc == 0
-    assert open(rad).read().startswith("sphere 2 64")
+    assert Path(rad).read_text().startswith("sphere 2 64")
 
 
 def test_out_rewrites_files_and_writes_through_symlinks(tmp_path, capsys):
@@ -60,6 +61,26 @@ def test_out_rewrites_files_and_writes_through_symlinks(tmp_path, capsys):
     link.symlink_to(target)
     assert main(argv + [str(link)]) == 0
     assert link.is_symlink() and target.read_text() == text
+
+
+def _separated_pair(tmp_path):
+    """Measure files for tubes: four pins on the left, nu on the right."""
+    left = DyadicMeasure(2, 6, {(i, 32): 0.25 for i in (2, 5, 8, 11)})
+    right = DyadicMeasure(2, 6, {(i, j): 1.0 / 16 for i in (50, 54, 58, 62)
+                                 for j in (20, 28, 36, 44)})
+    return (_write(tmp_path / "left.txt", left.to_text()),
+            _write(tmp_path / "right.txt", right.to_text()))
+
+
+def test_tubes_command(tmp_path, capsys):
+    left, right = _separated_pair(tmp_path)
+    rc = main(["tubes", "--mu", left, "--nu", right, "--radii", "0.0625", "0.03125",
+               "--pins", "4"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pin,t,K"
+    assert len(lines) == 1 + 4
+    assert len({line.rpartition('",')[0] for line in lines[1:]}) == 4
 
 
 def test_sigma_phi_and_cdtable(capsys):
@@ -138,7 +159,9 @@ def _write(path, text):
     "profile_missing_s", "generator_missing_param", "rho_empty", "rho_truncated",
     "measure_nan", "pin_wrong_dim_distance", "pin_wrong_dim_radial", "circle_pair_radius",
     "lattice_dim", "sigma_inf_tau_zero", "sigma_inf_budget_negative", "verify_planar_tau_zero",
-    "verify_highdim_tau_zero", "sigma_eval_grid_zero",
+    "verify_highdim_tau_zero", "sigma_eval_grid_zero", "tubes_pins_zero",
+    "tubes_radii_duplicate", "tubes_radius_nan", "tubes_radius_inf", "tubes_dim_mismatch",
+    "scene_pins_zero", "scene_pins_not_object",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -149,6 +172,9 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     scene = _write(tmp_path / "scene.json", json.dumps({
         "scenario": "tt", "generator": {"kind": "train_track", "params": {}},
         "depth": 12}))
+    left, right = _separated_pair(tmp_path)
+    cube = _write(tmp_path / "cube.txt", DyadicMeasure(3, 4, {(14, 8, 8): 1.0}).to_text())
+    tubes = ["tubes", "--mu", left, "--nu", right, "--radii"]
     argv = {
         "profile_missing_s": ["sigma", "eval", "--profile", "highdim:d=3", "--f", f,
                               "--tau", "0.02"],
@@ -175,8 +201,29 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
                                     "--s", "1.2", "--tau", "0"],
         "sigma_eval_grid_zero": ["sigma", "eval", "--profile", "trivial", "--f", f,
                                  "--tau", "0.1", "--grid", "0"],
+        "tubes_pins_zero": tubes + ["0.0625", "0.03125", "--pins", "0"],
+        "tubes_radii_duplicate": tubes + ["0.0625", "0.0625"],
+        "tubes_radius_nan": tubes + ["0.0625", "nan"],
+        "tubes_radius_inf": tubes + ["0.0625", "inf"],
+        "tubes_dim_mismatch": ["tubes", "--mu", left, "--nu", cube,
+                               "--radii", "0.0625", "0.125"],
+        "scene_pins_zero": ["experiment", "run", _write(tmp_path / "pins.json", json.dumps({
+            "scenario": "p0", "generator": {"kind": "cantor_product", "params": {"r": 0.25}},
+            "depth": 10, "pins": {"count": 0}}))],
+        "scene_pins_not_object": ["experiment", "run", _write(tmp_path / "pins.json", json.dumps({
+            "scenario": "p3", "generator": {"kind": "cantor_product", "params": {"r": 0.25}},
+            "depth": 10, "pins": 3}))],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert {
+        "tubes_pins_zero": "at least one pin",
+        "tubes_radii_duplicate": "distinct",
+        "tubes_radius_nan": "finite",
+        "tubes_radius_inf": "finite",
+        "tubes_dim_mismatch": "dimension",
+        "scene_pins_zero": "pins.count",
+        "scene_pins_not_object": "pins.count",
+    }.get(case, "") in err
     assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_emit_report_deterministic(tmp_path):
     files2 = emit_report([res2], str(out2))
     assert len(files1) == len(files2) > 1
     for f1, f2 in zip(files1, files2):
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        assert Path(f1).read_bytes() == Path(f2).read_bytes()
     # rewriting over existing (here longer) files leaves the same bytes
     for f1 in files1:
         with open(f1, "a") as fh:
@@ -128,7 +129,7 @@ def test_emit_report_deterministic(tmp_path):
 
 def test_emit_report_empty(tmp_path):
     files = emit_report([], str(tmp_path / "empty"))
-    text = open(files[0]).read()
+    text = Path(files[0]).read_text()
     assert text.splitlines() == ["scenario,pin_index,tube_t,exponent,target,zeta,passed,degenerate"]
 
 

@@ -8,6 +8,9 @@ from dimlab.generators import gen_cantor_product
 from dimlab.geometry import (
     DirectionMeasure,
     LineMeasure,
+    _direction_grid,
+    _heaviest_point,
+    _tube_mass_grid,
     adapted_audit,
     entropy_projection_bound,
     hyperplane_concentration,
@@ -20,7 +23,7 @@ from dimlab.geometry import (
     value_box_count,
     value_entropy,
 )
-from oracles import random_measure
+from oracles import random_measure, tube_mass_max_bruteforce
 
 
 def test_value_binning_helpers():
@@ -113,10 +116,55 @@ def test_tube_mass_basics():
     mass, direction = tube_mass_max(mu, (-0.5, 0.5078125), 2 ** -4)
     assert mass == pytest.approx(1.0)
     assert abs(direction[0]) > 0.99
+    # two rows at distance exactly r on both sides: only the closed slab
+    # about the horizontal line holds them both
+    rows = DyadicMeasure(2, 6, {(i, j): 1.0 / 96 for i in range(8, 56) for j in (28, 36)})
+    mass, direction = tube_mass_max(rows, (-0.5, 0.5078125), 2 ** -4)
+    assert mass == pytest.approx(1.0)
+    assert abs(direction[0]) > 0.99
     with pytest.raises(ValueError):
         tube_mass_max(mu, (-0.5, 0.5), 2 ** -8)  # radius below grid scale
-    with pytest.raises(ValueError):
-        tube_mass_max(mu, (-0.5, 0.5), 2 ** -4, direction_grid_step=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            tube_mass_max(mu, (-0.5, 0.5), bad)
+    with pytest.raises(ValueError, match="coordinates"):
+        tube_mass_max(mu, (-0.5,), 2 ** -4)
+    with pytest.raises(ValueError, match="d = 2 or 3"):
+        tube_mass_max(DyadicMeasure(1, 4, {(3,): 1.0}), (-0.5,), 2 ** -3)
+
+
+def test_tube_sweep_matches_bruteforce_and_bounds_grid():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        mu = random_measure(rng, d=2, m=6, n_leaves=int(rng.integers(1, 60)))
+        centers = mu.leaf_centers()
+        leaf = centers[rng.integers(len(centers))]
+        # outside the support, at the square's center, and within r of leaves
+        pins = [(-0.5, 0.5), (1.25, -0.75), (0.5, 0.5), tuple(leaf),
+                tuple(leaf + rng.uniform(-2 ** -5, 2 ** -5, 2))]
+        for pin in pins:
+            pts = centers - np.asarray(pin)
+            sq = np.sum(pts * pts, axis=1)
+            for r in (2 ** -6, 2 ** -4, 2 ** -2):
+                mass, u = tube_mass_max(mu, pin, r)
+                assert abs(mass - tube_mass_max_bruteforce(mu, pin, r)) <= 1e-12
+                grid, _ = _tube_mass_grid(pts, mu.masses, r, _direction_grid(2, r / 4.0))
+                assert grid <= mass + 1e-12
+                # the returned direction's slab holds the returned mass
+                slab = sq - (pts @ u) ** 2 <= r * r + 1e-9 + 1e-12
+                assert abs(float(mu.masses[slab].sum()) - mass) <= 1e-12
+
+
+def test_heaviest_point_closed_arcs_and_wrap():
+    assert _heaviest_point(np.zeros(0), np.zeros(0), np.zeros(0)) == (0.0, 0.0)
+    # closed arcs: two arcs that touch at 1.0 both hold that point
+    assert _heaviest_point(np.array([0.5, 1.0]), np.array([1.0, 1.5]),
+                           np.array([1.0, 2.0])) == (3.0, 1.0)
+    # an arc past pi wraps to [0, 4 - pi], touching the arc that starts there
+    start = 4.0 - math.pi
+    assert start + math.pi == 4.0
+    assert _heaviest_point(np.array([3.0, start]), np.array([4.0, start + 0.5]),
+                           np.array([2.0, 4.0])) == (6.0, start)
 
 
 def test_tube_mass_monotone_in_radius():
@@ -145,6 +193,13 @@ def test_thin_tubes_profile_contract():
     # separation contract: huge radii must be rejected
     with pytest.raises(ValueError):
         thin_tubes_profile(mu_half, nu_half, [0.25, 0.5], n_pins=2)
+    for n_pins in (0, -3):
+        with pytest.raises(ValueError, match="at least one pin"):
+            thin_tubes_profile(mu_half, nu_half, radii, n_pins=n_pins)
+    with pytest.raises(ValueError, match="distinct"):
+        thin_tubes_profile(mu_half, nu_half, [2 ** -5, 2 ** -5], n_pins=4)
+    with pytest.raises(ValueError, match="dimension"):
+        thin_tubes_profile(mu_half, gen_cantor_product(0.25, 3, 4), radii, n_pins=4)
 
 
 def test_hyperplane_concentration_uniform_vs_atom():
