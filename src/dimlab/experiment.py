@@ -24,7 +24,7 @@ from .generators import (
     gen_product_set,
     gen_train_track,
 )
-from .geometry import thin_tubes_profile, value_box_count
+from .geometry import thin_tubes_profile, value_box_counts
 from .sigma import phi
 
 MIN_GAP = 2.0 ** (-3)
@@ -67,11 +67,18 @@ class SceneConfig:
     output: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.generator, dict):
+            raise ConfigError(f"generator must be an object, not {self.generator!r}")
         kind = self.generator.get("kind")
         if kind not in _GENERATOR_KINDS:
             raise ConfigError(f"unknown generator kind {kind!r}")
-        d = int(self.generator.get("params", {}).get("d", 2))
+        params = self.generator.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"generator params must be an object, not {params!r}")
+        d = int(params.get("d", 2))
         limit = 20 if d == 2 else 14
+        if isinstance(self.depth, bool) or not isinstance(self.depth, int):
+            raise ConfigError(f"depth must be an integer, not {self.depth!r}")
         if not (2 <= self.depth <= limit):
             raise ConfigError(f"depth {self.depth} outside [2, {limit}] for d={d}")
         if self.scale_window is None:
@@ -82,8 +89,10 @@ class SceneConfig:
         if not (0.0 <= self.zeta < 1.0):
             raise ConfigError(f"zeta {self.zeta} outside [0, 1)")
         count = self.pins.get("count", 8) if isinstance(self.pins, dict) else None
-        if not (isinstance(count, (int, float)) and 1 <= count < math.inf):
-            raise ConfigError(f"pins.count must be a number >= 1, not {count!r}")
+        if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
+            raise ConfigError(f"pins.count must be an integer >= 1, not {count!r}")
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ConfigError(f"output must be a directory path, not {self.output!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "SceneConfig":
@@ -91,11 +100,13 @@ class SceneConfig:
             rec = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"bad JSON: {e}") from e
+        if not isinstance(rec, dict):
+            raise ConfigError(f"scene config must be a JSON object, not {type(rec).__name__}")
         try:
             return cls(
                 scenario=rec["scenario"],
                 generator=rec["generator"],
-                depth=int(rec["depth"]),
+                depth=rec["depth"],
                 pins=rec.get("pins", {"count": 8, "selection": "best_tube"}),
                 scale_window=tuple(rec["scale_window"]) if "scale_window" in rec else None,
                 zeta=float(rec.get("zeta", 0.12)),
@@ -103,6 +114,8 @@ class SceneConfig:
             )
         except KeyError as e:
             raise ConfigError(f"missing config field {e}") from e
+        except TypeError as e:
+            raise ConfigError(f"config field of the wrong type: {e}") from e
 
 
 @dataclass
@@ -188,7 +201,7 @@ def _split_gap(mu_half: DyadicMeasure, nu_half: DyadicMeasure) -> float:
 
 def _distance_curve(nu: DyadicMeasure, pin, levels) -> list[tuple[int, float]]:
     d = np.linalg.norm(nu.leaf_centers() - np.asarray(pin), axis=1)
-    return [(j, math.log2(max(1, value_box_count(d, j)))) for j in levels]
+    return [(j, math.log2(max(1, n))) for j, n in zip(levels, value_box_counts(d, levels))]
 
 
 def _fit_window(levels) -> list[int]:
@@ -222,11 +235,11 @@ def run_experiment(cfg: SceneConfig) -> ExperimentResult:
     radii = [2.0 ** (-j) for j in range(j_min, j_min + 4) if j < cfg.depth]
     try:
         profiles = thin_tubes_profile(mu_half, nu_half, radii,
-                                      n_pins=max(8, int(cfg.pins.get("count", 8))))
+                                      n_pins=max(8, cfg.pins.get("count", 8)))
     except Exception as e:
         raise StageError("tubes", str(e)) from e
     profiles.sort(key=lambda pr: (-pr.t, pr.pin))
-    selected = profiles[: int(cfg.pins.get("count", 8))]
+    selected = profiles[: cfg.pins.get("count", 8)]
 
     levels = list(range(lo, hi + 1))
     fit_levels = _fit_window(levels)

@@ -166,8 +166,20 @@ def value_entropy(values, weights, level: int) -> float:
     return _shannon(_value_cell_masses(values, weights, level))
 
 
+def value_box_counts(values, levels) -> list[int]:
+    """Occupied absolute dyadic cells of `values` at each level in `levels`
+    (0 for no values).  floor(v * 2^level) keeps the order of v, so one sort
+    serves every level: a count is 1 + the number of steps in the sorted
+    cell indices."""
+    v = np.sort(np.asarray(values, dtype=float), axis=None)
+    if not v.size:
+        return [0 for _ in levels]
+    return [1 + int(np.count_nonzero(np.diff(value_bins(v, j)))) for j in levels]
+
+
 def value_box_count(values, level: int) -> int:
-    return int(len(np.unique(value_bins(values, level))))
+    """value_box_counts at one level."""
+    return value_box_counts(values, [level])[0]
 
 
 # -- projections ------------------------------------------------------------
@@ -259,34 +271,64 @@ def tube_mass_max(nu: DyadicMeasure, x, r: float) -> tuple[float, np.ndarray]:
     the rounding of one arc endpoint.  d=3: sampled on a direction grid with
     step r/4, so a lower bound for the true maximum.
     """
+    _check_tube_radius(nu, r)
+    pts = _tube_offsets(nu, x)
+    if nu.d == 2:
+        return _tube_mass_sweep(_sq_norms(pts), np.arctan2(pts[:, 1], pts[:, 0]), nu.masses, r)
+    return _tube_mass_grid(pts, nu.masses, r, _direction_grid(3, r / 4.0))
+
+
+def _check_tube_radius(nu: DyadicMeasure, r: float) -> None:
+    """Raises unless r is finite and at least nu's grid scale, and nu has d = 2 or 3."""
     if not math.isfinite(r):
         raise ValueError(f"tube radius {r} is not finite")
     if r < 2.0 ** (-nu.m):
         raise ValueError("tube radius below the grid scale")
     if nu.d not in (2, 3):
         raise ValueError(f"tubes need d = 2 or 3, not d = {nu.d}")
+
+
+def _tube_offsets(nu: DyadicMeasure, x) -> np.ndarray:
+    """Leaf-center offsets of nu from the pin x, which needs nu.d coordinates."""
     x = np.asarray(x, dtype=float)
     if x.shape != (nu.d,):
         raise ValueError(f"pin has {x.size} coordinates; the measure has d = {nu.d}")
-    pts = nu.leaf_centers() - x
+    return nu.leaf_centers() - x
+
+
+def _sq_norms(pts: np.ndarray) -> np.ndarray:
+    """Squared row norms, column by column (equal to np.sum(pts * pts, axis=1)
+    and cheaper for few columns)."""
+    return sum(pts[:, i] * pts[:, i] for i in range(pts.shape[1]))
+
+
+def _pin_tube_masses(nu: DyadicMeasure, x, rs) -> tuple[float, list[float]]:
+    """(distance from the pin x to the nearest leaf center of nu,
+    tube_mass_max's mass at each radius in rs), with the leaf offsets, their
+    squared norms and, in d = 2, their angles computed once for all radii."""
+    pts = _tube_offsets(nu, x)
+    sq = _sq_norms(pts)
+    dmin = math.sqrt(float(sq.min()))
     if nu.d == 2:
-        return _tube_mass_sweep(pts, nu.masses, r)
-    return _tube_mass_grid(pts, nu.masses, r, _direction_grid(3, r / 4.0))
+        ang = np.arctan2(pts[:, 1], pts[:, 0])
+        return dmin, [_tube_mass_sweep(sq, ang, nu.masses, r)[0] for r in rs]
+    return dmin, [_tube_mass_grid(pts, nu.masses, r, _direction_grid(3, r / 4.0))[0]
+                  for r in rs]
 
 
-def _tube_mass_sweep(pts: np.ndarray, w: np.ndarray, r: float) -> tuple[float, np.ndarray]:
-    """Exact planar maximum over line directions theta in [0, pi).
+def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray,
+                     r: float) -> tuple[float, np.ndarray]:
+    """Exact planar maximum over line directions theta in [0, pi), given the
+    leaves' squared distances sq and angles ang from the pin.
 
     A leaf at offset p with |p|^2 > r^2 + _TOL lies in the slab of direction
     theta exactly when theta is within alpha = arcsin(sqrt(r^2 + _TOL)/|p|) of
     p's angle mod pi; leaves with |p|^2 <= r^2 + _TOL lie in every slab.
     """
     r2 = r * r + _TOL
-    sq = np.sum(pts * pts, axis=1)
     far = sq > r2
-    p = pts[far]
     alpha = np.arcsin(np.sqrt(r2 / sq[far]))
-    start = np.mod(np.arctan2(p[:, 1], p[:, 0]) - alpha, math.pi)
+    start = np.mod(ang[far] - alpha, math.pi)
     mass, theta = _heaviest_point(start, start + 2.0 * alpha, w[far])
     return float(w[~far].sum()) + mass, np.array([math.cos(theta), math.sin(theta)])
 
@@ -317,7 +359,7 @@ def _tube_mass_grid(pts: np.ndarray, w: np.ndarray, r: float,
                     dirs: np.ndarray) -> tuple[float, np.ndarray]:
     """Max slab mass over the directions `dirs`, leaf offsets `pts` from the
     pin, in blocks of _DIRECTION_CHUNK directions."""
-    sq = np.sum(pts * pts, axis=1)
+    sq = _sq_norms(pts)
     best = -1.0
     best_dir = dirs[0]
     r2 = r * r
@@ -365,20 +407,18 @@ def thin_tubes_profile(
         raise ValueError(f"tube radii must be finite: {rs}")
     if len(set(rs)) != len(rs):
         raise ValueError(f"tube radii must be distinct: {rs}")
+    for r in rs:
+        _check_tube_radius(nu, r)
     max_r = rs[-1]
     pins = mu.leaf_centers()[_quantile_leaves(mu.masses, n_pins)]
-    nu_pts = nu.leaf_centers()
     out = []
     for pin in pins:
-        dmin = float(np.linalg.norm(nu_pts - pin, axis=1).min())
+        dmin, masses = _pin_tube_masses(nu, pin, rs)
         if dmin < 4.0 * max_r:
             raise ValueError(
                 f"supports not separated: pin at distance {dmin} < 4*max r"
             )
-        table = []
-        for r in rs:
-            mass, _ = tube_mass_max(nu, pin, r)
-            table.append((r, mass))
+        table = list(zip(rs, masses))
         logs_r = np.log2([r for r, _ in table])
         logs_m = np.log2([max(m, 1e-300) for _, m in table])
         t, logK = np.polyfit(logs_r, logs_m, 1)

@@ -74,7 +74,11 @@ class PLFunction:
     @classmethod
     def from_json(cls, text: str) -> "PLFunction":
         rec = json.loads(text)
-        return cls(tuple(rec["breakpoints"]), tuple(rec["values"]))
+        try:
+            return cls(tuple(rec["breakpoints"]), tuple(rec["values"]))
+        except (KeyError, TypeError) as e:
+            raise ValueError(
+                f"a PL function needs 'breakpoints' and 'values' lists: {e!r}") from None
 
 
 def linear(slope: float) -> PLFunction:

@@ -156,6 +156,13 @@ def tube_mass_max_bruteforce(nu, x, r):
     return best
 
 
+def value_box_count_reference(values, level):
+    """Occupied absolute dyadic cells of `values` at one level, by np.unique."""
+    from dimlab.geometry import value_bins
+
+    return int(len(np.unique(value_bins(values, level))))
+
+
 # -- dict-of-tuples references for the array-backed measure core -------------
 # The per-leaf loops the measure core ran before it stored sorted arrays.  A
 # measure is given here as its leaf dict {coords: mass} and depth m; the

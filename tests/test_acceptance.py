@@ -17,7 +17,7 @@ from dimlab.geometry import (
     adapted_audit,
     entropy_projection_bound,
     hyperplane_concentration,
-    value_box_count,
+    value_box_counts,
 )
 from dimlab.sigma import (
     HighDimProfile,
@@ -250,9 +250,10 @@ def test_acceptance_09_distance_set_experiment():
     best = None
     for pin in mu_half.leaf_centers()[:: max(1, len(mu_half.leaves) // 32)]:
         dists = np.linalg.norm(nu_pts - pin, axis=1)
-        single = math.log2(value_box_count(dists, delta)) / delta
         levels = list(range(4, depth - 1))
-        ys = [math.log2(value_box_count(dists, j)) for j in levels]
+        at_delta, *counts = value_box_counts(dists, [delta] + levels)
+        single = math.log2(at_delta) / delta
+        ys = [math.log2(n) for n in counts]
         slope = float(np.polyfit(levels, ys, 1)[0])
         if best is None or abs(single - 0.5) < abs(best[0] - 0.5):
             best = (single, slope)

@@ -161,7 +161,14 @@ def _write(path, text):
     "lattice_dim", "sigma_inf_tau_zero", "sigma_inf_budget_negative", "verify_planar_tau_zero",
     "verify_highdim_tau_zero", "sigma_eval_grid_zero", "tubes_pins_zero",
     "tubes_radii_duplicate", "tubes_radius_nan", "tubes_radius_inf", "tubes_dim_mismatch",
-    "scene_pins_zero", "scene_pins_not_object",
+    "scene_pins_zero", "scene_pins_not_object", "scene_list", "scene_generator_string",
+    "scene_params_string", "scene_pins_bool", "scene_pins_fraction", "build_params_list",
+    "dims_window_reversed", "dims_window_too_deep", "chain_intervals_reversed",
+    "chain_intervals_too_deep", "chain_intervals_not_int", "chain_pin_one_coordinate",
+    "entropy_proj_a_2", "entropy_proj_a_nan", "phi_u_2", "phi_u_nan", "sigma_eval_f_empty",
+    "cdtable_d_min_1", "sigma_eval_f_no_breakpoints", "scene_depth_list",
+    "scene_depth_fraction", "scene_window_number", "scene_window_string", "scene_zeta_list",
+    "scene_output_number",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -175,6 +182,15 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     left, right = _separated_pair(tmp_path)
     cube = _write(tmp_path / "cube.txt", DyadicMeasure(3, 4, {(14, 8, 8): 1.0}).to_text())
     tubes = ["tubes", "--mu", left, "--nu", right, "--radii"]
+    rho = _write(tmp_path / "rho4.txt", "sphere 2 4\n" + "".join(f"{i} 0.25\n" for i in range(4)))
+    chain = ["chain", "run", "--measure", mu, "--pin", "-0.5", "0.5", "--intervals"]
+    entropy_proj = ["audit", "entropy-proj", "--rho", rho, "--mu", mu, "--m", "6",
+                    "--b", "0.5", "--a"]
+
+    def scene_run(name, **fields):
+        rec = {"scenario": name, "generator": {"kind": "cantor_product", "params": {}},
+               "depth": 10, **fields}
+        return ["experiment", "run", _write(tmp_path / f"scene_{name}.json", json.dumps(rec))]
     argv = {
         "profile_missing_s": ["sigma", "eval", "--profile", "highdim:d=3", "--f", f,
                               "--tau", "0.02"],
@@ -182,7 +198,7 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "rho_empty": ["audit", "adapted", "--rho", _write(tmp_path / "rho.txt", ""),
                       "--mu", mu, "--level", "6", "--s", "0.5", "--eps", "0.1"],
         "rho_truncated": ["audit", "adapted", "--rho",
-                          _write(tmp_path / "rho.txt", "sphere 2\n"),
+                          _write(tmp_path / "rho_truncated.txt", "sphere 2\n"),
                           "--mu", mu, "--level", "6", "--s", "0.5", "--eps", "0.1"],
         "measure_nan": ["measure", "info", _write(tmp_path / "nan.txt", "1 2\n0 nan\n")],
         "pin_wrong_dim_distance": ["distance", mu, "--pin", "-0.5", "--depth", "8"],
@@ -210,9 +226,39 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "scene_pins_zero": ["experiment", "run", _write(tmp_path / "pins.json", json.dumps({
             "scenario": "p0", "generator": {"kind": "cantor_product", "params": {"r": 0.25}},
             "depth": 10, "pins": {"count": 0}}))],
-        "scene_pins_not_object": ["experiment", "run", _write(tmp_path / "pins.json", json.dumps({
+        "scene_pins_not_object": ["experiment", "run", _write(tmp_path / "pins3.json", json.dumps({
             "scenario": "p3", "generator": {"kind": "cantor_product", "params": {"r": 0.25}},
             "depth": 10, "pins": 3}))],
+        "scene_list": ["experiment", "run", _write(tmp_path / "list.json", "[]")],
+        "scene_generator_string": scene_run("g", generator="cantor"),
+        "scene_params_string": scene_run("p", generator={"kind": "cantor_product",
+                                                         "params": "p"}),
+        "scene_pins_bool": scene_run("b", pins={"count": True}),
+        "scene_pins_fraction": scene_run("f", pins={"count": 8.7}),
+        "scene_depth_list": scene_run("dl", depth=[10]),
+        "scene_depth_fraction": scene_run("df", depth=10.7),
+        "scene_window_number": scene_run("wn", scale_window=5),
+        "scene_window_string": scene_run("ws", scale_window=[2, "x"]),
+        "scene_zeta_list": scene_run("zl", zeta=[0.1]),
+        "scene_output_number": scene_run("on", output=5),
+        "build_params_list": ["measure", "build", "--kind", "cantor_product",
+                              "--params", "[1]", "--depth", "6"],
+        "dims_window_reversed": ["dims", mu, "--window", "6", "2"],
+        "dims_window_too_deep": ["dims", mu, "--window", "2", "20"],
+        "chain_intervals_reversed": chain + ["8:4"],
+        "chain_intervals_too_deep": chain + ["4:20"],
+        "chain_intervals_not_int": chain + ["x"],
+        "chain_pin_one_coordinate": ["chain", "run", "--measure", mu, "--pin", "-0.5",
+                                     "--intervals", "2:4"],
+        "entropy_proj_a_2": entropy_proj + ["2"],
+        "entropy_proj_a_nan": entropy_proj + ["nan"],
+        "phi_u_2": ["sigma", "phi", "--u", "2"],
+        "phi_u_nan": ["sigma", "phi", "--u", "nan"],
+        "sigma_eval_f_empty": ["sigma", "eval", "--profile", "trivial", "--tau", "0.1",
+                               "--f", _write(tmp_path / "empty.json", "")],
+        "cdtable_d_min_1": ["sigma", "cdtable", "--d-min", "1"],
+        "sigma_eval_f_no_breakpoints": ["sigma", "eval", "--profile", "trivial", "--tau", "0.1",
+                                        "--f", _write(tmp_path / "nobp.json", '{"values": [0]}')],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -225,5 +271,18 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "tubes_dim_mismatch": "dimension",
         "scene_pins_zero": "pins.count",
         "scene_pins_not_object": "pins.count",
+        "scene_list": "JSON object",
+        "scene_generator_string": "generator must be an object",
+        "scene_params_string": "params must be an object",
+        "scene_pins_bool": "pins.count",
+        "scene_pins_fraction": "pins.count",
+        "build_params_list": "params must be an object",
+        "scene_depth_fraction": "depth must be an integer",
+        "scene_output_number": "output must be a directory path",
+        "chain_pin_one_coordinate": "coordinates",
+        "entropy_proj_a_2": "a must be in (0, 1)",
+        "entropy_proj_a_nan": "a must be in (0, 1)",
+        "sigma_eval_f_no_breakpoints": "breakpoints",
     }.get(case, "") in err
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -10,6 +10,8 @@ from dimlab.geometry import (
     LineMeasure,
     _direction_grid,
     _heaviest_point,
+    _pin_tube_masses,
+    _quantile_leaves,
     _tube_mass_grid,
     adapted_audit,
     entropy_projection_bound,
@@ -21,9 +23,10 @@ from dimlab.geometry import (
     tube_mass_max,
     value_bins,
     value_box_count,
+    value_box_counts,
     value_entropy,
 )
-from oracles import random_measure, tube_mass_max_bruteforce
+from oracles import random_measure, tube_mass_max_bruteforce, value_box_count_reference
 
 
 def test_value_binning_helpers():
@@ -33,6 +36,23 @@ def test_value_binning_helpers():
     assert value_box_count(vals, 2) == 3
     h = value_entropy(vals, w, 2)
     assert h == pytest.approx(-(0.25 * math.log2(0.25) * 2 + 0.5 * math.log2(0.5)))
+
+
+def test_value_box_counts_match_unique_oracle():
+    rng = np.random.default_rng(7)
+    levels = list(range(0, 18))
+    cases = [rng.uniform(0.0, 1.5, int(rng.integers(1, 400))) for _ in range(20)]
+    # every value on a dyadic boundary k/2^j, repeated values, one element
+    cases += [np.arange(64) / 2.0 ** 5, np.repeat(rng.uniform(0.0, 1.0, 7), 5),
+              np.array([0.25, 0.25, 0.25]), np.array([0.7]), np.array([0.0]),
+              rng.permutation(np.concatenate([np.arange(33) / 32.0, np.arange(17) / 16.0]))]
+    for vals in cases:
+        assert value_box_counts(vals, levels) == [
+            value_box_count_reference(vals, j) for j in levels]
+        assert value_box_counts(vals, [0]) == [value_box_count_reference(vals, 0)]
+    assert value_box_counts(np.zeros(0), levels) == [0] * len(levels)
+    assert value_box_count_reference(np.zeros(0), 3) == 0
+    assert value_box_counts(np.array([0.5]), []) == []
 
 
 def test_project_linear_mass_and_marginal():
@@ -155,6 +175,29 @@ def test_tube_sweep_matches_bruteforce_and_bounds_grid():
                 assert abs(float(mu.masses[slab].sum()) - mass) <= 1e-12
 
 
+def test_shared_tube_masses_match_tube_mass_max():
+    """The per-pin masses thin_tubes_profile computes with one set of offsets,
+    squared norms and angles for all radii equal tube_mass_max per radius."""
+    rng = np.random.default_rng(11)
+    radii = [2 ** -6, 2 ** -5, 2 ** -4, 2 ** -3]
+    cases = []
+    for _ in range(30):
+        mu = random_measure(rng, d=2, m=7, n_leaves=int(rng.integers(1, 80)))
+        leaf = mu.leaf_centers()[rng.integers(len(mu.masses))]
+        cases.append((mu, [(-0.5, 0.5), tuple(leaf), tuple(rng.uniform(-1.0, 2.0, 2))]))
+    from dimlab.experiment import split_separated
+
+    # the cantor16 scene's eight pins
+    mu_half, nu_half = split_separated(gen_cantor_product(0.25, 2, 16).normalize())
+    pins = mu_half.leaf_centers()[_quantile_leaves(mu_half.masses, 8)]
+    cases.append((nu_half, [tuple(p) for p in pins]))
+    for nu, pins in cases:
+        for pin in pins:
+            dmin, shared = _pin_tube_masses(nu, pin, radii)
+            assert shared == [tube_mass_max(nu, pin, r)[0] for r in radii]
+            assert dmin == float(np.linalg.norm(nu.leaf_centers() - pin, axis=1).min())
+
+
 def test_heaviest_point_closed_arcs_and_wrap():
     assert _heaviest_point(np.zeros(0), np.zeros(0), np.zeros(0)) == (0.0, 0.0)
     # closed arcs: two arcs that touch at 1.0 both hold that point
@@ -200,6 +243,12 @@ def test_thin_tubes_profile_contract():
         thin_tubes_profile(mu_half, nu_half, [2 ** -5, 2 ** -5], n_pins=4)
     with pytest.raises(ValueError, match="dimension"):
         thin_tubes_profile(mu_half, gen_cantor_product(0.25, 3, 4), radii, n_pins=4)
+    # every swept radius passes tube_mass_max's checks, with its messages
+    with pytest.raises(ValueError, match="below the grid scale"):
+        thin_tubes_profile(mu_half, nu_half, [2 ** -9, 2 ** -5], n_pins=4)
+    left, right = DyadicMeasure(1, 8, {(3,): 1.0}), DyadicMeasure(1, 8, {(250,): 1.0})
+    with pytest.raises(ValueError, match="d = 2 or 3"):
+        thin_tubes_profile(left, right, [2 ** -6, 2 ** -5], n_pins=1)
 
 
 def test_hyperplane_concentration_uniform_vs_atom():
