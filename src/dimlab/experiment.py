@@ -83,6 +83,9 @@ class SceneConfig:
             raise ConfigError(f"depth {self.depth} outside [2, {limit}] for d={d}")
         if self.scale_window is None:
             self.scale_window = (2, self.depth)
+        if len(self.scale_window) != 2 or not all(
+                isinstance(j, int) and not isinstance(j, bool) for j in self.scale_window):
+            raise ConfigError(f"scale_window must be two integers, not {self.scale_window!r}")
         lo, hi = self.scale_window
         if not (0 <= lo and hi <= self.depth and hi - lo >= 6):
             raise ConfigError("scale_window must fit the depth and span >= 6 levels")

@@ -272,10 +272,7 @@ def tube_mass_max(nu: DyadicMeasure, x, r: float) -> tuple[float, np.ndarray]:
     step r/4, so a lower bound for the true maximum.
     """
     _check_tube_radius(nu, r)
-    pts = _tube_offsets(nu, x)
-    if nu.d == 2:
-        return _tube_mass_sweep(_sq_norms(pts), np.arctan2(pts[:, 1], pts[:, 0]), nu.masses, r)
-    return _tube_mass_grid(pts, nu.masses, r, _direction_grid(3, r / 4.0))
+    return _pin_tubes(nu, x, [r])[1][0]
 
 
 def _check_tube_radius(nu: DyadicMeasure, r: float) -> None:
@@ -288,32 +285,27 @@ def _check_tube_radius(nu: DyadicMeasure, r: float) -> None:
         raise ValueError(f"tubes need d = 2 or 3, not d = {nu.d}")
 
 
-def _tube_offsets(nu: DyadicMeasure, x) -> np.ndarray:
-    """Leaf-center offsets of nu from the pin x, which needs nu.d coordinates."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (nu.d,):
-        raise ValueError(f"pin has {x.size} coordinates; the measure has d = {nu.d}")
-    return nu.leaf_centers() - x
-
-
 def _sq_norms(pts: np.ndarray) -> np.ndarray:
     """Squared row norms, column by column (equal to np.sum(pts * pts, axis=1)
     and cheaper for few columns)."""
     return sum(pts[:, i] * pts[:, i] for i in range(pts.shape[1]))
 
 
-def _pin_tube_masses(nu: DyadicMeasure, x, rs) -> tuple[float, list[float]]:
+def _pin_tubes(nu: DyadicMeasure, x, rs) -> tuple[float, list[tuple[float, np.ndarray]]]:
     """(distance from the pin x to the nearest leaf center of nu,
-    tube_mass_max's mass at each radius in rs), with the leaf offsets, their
-    squared norms and, in d = 2, their angles computed once for all radii."""
-    pts = _tube_offsets(nu, x)
+    tube_mass_max's (mass, direction) at each radius in rs), with the leaf
+    offsets, their squared norms and, in d = 2, their angles computed once for
+    all radii.  The radii must have passed _check_tube_radius."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (nu.d,):
+        raise ValueError(f"pin has {x.size} coordinates; the measure has d = {nu.d}")
+    pts = nu.leaf_centers() - x
     sq = _sq_norms(pts)
-    dmin = math.sqrt(float(sq.min()))
+    dmin = math.sqrt(float(sq.min(initial=math.inf)))
     if nu.d == 2:
         ang = np.arctan2(pts[:, 1], pts[:, 0])
-        return dmin, [_tube_mass_sweep(sq, ang, nu.masses, r)[0] for r in rs]
-    return dmin, [_tube_mass_grid(pts, nu.masses, r, _direction_grid(3, r / 4.0))[0]
-                  for r in rs]
+        return dmin, [_tube_mass_sweep(sq, ang, nu.masses, r) for r in rs]
+    return dmin, [_tube_mass_grid(pts, nu.masses, r, _direction_grid(3, r / 4.0)) for r in rs]
 
 
 def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray,
@@ -413,12 +405,12 @@ def thin_tubes_profile(
     pins = mu.leaf_centers()[_quantile_leaves(mu.masses, n_pins)]
     out = []
     for pin in pins:
-        dmin, masses = _pin_tube_masses(nu, pin, rs)
+        dmin, tubes = _pin_tubes(nu, pin, rs)
         if dmin < 4.0 * max_r:
             raise ValueError(
                 f"supports not separated: pin at distance {dmin} < 4*max r"
             )
-        table = list(zip(rs, masses))
+        table = [(r, mass) for r, (mass, _) in zip(rs, tubes)]
         logs_r = np.log2([r for r, _ in table])
         logs_m = np.log2([max(m, 1e-300) for _, m in table])
         t, logK = np.polyfit(logs_r, logs_m, 1)

@@ -168,7 +168,7 @@ def _write(path, text):
     "entropy_proj_a_2", "entropy_proj_a_nan", "phi_u_2", "phi_u_nan", "sigma_eval_f_empty",
     "cdtable_d_min_1", "sigma_eval_f_no_breakpoints", "scene_depth_list",
     "scene_depth_fraction", "scene_window_number", "scene_window_string", "scene_zeta_list",
-    "scene_output_number",
+    "scene_output_number", "scene_window_float", "scene_window_three",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -239,6 +239,8 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "scene_depth_fraction": scene_run("df", depth=10.7),
         "scene_window_number": scene_run("wn", scale_window=5),
         "scene_window_string": scene_run("ws", scale_window=[2, "x"]),
+        "scene_window_float": scene_run("wf", scale_window=[2.0, 10]),
+        "scene_window_three": scene_run("w3", scale_window=[2, 8, 10]),
         "scene_zeta_list": scene_run("zl", zeta=[0.1]),
         "scene_output_number": scene_run("on", output=5),
         "build_params_list": ["measure", "build", "--kind", "cantor_product",
@@ -279,6 +281,8 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "build_params_list": "params must be an object",
         "scene_depth_fraction": "depth must be an integer",
         "scene_output_number": "output must be a directory path",
+        "scene_window_float": "scale_window must be two integers",
+        "scene_window_three": "scale_window must be two integers",
         "chain_pin_one_coordinate": "coordinates",
         "entropy_proj_a_2": "a must be in (0, 1)",
         "entropy_proj_a_nan": "a must be in (0, 1)",

@@ -10,8 +10,6 @@ from dimlab.geometry import (
     LineMeasure,
     _direction_grid,
     _heaviest_point,
-    _pin_tube_masses,
-    _quantile_leaves,
     _tube_mass_grid,
     adapted_audit,
     entropy_projection_bound,
@@ -151,6 +149,9 @@ def test_tube_mass_basics():
         tube_mass_max(mu, (-0.5,), 2 ** -4)
     with pytest.raises(ValueError, match="d = 2 or 3"):
         tube_mass_max(DyadicMeasure(1, 4, {(3,): 1.0}), (-0.5,), 2 ** -3)
+    # an empty measure has no heavy tube in either dimension
+    assert tube_mass_max(DyadicMeasure(2, 4, {}), (-0.5, 0.5), 2 ** -2)[0] == 0.0
+    assert tube_mass_max(DyadicMeasure(3, 4, {}), (-0.5, 0.5, 0.5), 2 ** -2)[0] == 0.0
 
 
 def test_tube_sweep_matches_bruteforce_and_bounds_grid():
@@ -175,27 +176,20 @@ def test_tube_sweep_matches_bruteforce_and_bounds_grid():
                 assert abs(float(mu.masses[slab].sum()) - mass) <= 1e-12
 
 
-def test_shared_tube_masses_match_tube_mass_max():
-    """The per-pin masses thin_tubes_profile computes with one set of offsets,
-    squared norms and angles for all radii equal tube_mass_max per radius."""
-    rng = np.random.default_rng(11)
-    radii = [2 ** -6, 2 ** -5, 2 ** -4, 2 ** -3]
-    cases = []
-    for _ in range(30):
-        mu = random_measure(rng, d=2, m=7, n_leaves=int(rng.integers(1, 80)))
-        leaf = mu.leaf_centers()[rng.integers(len(mu.masses))]
-        cases.append((mu, [(-0.5, 0.5), tuple(leaf), tuple(rng.uniform(-1.0, 2.0, 2))]))
+def test_profile_tables_match_tube_mass_max():
+    """thin_tubes_profile shares each pin's offsets and angles across its
+    radii; every table entry still equals tube_mass_max at that pin and
+    radius, in d = 2 (the cantor16 scene) and d = 3."""
     from dimlab.experiment import split_separated
 
-    # the cantor16 scene's eight pins
-    mu_half, nu_half = split_separated(gen_cantor_product(0.25, 2, 16).normalize())
-    pins = mu_half.leaf_centers()[_quantile_leaves(mu_half.masses, 8)]
-    cases.append((nu_half, [tuple(p) for p in pins]))
-    for nu, pins in cases:
-        for pin in pins:
-            dmin, shared = _pin_tube_masses(nu, pin, radii)
-            assert shared == [tube_mass_max(nu, pin, r)[0] for r in radii]
-            assert dmin == float(np.linalg.norm(nu.leaf_centers() - pin, axis=1).min())
+    scenes = [(gen_cantor_product(0.25, 2, 16), [2 ** -6, 2 ** -5, 2 ** -4, 2 ** -3], 8),
+              (gen_cantor_product(0.25, 3, 4), [2 ** -4, 2 ** -3], 4)]
+    for mu, radii, n_pins in scenes:
+        mu_half, nu_half = split_separated(mu.normalize())
+        profiles = thin_tubes_profile(mu_half, nu_half, radii, n_pins=n_pins)
+        assert len(profiles) == n_pins
+        for pr in profiles:
+            assert pr.table == [(r, tube_mass_max(nu_half, pr.pin, r)[0]) for r in radii]
 
 
 def test_heaviest_point_closed_arcs_and_wrap():
