@@ -45,7 +45,7 @@ def _parse_profile(spec: str):
             params[key] = float(val)
     try:
         if kind == "highdim":
-            return HighDimProfile(int(params["d"]), params["s"])
+            return HighDimProfile(params["d"], params["s"])
         if kind == "planar":
             return PlanarProfile(params["s"], eta=params.get("eta", 0.01))
         if kind == "kaufman":
@@ -159,8 +159,8 @@ def cmd_sigma(args) -> int:
         return PASS if rep["passed"] else FAIL
     if args.action == "verify-highdim":
         ok = True
-        for s in args.s:
-            D = HighDimProfile(args.d, s)
+        profiles = [HighDimProfile(args.d, s) for s in args.s]
+        for s, D in zip(args.s, profiles):
             res = sigma_tau(D, args.t, args.tau, budget=args.budget)
             bound = (s + 1.0) / (args.d + 1.0) - args.slack
             good = res.estimate >= bound

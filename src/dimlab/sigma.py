@@ -48,10 +48,29 @@ def c_d_table(d_range) -> list[tuple[int, float]]:
             out.append((d, phi(0.5) / (d + 1)))
         else:
             out.append((d, (phi(1.0) - 0.5) / (d + 1)))
+    if not out:
+        raise ValueError("the range of dimensions is empty")
     return out
 
 
 # -- profile functions ------------------------------------------------------
+
+
+def _finite(name: str, value) -> float:
+    try:
+        value = float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _dimension(d) -> float:
+    d = _finite("d", d)
+    if d <= 0.0:
+        raise ValueError(f"d must be positive, got {d}")
+    return d
 
 
 class Profile:
@@ -68,8 +87,10 @@ class HighDimProfile(Profile):
     """D(t) = max(min(1, s + t - (d-1)), t/d)."""
 
     def __init__(self, d: int, s: float):
-        self.d = float(d)
-        self.s = float(s)
+        self.d = _dimension(d)
+        if not self.d.is_integer():
+            raise ValueError(f"d must be an integer, got {d}")
+        self.s = _finite("s", s)
         self.k = 1.0
 
     def __call__(self, t):
@@ -82,7 +103,7 @@ class TrivialHalfProfile(Profile):
     """D(t) = t/2, valid for any positive base exponent."""
 
     def __init__(self, d: float = 2.0):
-        self.d = float(d)
+        self.d = _dimension(d)
         self.k = self.d / 2.0
 
     def __call__(self, t):
@@ -95,8 +116,8 @@ class KaufmanProfile(Profile):
     """Identity up to the direction-measure exponent: D(t) = min(t, s)."""
 
     def __init__(self, s: float, d: float = 2.0):
-        self.d = float(d)
-        self.s = float(s)
+        self.d = _dimension(d)
+        self.s = _finite("s", s)
         self.k = self.s
 
     def __call__(self, t):
@@ -116,8 +137,8 @@ class PlanarProfile(Profile):
     def __init__(self, s: float, eta: float = 0.01):
         if not (0.0 < s < 2.0):
             raise ValueError(f"s must be in (0, 2), got {s}")
-        if not eta > 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {eta}")
         self.d = 2.0
         self.s = float(s)
         self.k = 1.0
@@ -153,9 +174,9 @@ class CustomProfile(Profile):
     """Piecewise-linear profile given by breakpoints on [0, d]."""
 
     def __init__(self, xs, ys, d: float):
-        self.d = float(d)
-        self.xs = tuple(float(x) for x in xs)
-        self.ys = tuple(float(y) for y in ys)
+        self.d = _dimension(d)
+        self.xs = tuple(_finite("breakpoint", x) for x in xs)
+        self.ys = tuple(_finite("value", y) for y in ys)
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(b < a - _TOL for a, b in zip(self.ys, self.ys[1:])):
@@ -193,15 +214,26 @@ def is_superlinear(f: PLFunction, a: float, b: float, sigma: float, tol: float =
     return best_slope(f, a, b) >= sigma - tol
 
 
-def _best_slope_matrix(f: PLFunction, G: np.ndarray) -> np.ndarray:
-    """B[i, j] = best_slope(f, G[i], G[j]) for i < j on the sorted grid G,
-    exact when G contains f's breakpoints (inf for j <= i)."""
-    fG = np.asarray(f(G))
-    dx = G[None, :] - G[:, None]
+def _slope_rows(G: np.ndarray, fG: np.ndarray, p: np.ndarray, q1: int) -> np.ndarray:
+    """Best superlinear slopes of f (fG = f(G)) from the starts G[p], p
+    increasing, to the ends G[q], p[0] < q <= q1, on the sorted grid G:
+    S[r, q - p[0] - 1] = best_slope(f, G[p[r]], G[q]), exact when G contains
+    f's breakpoints (inf for q <= p[r])."""
+    ends = slice(p[0] + 1, q1 + 1)
+    dx = G[ends] - G[p, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        S = (fG[None, :] - fG[:, None]) / dx
-    S[dx <= 0] = np.inf
-    return np.minimum.accumulate(S, axis=1)
+        S = (fG[ends] - fG[p, None]) / dx
+    # q <= p[r] only happens for q <= p[-1]
+    stair = slice(0, p[-1] - p[0])
+    S[:, stair][dx[:, stair] <= 0] = np.inf
+    return np.minimum.accumulate(S, axis=1, out=S)
+
+
+def _row_chunk(n: int) -> int:
+    """Rows per _slope_rows call on an n-step grid: few enough that a block
+    stays small next to the band at n = 800, enough that the per-call
+    overhead stays small at n = 100."""
+    return max(48, n // 16)
 
 
 # -- interval decompositions -----------------------------------------------
@@ -323,7 +355,16 @@ def superlinear_decomposition(
     )
     G = np.array(grid)
     K = len(G)
-    B = _best_slope_matrix(f, G)
+    fG = np.asarray(f(G))
+    # column-major best slopes Bt[j, i] over [G[i], G[j]] for the lengths up
+    # to rho the chain may use; zero elsewhere, where the DP masks them
+    hi = np.searchsorted(G, G + (rho + 4 * _TOL), side="right") - 1
+    Bt = np.zeros((K, K))
+    chunk = _row_chunk(K)
+    for p0 in range(0, K - 1, chunk):
+        p1 = min(p0 + chunk, K - 1)
+        q1 = hi[p1 - 1]
+        Bt[p0 + 1:q1 + 1, p0:p1] = _slope_rows(G, fG, np.arange(p0, p1), q1).T
 
     NEG = -math.inf
     val = np.full(K, NEG)
@@ -334,7 +375,7 @@ def superlinear_decomposition(
         ok = (lens >= tau - _TOL) & (lens <= rho + _TOL)
         if not ok.any():
             continue
-        cand = val[:j] + lens * B[:j, j]
+        cand = val[:j] + lens * Bt[j, :j]
         cand[~ok] = NEG
         i = int(np.argmax(cand))
         if cand[i] > NEG:
@@ -346,7 +387,7 @@ def superlinear_decomposition(
     j = K - 1
     while j > 0:
         i = back[j]
-        chain.append((float(G[i]), float(G[j]), float(B[i, j])))
+        chain.append((float(G[i]), float(G[j]), float(Bt[j, i])))
         j = i
     chain.reverse()
     dec = IntervalDecomposition(chain, tau=tau)
@@ -359,6 +400,8 @@ def superlinear_decomposition(
 
 def _grid(grid_n: int) -> np.ndarray:
     """The endpoint grid {i/grid_n : 0 <= i <= grid_n}."""
+    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)):
+        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     return np.arange(grid_n + 1) / grid_n
@@ -368,36 +411,76 @@ def _grid_dp(D: Profile, f: PLFunction, tau: float, xs: np.ndarray):
     """Weighted interval scheduling over allowable families with endpoints in
     the sorted grid xs.
 
-    Returns (value, take, Bg): take[j] is the start index of the interval
-    ending at xs[j] in an optimal family on xs[:j+1] (-1 if none), and
-    Bg[i, j] the best superlinear slope over [xs[i], xs[j]].
+    Returns (value, take, sig): take[j] is the start index of the interval
+    ending at xs[j] in an optimal family on xs[:j+1] (-1 if none), and sig[j]
+    that interval's best superlinear slope clipped to [0, d] (nan if none).
+
+    Slopes and weights are built only on a band of ends lo[i] <= j <= hi[i]
+    per start i, a little wider than the allowable xs[i] + tau <= xs[j] <=
+    2 xs[i]; the exact allowability test then runs on the band, so every
+    weight equals the one a full (n+1)^2 matrix would hold.
     """
     d = D.d
+    n = len(xs) - 1
     G = np.union1d(xs, np.clip(np.array(f.xs), 0.0, 1.0))
     gi = np.searchsorted(G, xs)
-    Bg = _best_slope_matrix(f, G)[np.ix_(gi, gi)]
-
-    n = len(xs) - 1
-    NEG = -math.inf
-    # interval weights; invalid when no sigma in [0, d] certifies the interval
-    lens = xs[None, :] - xs[:, None]
-    allowable = (lens >= tau - _TOL) & (lens <= xs[:, None] + _TOL) & (lens > 0)
-    sig = np.clip(Bg, 0.0, d)
-    W = np.where(allowable & (Bg >= -_TOL), lens * np.asarray(D(sig)), NEG)
+    fG = np.asarray(f(G))
+    idx = np.arange(n + 1)
+    lo = np.maximum(np.searchsorted(xs, xs + (tau - 4 * _TOL)), idx + 1)
+    hi = np.searchsorted(xs, 2.0 * xs + 4 * _TOL, side="right") - 1
+    rows = np.flatnonzero(lo <= hi)
 
     best = np.zeros(n + 1)
     take = np.full(n + 1, -1, dtype=int)
-    for j in range(1, n + 1):
-        b = best[j - 1]
-        t = -1
-        cand = best[:j] + W[:j, j]
-        i = int(np.argmax(cand))
-        if cand[i] > b:
-            b = cand[i]
-            t = i
-        best[j] = b
-        take[j] = t
-    return float(best[n]), take, Bg
+    sig = np.full(n + 1, np.nan)
+    if not len(rows):
+        return 0.0, take, sig
+    NEG = -math.inf
+    # column-major weights: W[j, i] is the weight of [xs[i], xs[j]], NEG off
+    # the band and where no sigma in [0, d] certifies the interval; each row
+    # chunk keeps its clipped slopes for the certificate
+    W = np.full((n + 1, n + 1), NEG)
+    clipped = []
+    chunk = _row_chunk(n)
+    for c0 in range(rows[0], rows[-1] + 1, chunk):
+        c1 = min(c0 + chunk, rows[-1] + 1)
+        j0, j1 = lo[c0], hi[c1 - 1] + 1
+        if j1 <= j0:
+            continue
+        S = _slope_rows(G, fG, gi[c0:c1], gi[j1 - 1])
+        Bg = S[:, gi[j0:j1] - (gi[c0] + 1)]
+        lens = xs[j0:j1] - xs[c0:c1, None]
+        allowable = (lens >= tau - _TOL) & (lens <= xs[c0:c1, None] + _TOL) & (lens > 0)
+        sg = np.clip(Bg, 0.0, d)
+        W[j0:j1, c0:c1] = np.where(allowable & (Bg >= -_TOL), lens * np.asarray(D(sg)), NEG).T
+        clipped.append((c0, j0, sg))
+
+    # Column j reads the rows rstart[j] <= i < rend[j] whose bands hold j.
+    # Each is at most j - k, so a block of k columns reads only entries of
+    # best finished before the block.
+    k = int(np.min(lo[rows] - rows))
+    rstart = np.searchsorted(hi, idx).tolist()
+    rend = np.searchsorted(lo, idx, side="right").tolist()
+    b = 0.0
+    for j0 in range(int(lo[rows[0]]), n + 1, k):
+        j1 = min(j0 + k, n + 1)
+        r0, r1 = rstart[j0], rend[j1 - 1]
+        if r1 <= r0:
+            best[j0:j1] = b
+            continue
+        cand = W[j0:j1, r0:r1] + best[r0:r1]
+        for j, i in enumerate(cand.argmax(axis=1).tolist(), j0):
+            c = cand.item(j - j0, i)
+            if c > b:
+                b = c
+                take[j] = r0 + i
+            best[j] = b
+    ends = np.flatnonzero(take >= 0)
+    starts = take[ends]
+    for c0, j0, sg in clipped:
+        sel = (starts >= c0) & (starts < c0 + len(sg))
+        sig[ends[sel]] = sg[starts[sel] - c0, ends[sel] - j0]
+    return float(best[n]), take, sig
 
 
 def sigma_for_f(
@@ -413,7 +496,7 @@ def sigma_for_f(
     if not (0.0 < tau <= 0.5):
         raise ValueError(f"tau must be in (0, 1/2], got {tau}")
     xs = _grid(grid_n)
-    value, take, Bg = _grid_dp(D, f, tau, xs)
+    value, take, sig = _grid_dp(D, f, tau, xs)
     # recover certificate
     entries = []
     j = grid_n
@@ -422,8 +505,7 @@ def sigma_for_f(
         if i < 0:
             j -= 1
             continue
-        sigma = float(np.clip(Bg[i, j], 0.0, D.d))
-        entries.append((float(xs[i]), float(xs[j]), sigma))
+        entries.append((float(xs[i]), float(xs[j]), float(sig[j])))
         j = i
     entries.reverse()
     dec = IntervalDecomposition(entries, tau=tau, value_against=(D, value))

@@ -131,6 +131,97 @@ def sigma_value_bruteforce(D, f, tau, grid_n):
     return best
 
 
+# -- dense references for the banded sigma_for_f DP --------------------------
+# The (n+1)^2 best-slope and weight matrices and the per-column DP that
+# sigma._grid_dp ran before it restricted them to the allowable band.
+
+
+def _best_slope_matrix(f, G):
+    """B[i, j] = best_slope(f, G[i], G[j]) for i < j on the sorted grid G,
+    exact when G contains f's breakpoints (inf for j <= i)."""
+    fG = np.asarray(f(G))
+    dx = G[None, :] - G[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = (fG[None, :] - fG[:, None]) / dx
+    S[dx <= 0] = np.inf
+    return np.minimum.accumulate(S, axis=1)
+
+
+def grid_dp_dense_reference(D, f, tau, xs):
+    """Weighted interval scheduling over allowable families with endpoints in
+    the sorted grid xs.
+
+    Returns (value, take, Bg): take[j] is the start index of the interval
+    ending at xs[j] in an optimal family on xs[:j+1] (-1 if none), and
+    Bg[i, j] the best superlinear slope over [xs[i], xs[j]].
+    """
+    d = D.d
+    G = np.union1d(xs, np.clip(np.array(f.xs), 0.0, 1.0))
+    gi = np.searchsorted(G, xs)
+    Bg = _best_slope_matrix(f, G)[np.ix_(gi, gi)]
+
+    n = len(xs) - 1
+    NEG = -math.inf
+    # interval weights; invalid when no sigma in [0, d] certifies the interval
+    lens = xs[None, :] - xs[:, None]
+    allowable = (lens >= tau - _TOL) & (lens <= xs[:, None] + _TOL) & (lens > 0)
+    sig = np.clip(Bg, 0.0, d)
+    W = np.where(allowable & (Bg >= -_TOL), lens * np.asarray(D(sig)), NEG)
+
+    best = np.zeros(n + 1)
+    take = np.full(n + 1, -1, dtype=int)
+    for j in range(1, n + 1):
+        b = best[j - 1]
+        t = -1
+        cand = best[:j] + W[:j, j]
+        i = int(np.argmax(cand))
+        if cand[i] > b:
+            b = cand[i]
+            t = i
+        best[j] = b
+        take[j] = t
+    return float(best[n]), take, Bg
+
+
+def superlinear_chain_dense_reference(f, a, b, eps, rho):
+    """The (a_j, b_j, sigma_j) chain of superlinear_decomposition, from the
+    dense best-slope matrix and its per-column DP."""
+    tau = eps * rho / 8.0
+    step = tau / 2.0
+    n = max(2, int(math.ceil((b - a) / step)))
+    grid = sorted(
+        set(np.linspace(a, b, n + 1).tolist())
+        | {x for x in f.xs if a < x < b}
+    )
+    G = np.array(grid)
+    K = len(G)
+    B = _best_slope_matrix(f, G)
+
+    NEG = -math.inf
+    val = np.full(K, NEG)
+    back = np.full(K, -1, dtype=int)
+    val[0] = 0.0
+    for j in range(1, K):
+        lens = G[j] - G[:j]
+        ok = (lens >= tau - _TOL) & (lens <= rho + _TOL)
+        if not ok.any():
+            continue
+        cand = val[:j] + lens * B[:j, j]
+        cand[~ok] = NEG
+        i = int(np.argmax(cand))
+        if cand[i] > NEG:
+            val[j] = cand[i]
+            back[j] = i
+    chain = []
+    j = K - 1
+    while j > 0:
+        i = back[j]
+        chain.append((float(G[i]), float(G[j]), float(B[i, j])))
+        j = i
+    chain.reverse()
+    return chain
+
+
 # Slack on the squared perpendicular distance for the leaf that defines an
 # arc endpoint: it sits on its slab's boundary, and rounding the endpoint
 # angle moves its distance by about 1e-16.

@@ -169,6 +169,8 @@ def _write(path, text):
     "cdtable_d_min_1", "sigma_eval_f_no_breakpoints", "scene_depth_list",
     "scene_depth_fraction", "scene_window_number", "scene_window_string", "scene_zeta_list",
     "scene_output_number", "scene_window_float", "scene_window_three",
+    "highdim_s_nan", "highdim_d_inf", "highdim_d_zero", "kaufman_s_nan", "trivial_d_inf",
+    "custom_value_nan", "verify_highdim_s_nan", "cdtable_reversed",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -186,6 +188,9 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     chain = ["chain", "run", "--measure", mu, "--pin", "-0.5", "0.5", "--intervals"]
     entropy_proj = ["audit", "entropy-proj", "--rho", rho, "--mu", mu, "--m", "6",
                     "--b", "0.5", "--a"]
+
+    def sigma_inf(profile):
+        return ["sigma", "inf", "--profile", profile, "--t", "1.0", "--tau", "0.1"]
 
     def scene_run(name, **fields):
         rec = {"scenario": name, "generator": {"kind": "cantor_product", "params": {}},
@@ -261,9 +266,21 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "cdtable_d_min_1": ["sigma", "cdtable", "--d-min", "1"],
         "sigma_eval_f_no_breakpoints": ["sigma", "eval", "--profile", "trivial", "--tau", "0.1",
                                         "--f", _write(tmp_path / "nobp.json", '{"values": [0]}')],
+        "highdim_s_nan": sigma_inf("highdim:d=3,s=nan"),
+        "highdim_d_inf": sigma_inf("highdim:d=inf,s=1.2"),
+        "highdim_d_zero": sigma_inf("highdim:d=0,s=1.2"),
+        "kaufman_s_nan": sigma_inf("kaufman:s=nan"),
+        "trivial_d_inf": sigma_inf("trivial:d=inf"),
+        "custom_value_nan": ["sigma", "eval", "--f", f, "--tau", "0.1", "--profile",
+                             "custom:" + _write(tmp_path / "custom.json", json.dumps({
+                                 "breakpoints": [0.0, 1.0, 2.0], "values": [0.0, float("nan"), 1.0],
+                                 "d": 2.0}))],
+        "verify_highdim_s_nan": ["sigma", "verify-highdim", "--d", "3", "--t", "1.5",
+                                 "--s", "1.2", "nan"],
+        "cdtable_reversed": ["sigma", "cdtable", "--d-min", "9", "--d-max", "4"],
     }[case]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:")
     assert {
         "tubes_pins_zero": "at least one pin",
@@ -287,6 +304,15 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "entropy_proj_a_2": "a must be in (0, 1)",
         "entropy_proj_a_nan": "a must be in (0, 1)",
         "sigma_eval_f_no_breakpoints": "breakpoints",
+        "highdim_s_nan": "s must be finite",
+        "highdim_d_inf": "d must be finite",
+        "highdim_d_zero": "d must be positive",
+        "kaufman_s_nan": "s must be finite",
+        "trivial_d_inf": "d must be finite",
+        "custom_value_nan": "value must be finite",
+        "verify_highdim_s_nan": "s must be finite",
+        "cdtable_reversed": "empty",
     }.get(case, "") in err
+    assert out == ""
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -24,7 +24,12 @@ from dimlab.sigma import (
     superlinear_decomposition,
     verify_planar_bound,
 )
-from oracles import random_plf, sigma_value_bruteforce
+from oracles import (
+    grid_dp_dense_reference,
+    random_plf,
+    sigma_value_bruteforce,
+    superlinear_chain_dense_reference,
+)
 
 
 # -- piecewise-linear class --------------------------------------------------
@@ -126,6 +131,25 @@ def test_custom_profile_validation():
         CustomProfile([0.0, 0.0], [0.0, 1.0], 2.0)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: HighDimProfile(3, math.nan), "s must be finite"),
+    (lambda: HighDimProfile(math.inf, 1.2), "d must be finite"),
+    (lambda: HighDimProfile(0, 1.2), "d must be positive"),
+    (lambda: HighDimProfile(3.5, 1.2), "d must be an integer"),
+    (lambda: KaufmanProfile(math.inf), "s must be finite"),
+    (lambda: KaufmanProfile(0.7, d=-1.0), "d must be positive"),
+    (lambda: TrivialHalfProfile(d=math.nan), "d must be finite"),
+    (lambda: TrivialHalfProfile(d=0.0), "d must be positive"),
+    (lambda: PlanarProfile(0.5, eta=math.inf), "eta"),
+    (lambda: CustomProfile([0.0, math.nan], [0.0, 1.0], 2.0), "breakpoint must be finite"),
+    (lambda: CustomProfile([0.0, 2.0], [0.0, None], 2.0), "value must be a number"),
+    (lambda: CustomProfile([0.0, 2.0], [0.0, 1.0], 0.0), "d must be positive"),
+])
+def test_profiles_reject_bad_parameters(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 # -- superlinearity ---------------------------------------------------------
 
 
@@ -184,8 +208,9 @@ def test_merge_increasing_chain():
 
 def test_superlinear_decomposition_tiles_and_bounds():
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        f = random_plf(rng, n_segments=6, max_slope=2.0)
+    # on lines all tilings have nearly the same sum, so chains use pieces of length rho
+    lines = [linear(1.0), from_slopes([2.0, 0.5])]
+    for f in lines + [random_plf(rng, n_segments=6, max_slope=2.0) for _ in range(50)]:
         a, b = 0.25, 1.0
         eps, rho = 0.4, 0.2
         dec = superlinear_decomposition(f, a, b, eps, rho)
@@ -196,6 +221,7 @@ def test_superlinear_decomposition_tiles_and_bounds():
         for x0, x1, s in dec.entries:
             assert dec.tau - 1e-9 <= x1 - x0 <= rho + 1e-9
             assert is_superlinear(f, x0, x1, s)
+        assert dec.entries == superlinear_chain_dense_reference(f, a, b, eps, rho)
         total = dec.weighted_slope_sum()
         growth = float(f(b)) - float(f(a))
         assert total <= growth + 1e-9  # chord slopes never overshoot
@@ -297,11 +323,51 @@ def test_sigma_tau_and_sigma_for_f_reject_bad_input():
     for budget in (0, -1):
         with pytest.raises(ValueError, match="budget"):
             sigma_tau(D, 1.0, 0.1, budget=budget)
-    for grid_n in (0, -4):
+    for grid_n in (0, -4, 16.5, 16.0, True):
         with pytest.raises(ValueError, match="grid_n"):
             sigma_for_f(D, linear(1.0), 0.1, grid_n)
         with pytest.raises(ValueError, match="grid_n"):
             sigma_tau(D, 1.0, 0.1, grid_n=grid_n)
+
+
+def _dp_function(rng, d, grid_n, on_grid):
+    """A PL function with up to 8 pieces, some decreasing, whose breakpoints
+    lie on the quarter sub-grid of {i/grid_n} or at random points."""
+    k = int(rng.integers(0, 8))
+    if on_grid:
+        inner = 4 * rng.choice(np.arange(1, max(2, grid_n // 4)), size=k) / grid_n
+    else:
+        inner = rng.uniform(0.0, 1.0, k)
+    xs = np.unique(np.concatenate([[0.0], inner[inner < 1.0], [1.0]]))
+    low = -d / 4.0 if rng.random() < 0.3 else 0.0
+    ys = np.concatenate([[0.0], np.cumsum(rng.uniform(low, d, len(xs) - 1) * np.diff(xs))])
+    return PLFunction(tuple(xs.tolist()), tuple(ys.tolist()))
+
+
+def test_grid_dp_matches_dense_reference():
+    """The banded DP gives the dense reference's value, take and certificate
+    slopes bit for bit, on full grids and their quarter sub-grids, and on
+    small grids with points within _TOL of the allowable lengths' limits."""
+    rng = np.random.default_rng(12)
+    for grid_n in (16, 80, 96, 101, 400, 800):
+        for tau in (0.01, 0.02, 0.05, 0.125, 0.3, 0.5):
+            grid = sigma._grid(grid_n)
+            grids = [grid, grid[::4]]
+            if grid_n <= 101:
+                edges = np.concatenate([2.0 * grid + 5e-10, grid + tau - 5e-10])
+                grids.append(np.union1d(grid, edges[(edges > 0.0) & (edges < 1.0)]))
+            for kind, D in enumerate(_all_profiles(rng)):
+                f = _dp_function(rng, D.d, grid_n, on_grid=kind % 2 == 0)
+                for xs in grids:
+                    value, take, sig = sigma._grid_dp(D, f, tau, xs)
+                    ref_value, ref_take, Bg = grid_dp_dense_reference(D, f, tau, xs)
+                    case = (grid_n, len(xs), tau, type(D).__name__)
+                    assert value == ref_value, case
+                    assert np.array_equal(take, ref_take), case
+                    ends = np.flatnonzero(ref_take >= 0)
+                    assert np.array_equal(sig[ends],
+                                          np.clip(Bg[ref_take[ends], ends], 0.0, D.d)), case
+                    assert np.isnan(sig[ref_take < 0]).all(), case
 
 
 def _all_profiles(rng):
