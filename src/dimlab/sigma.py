@@ -57,10 +57,7 @@ def c_d_table(d_range) -> list[tuple[int, float]]:
 
 
 def _finite(name: str, value) -> float:
-    try:
-        value = float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -175,8 +172,11 @@ class CustomProfile(Profile):
 
     def __init__(self, xs, ys, d: float):
         self.d = _dimension(d)
-        self.xs = tuple(_finite("breakpoint", x) for x in xs)
-        self.ys = tuple(_finite("value", y) for y in ys)
+        try:
+            self.xs = tuple(_finite("breakpoint", x) for x in xs)
+            self.ys = tuple(_finite("value", y) for y in ys)
+        except TypeError:
+            raise ValueError("breakpoints and values must be lists of numbers") from None
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(b < a - _TOL for a, b in zip(self.ys, self.ys[1:])):

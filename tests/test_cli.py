@@ -170,7 +170,7 @@ def _write(path, text):
     "scene_depth_fraction", "scene_window_number", "scene_window_string", "scene_zeta_list",
     "scene_output_number", "scene_window_float", "scene_window_three",
     "highdim_s_nan", "highdim_d_inf", "highdim_d_zero", "kaufman_s_nan", "trivial_d_inf",
-    "custom_value_nan", "verify_highdim_s_nan", "cdtable_reversed",
+    "custom_value_nan", "custom_breakpoints_number", "verify_highdim_s_nan", "cdtable_reversed",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -191,6 +191,10 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
 
     def sigma_inf(profile):
         return ["sigma", "inf", "--profile", profile, "--t", "1.0", "--tau", "0.1"]
+
+    def custom_eval(name, **rec):
+        path = _write(tmp_path / f"custom_{name}.json", json.dumps({"d": 2.0, **rec}))
+        return ["sigma", "eval", "--f", f, "--tau", "0.1", "--profile", "custom:" + path]
 
     def scene_run(name, **fields):
         rec = {"scenario": name, "generator": {"kind": "cantor_product", "params": {}},
@@ -271,10 +275,9 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "highdim_d_zero": sigma_inf("highdim:d=0,s=1.2"),
         "kaufman_s_nan": sigma_inf("kaufman:s=nan"),
         "trivial_d_inf": sigma_inf("trivial:d=inf"),
-        "custom_value_nan": ["sigma", "eval", "--f", f, "--tau", "0.1", "--profile",
-                             "custom:" + _write(tmp_path / "custom.json", json.dumps({
-                                 "breakpoints": [0.0, 1.0, 2.0], "values": [0.0, float("nan"), 1.0],
-                                 "d": 2.0}))],
+        "custom_value_nan": custom_eval("nan", breakpoints=[0.0, 1.0, 2.0],
+                                        values=[0.0, float("nan"), 1.0]),
+        "custom_breakpoints_number": custom_eval("number", breakpoints=5, values=[0.0, 1.0]),
         "verify_highdim_s_nan": ["sigma", "verify-highdim", "--d", "3", "--t", "1.5",
                                  "--s", "1.2", "nan"],
         "cdtable_reversed": ["sigma", "cdtable", "--d-min", "9", "--d-max", "4"],
@@ -310,6 +313,7 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "kaufman_s_nan": "s must be finite",
         "trivial_d_inf": "d must be finite",
         "custom_value_nan": "value must be finite",
+        "custom_breakpoints_number": "lists of numbers",
         "verify_highdim_s_nan": "s must be finite",
         "cdtable_reversed": "empty",
     }.get(case, "") in err

@@ -142,7 +142,8 @@ def test_custom_profile_validation():
     (lambda: TrivialHalfProfile(d=0.0), "d must be positive"),
     (lambda: PlanarProfile(0.5, eta=math.inf), "eta"),
     (lambda: CustomProfile([0.0, math.nan], [0.0, 1.0], 2.0), "breakpoint must be finite"),
-    (lambda: CustomProfile([0.0, 2.0], [0.0, None], 2.0), "value must be a number"),
+    (lambda: CustomProfile([0.0, 2.0], [0.0, None], 2.0), "lists of numbers"),
+    (lambda: CustomProfile(5, [0.0, 1.0], 2.0), "lists of numbers"),
     (lambda: CustomProfile([0.0, 2.0], [0.0, 1.0], 0.0), "d must be positive"),
 ])
 def test_profiles_reject_bad_parameters(make, match):
