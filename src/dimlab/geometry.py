@@ -1,8 +1,8 @@
 """Discretized projections: linear, radial, pinned-distance, and tube queries.
 
-Direction grids are deterministic (uniform arcs on the circle, a Fibonacci
-spiral on the sphere) so every sweep is reproducible.  All pushforwards act
-on leaf-cube centers and conserve mass exactly.
+Direction cells are arcs of the circle or Fibonacci-spiral caps of the sphere.
+Planar tube and concentration maxima are exact arc sweeps, 3-d ones grid lower
+bounds.  Pushforwards act on leaf-cube centers and conserve mass exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _shannon, _sum_by_key
+from .dyadic import DyadicMeasure, _frozen, _shannon, _sum_by_key
 
 _TOL = 1e-9
 
@@ -54,7 +54,8 @@ class DirectionMeasure:
 
     d=2: equal arcs of the circle; d=3: near-equal-area caps around a
     deterministic Fibonacci spiral lattice (cell areas within a factor 2 of
-    nominal).
+    nominal).  ``index`` (ascending int64) and ``masses`` (float64) are
+    read-only arrays of the cells that carry positive mass.
     """
 
     def __init__(self, d: int, n_cells: int, cells: dict[int, float]):
@@ -69,7 +70,11 @@ class DirectionMeasure:
                 raise ValueError(f"cell index {i} out of range")
             if not (0.0 <= m < math.inf):
                 raise ValueError(f"cell mass {m} is negative or not finite")
-        self.cells = {int(i): float(m) for i, m in cells.items() if m > 0}
+        live = sorted((i, m) for i, m in cells.items() if m > 0)
+        if not live:
+            raise ValueError("direction measure has no mass")
+        self.index = _frozen(np.array([i for i, _ in live], dtype=np.int64))
+        self.masses = _frozen(np.array([m for _, m in live], dtype=float))
 
     @property
     def resolution(self) -> float:
@@ -79,7 +84,7 @@ class DirectionMeasure:
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.cells[i] for i in sorted(self.cells))
+        return math.fsum(self.masses.tolist())
 
     def cell_centers(self) -> np.ndarray:
         """(n_cells, d) unit vectors at the cell centers."""
@@ -90,8 +95,8 @@ class DirectionMeasure:
 
     def to_text(self) -> str:
         lines = [f"sphere {self.d} {self.n_cells}"]
-        for i in sorted(self.cells):
-            lines.append(f"{i} {self.cells[i]!r}")
+        for i, m in zip(self.index.tolist(), self.masses.tolist()):
+            lines.append(f"{i} {m!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -227,6 +232,8 @@ def project_radial(mu: DyadicMeasure, y, n_cells: int) -> DirectionMeasure:
     """Pushforward under the direction map x -> (x - y)/|x - y|."""
     if mu.trivial:
         raise ValueError("cannot project the trivial measure")
+    if n_cells < 2 or mu.d not in (2, 3):
+        raise ValueError(f"need at least 2 cells and d = 2 or 3, not {n_cells} and d = {mu.d}")
     diff = _check_pin_separation(mu, y)
     if mu.d == 2:
         ang = np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * math.pi)
@@ -251,12 +258,8 @@ def pinned_distance(mu: DyadicMeasure, y, out_depth: int) -> LineMeasure:
 # -- tubes ------------------------------------------------------------------
 
 
-def _direction_grid(d: int, step: float) -> np.ndarray:
-    """Deterministic grid of line directions with angular step <= `step`."""
-    if d == 2:
-        n = max(4, int(math.ceil(math.pi / step)))
-        ang = np.arange(n) * (math.pi / n)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+def _hemisphere_grid(step: float) -> np.ndarray:
+    """Deterministic grid of 3-d line directions with angular step <= `step`."""
     n = max(8, int(math.ceil(2.0 * math.pi / (step * step))))
     pts = _sphere_lattice(2 * n)
     return pts[pts[:, 2] >= 0][:n]
@@ -305,7 +308,7 @@ def _pin_tubes(nu: DyadicMeasure, x, rs) -> tuple[float, list[tuple[float, np.nd
     if nu.d == 2:
         ang = np.arctan2(pts[:, 1], pts[:, 0])
         return dmin, [_tube_mass_sweep(sq, ang, nu.masses, r) for r in rs]
-    return dmin, [_tube_mass_grid(pts, nu.masses, r, _direction_grid(3, r / 4.0)) for r in rs]
+    return dmin, [_tube_mass_grid(pts, nu.masses, r, _hemisphere_grid(r / 4.0)) for r in rs]
 
 
 def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray,
@@ -432,33 +435,30 @@ def thin_tubes_profile(
 
 def hyperplane_concentration(rho: DirectionMeasure, a: float) -> float:
     """Max rho-mass of an a-neighborhood of a central hyperplane section of
-    the sphere, over a deterministic normal grid with step <= a/4."""
+    the sphere.  d=2: exact, by the tube sweep: a cell centred at angle phi lies
+    within a of the line through 0 at angle theta exactly when theta is within
+    arcsin(a + _TOL) of phi (mod pi).  d=3: sampled on a normal grid with
+    step <= a/4, so a lower bound."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must be in (0, 1)")
-    centers = rho.cell_centers()
-    live = sorted(rho.cells)
-    vecs = centers[live]
-    masses = np.array([rho.cells[i] for i in live])
-    normals = _direction_grid(rho.d, a / 4.0)
-    inner = np.abs(vecs @ normals.T)  # distance from the hyperplane
-    near = inner <= a + _TOL
-    return float((masses @ near).max())
+    if rho.d == 2:
+        if a + _TOL >= 1.0:  # every cell is within a of every line
+            return rho.total_mass
+        alpha = math.asin(a + _TOL)
+        phi = (rho.index + 0.5) * (2.0 * math.pi / rho.n_cells)
+        start = np.mod(phi - alpha, math.pi)
+        return _heaviest_point(start, start + 2.0 * alpha, rho.masses)[0]
+    inner = np.abs(rho.cell_centers()[rho.index] @ _hemisphere_grid(a / 4.0).T)
+    return float((rho.masses @ (inner <= a + _TOL)).max())
 
 
 def _failing_direction_mass(rho: DirectionMeasure, mu: DyadicMeasure, level: int,
                             fails) -> float:
     """rho-mass fraction of the cell directions theta for which
     fails(project_linear(mu, theta, level)) holds."""
-    centers = rho.cell_centers()
-    bad = 0.0
-    total = 0.0
-    for i in sorted(rho.cells):
-        mass = rho.cells[i]
-        total += mass
-        theta = centers[i] / np.linalg.norm(centers[i])
-        if fails(project_linear(mu, theta, level)):
-            bad += mass
-    return bad / total if total > 0 else 0.0
+    failed = [fails(project_linear(mu, u / np.linalg.norm(u), level))
+              for u in rho.cell_centers()[rho.index]]
+    return sum(rho.masses[np.array(failed, dtype=bool)].tolist()) / sum(rho.masses.tolist())
 
 
 def adapted_audit(

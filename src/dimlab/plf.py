@@ -7,6 +7,7 @@ every breakpoint (which suffices for all x by piecewise linearity).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,10 @@ class PLFunction:
             raise ValueError("need matching xs/ys with at least two breakpoints")
         if abs(self.xs[0]) > _TOL or abs(self.xs[-1] - 1.0) > _TOL:
             raise ValueError("breakpoints must span [0, 1]")
-        if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        if not all(a < b for a, b in zip(self.xs, self.xs[1:])):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        if not all(map(math.isfinite, self.ys)):
+            raise ValueError("values must be finite")
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys)

@@ -247,6 +247,37 @@ def tube_mass_max_bruteforce(nu, x, r):
     return best
 
 
+def planar_direction_grid(step):
+    """Deterministic grid of planar line directions with angular step <= `step`;
+    a maximum over it is a lower bound for the exact planar sweeps."""
+    n = max(4, int(math.ceil(math.pi / step)))
+    ang = np.arange(n) * (math.pi / n)
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+def hyperplane_concentration_grid(rho, a):
+    """Planar hyperplane concentration over the normals of
+    planar_direction_grid(a / 4): a lower bound for the exact maximum."""
+    inner = np.abs(rho.cell_centers()[rho.index] @ planar_direction_grid(a / 4.0).T)
+    return float((rho.masses @ (inner <= a + _TOL)).max())
+
+
+def hyperplane_concentration_bruteforce(rho, a):
+    """Max rho-mass within a of a line through the origin (d = 2), by the
+    distance test |<v, n>| <= a for the normal n at each endpoint of every
+    cell's arc of normals (angles within arcsin(a) of phi + pi/2, for the
+    cell at angle phi): the maximum over normals is attained at one.  O(N^2)
+    for N cells."""
+    phi = (rho.index + 0.5) * (2.0 * math.pi / rho.n_cells)
+    v = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    alpha = math.asin(min(a + _TOL, 1.0))
+    best = 0.0
+    for psi in np.concatenate([phi + 0.5 * math.pi - alpha, phi + 0.5 * math.pi + alpha]):
+        near = np.abs(v @ np.array([math.cos(psi), math.sin(psi)])) <= a + _TOL + _ENDPOINT_SLACK
+        best = max(best, float(rho.masses[near].sum()))
+    return best
+
+
 def value_box_count_reference(values, level):
     """Occupied absolute dyadic cells of `values` at one level, by np.unique."""
     from dimlab.geometry import value_bins

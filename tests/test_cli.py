@@ -171,6 +171,8 @@ def _write(path, text):
     "scene_output_number", "scene_window_float", "scene_window_three",
     "highdim_s_nan", "highdim_d_inf", "highdim_d_zero", "kaufman_s_nan", "trivial_d_inf",
     "custom_value_nan", "custom_breakpoints_number", "verify_highdim_s_nan", "cdtable_reversed",
+    "sigma_eval_f_nan", "sigma_eval_f_inf", "rho_no_mass_adapted", "rho_no_mass_entropy_proj",
+    "radial_cells_zero", "radial_one_dim",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -188,6 +190,13 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     chain = ["chain", "run", "--measure", mu, "--pin", "-0.5", "0.5", "--intervals"]
     entropy_proj = ["audit", "entropy-proj", "--rho", rho, "--mu", mu, "--m", "6",
                     "--b", "0.5", "--a"]
+
+    rho_no_mass = _write(tmp_path / "rho_no_mass.txt", "sphere 2 16\n")
+
+    def sigma_eval_f(name, **rec):
+        path = _write(tmp_path / f"f_{name}.json", json.dumps(rec))
+        return ["sigma", "eval", "--profile", "trivial", "--tau", "0.1", "--grid", "16",
+                "--f", path]
 
     def sigma_inf(profile):
         return ["sigma", "inf", "--profile", profile, "--t", "1.0", "--tau", "0.1"]
@@ -281,6 +290,17 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "verify_highdim_s_nan": ["sigma", "verify-highdim", "--d", "3", "--t", "1.5",
                                  "--s", "1.2", "nan"],
         "cdtable_reversed": ["sigma", "cdtable", "--d-min", "9", "--d-max", "4"],
+        "sigma_eval_f_nan": sigma_eval_f("nan", breakpoints=[0.0, 1.0],
+                                         values=[0.0, float("nan")]),
+        "sigma_eval_f_inf": sigma_eval_f("inf", breakpoints=[0.0, 0.5, 1.0],
+                                         values=[0.0, float("inf"), 1.0]),
+        "rho_no_mass_adapted": ["audit", "adapted", "--rho", rho_no_mass, "--mu", mu,
+                                "--level", "6", "--s", "0.5", "--eps", "0.1"],
+        "rho_no_mass_entropy_proj": ["audit", "entropy-proj", "--rho", rho_no_mass, "--mu", mu,
+                                     "--m", "6", "--a", "0.2", "--b", "0.5"],
+        "radial_cells_zero": ["radial", cube, "--pin", "-0.5", "0.5", "0.5", "--cells", "0"],
+        "radial_one_dim": ["radial", _write(tmp_path / "line.txt", "1 4\n3 1.0\n"),
+                           "--pin", "-0.5", "--cells", "16"],
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -316,6 +336,12 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "custom_breakpoints_number": "lists of numbers",
         "verify_highdim_s_nan": "s must be finite",
         "cdtable_reversed": "empty",
+        "sigma_eval_f_nan": "finite",
+        "sigma_eval_f_inf": "finite",
+        "rho_no_mass_adapted": "no mass",
+        "rho_no_mass_entropy_proj": "no mass",
+        "radial_cells_zero": "need at least 2 cells",
+        "radial_one_dim": "d = 2 or 3",
     }.get(case, "") in err
     assert out == ""
     assert len(err.splitlines()) == 1

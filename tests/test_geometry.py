@@ -8,7 +8,6 @@ from dimlab.generators import gen_cantor_product
 from dimlab.geometry import (
     DirectionMeasure,
     LineMeasure,
-    _direction_grid,
     _heaviest_point,
     _tube_mass_grid,
     adapted_audit,
@@ -24,7 +23,14 @@ from dimlab.geometry import (
     value_box_counts,
     value_entropy,
 )
-from oracles import random_measure, tube_mass_max_bruteforce, value_box_count_reference
+from oracles import (
+    hyperplane_concentration_bruteforce,
+    hyperplane_concentration_grid,
+    planar_direction_grid,
+    random_measure,
+    tube_mass_max_bruteforce,
+    value_box_count_reference,
+)
 
 
 def test_value_binning_helpers():
@@ -86,9 +92,9 @@ def test_project_radial_against_manual_binning():
             ang = math.atan2(c[1] - y[1], c[0] - y[0]) % (2 * math.pi)
             i = min(int(ang / (2 * math.pi) * n), n - 1)
             manual[i] = manual.get(i, 0.0) + v
-        assert set(rho.cells) == set(manual)
-        for i in manual:
-            assert abs(rho.cells[i] - manual[i]) < 1e-12
+        assert rho.index.tolist() == sorted(manual)
+        for i, m in zip(rho.index.tolist(), rho.masses.tolist()):
+            assert abs(m - manual[i]) < 1e-12
 
 
 def test_pin_separation_enforced():
@@ -115,7 +121,16 @@ def test_sphere_lattice_covers():
 def test_direction_measure_roundtrip_and_validation():
     rho = DirectionMeasure(2, 16, {0: 0.5, 3: 0.5})
     back = DirectionMeasure.from_text(rho.to_text())
-    assert back.cells == rho.cells and back.n_cells == 16
+    assert back.index.tolist() == rho.index.tolist() and back.n_cells == 16
+    assert back.masses.tolist() == rho.masses.tolist()
+    assert DirectionMeasure(2, 16, {3: 0.25, 0: 0.75}).index.tolist() == [0, 3]
+    with pytest.raises(ValueError):
+        rho.masses[0] = 1.0  # read-only
+    for empty in ({}, {0: 0.0, 3: 0.0}):
+        with pytest.raises(ValueError, match="no mass"):
+            DirectionMeasure(2, 16, empty)
+    with pytest.raises(ValueError, match="no mass"):
+        DirectionMeasure.from_text("sphere 2 16\n")
     with pytest.raises(ValueError):
         DirectionMeasure.from_text("sphere 2 16\n0 0.5\n0 0.5\n")
     with pytest.raises(ValueError):
@@ -169,7 +184,7 @@ def test_tube_sweep_matches_bruteforce_and_bounds_grid():
             for r in (2 ** -6, 2 ** -4, 2 ** -2):
                 mass, u = tube_mass_max(mu, pin, r)
                 assert abs(mass - tube_mass_max_bruteforce(mu, pin, r)) <= 1e-12
-                grid, _ = _tube_mass_grid(pts, mu.masses, r, _direction_grid(2, r / 4.0))
+                grid, _ = _tube_mass_grid(pts, mu.masses, r, planar_direction_grid(r / 4.0))
                 assert grid <= mass + 1e-12
                 # the returned direction's slab holds the returned mass
                 slab = sq - (pts @ u) ** 2 <= r * r + 1e-9 + 1e-12
@@ -248,14 +263,40 @@ def test_thin_tubes_profile_contract():
 def test_hyperplane_concentration_uniform_vs_atom():
     n = 256
     uniform = DirectionMeasure(2, n, {i: 1.0 / n for i in range(n)})
-    a = 0.1
-    conc = hyperplane_concentration(uniform, a)
-    # the a-slab around a line cuts four arcs of angular width ~ a each
-    assert conc <= 4.5 * a
+    for a in (0.05, 0.1, 0.2, 0.5, 0.9):
+        # the a-slab around a line cuts two antipodal arcs of angular width
+        # 2 arcsin(a); each holds at most floor(width / spacing) + 1 centers
+        count = 2 * (math.floor(2.0 * math.asin(a) / (2.0 * math.pi / n)) + 1)
+        assert abs(hyperplane_concentration(uniform, a) - count / n) <= 1e-12
+    # closed slabs: four cells at 45 degrees from the x-axis, all within
+    # _TOL of distance a from it
+    four = DirectionMeasure(2, 4, {i: 0.25 for i in range(4)})
+    assert hyperplane_concentration(four, math.sqrt(0.5) - 1e-10) == pytest.approx(1.0)
+    # within _TOL of 1 every cell is near every line
+    assert hyperplane_concentration(uniform, 1.0 - 1e-10) == pytest.approx(1.0)
     atom = DirectionMeasure(2, n, {0: 1.0})
     assert hyperplane_concentration(atom, 0.1) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         hyperplane_concentration(uniform, 1.5)
+
+
+def test_hyperplane_concentration_sweep_matches_bruteforce_and_bounds_grid():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(160):
+        n = int(rng.integers(2, 201))
+        live = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        cases.append(DirectionMeasure(2, n, {int(i): float(rng.random()) + 1e-3
+                                             for i in live}))
+    for _ in range(60):
+        mu = random_measure(rng, d=2, m=7, n_leaves=int(rng.integers(1, 80)))
+        pin = (float(rng.uniform(-1.0, -0.1)), float(rng.uniform(-0.5, 1.5)))
+        cases.append(project_radial(mu, pin, int(rng.integers(2, 201))))
+    for rho in cases:
+        a = float(rng.uniform(0.01, 0.99))
+        conc = hyperplane_concentration(rho, a)
+        assert abs(conc - hyperplane_concentration_bruteforce(rho, a)) <= 1e-12
+        assert hyperplane_concentration_grid(rho, a) <= conc + 1e-12
 
 
 def test_adapted_audit_lebesgue_is_clean():

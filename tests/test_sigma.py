@@ -40,6 +40,10 @@ def test_plfunction_validation():
         PLFunction((0.0, 0.5), (0.0, 1.0))  # does not reach 1
     with pytest.raises(ValueError):
         PLFunction((0.0, 0.5, 0.5, 1.0), (0.0, 1.0, 1.0, 2.0))
+    for xs, ys in (((0.0, math.nan, 1.0), (0.0, 0.5, 1.0)), ((0.0, 1.0), (0.0, math.nan)),
+                   ((0.0, 0.5, 1.0), (0.0, math.inf, 1.0))):
+        with pytest.raises(ValueError, match="finite"):
+            PLFunction(xs, ys)
     f = PLFunction((0.0, 0.5, 1.0), (0.0, 1.0, 1.5))
     assert f(0.25) == pytest.approx(0.5)
     assert f.is_nondecreasing()
