@@ -6,6 +6,9 @@ the block entropies of the linearized projection of the magnified measure at
 each scale interval [A_j, B_j].  This module evaluates both sides numerically
 for the pinned-distance map and the planar radial map, and fits the implicit
 per-interval constant over instance panels.
+
+The rhs bins all base points of a level-A ancestor at once, O(2^(B - A)) cells
+each; above _SAMPLE_LIMIT leaves its outer integral is a mass-quantile subsample.
 """
 
 from __future__ import annotations
@@ -16,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import (CubeRef, DyadicMeasure, _capped_fill_entropy, _find_rows, _group_rows,
-                     _shannon, magnify)
-from .geometry import (
-    _check_pin_separation,
-    _quantile_leaves,
-    _value_cell_masses,
-    value_entropy,
-)
+from .dyadic import DyadicMeasure, _entropies, _find_rows, _group_rows
+from .geometry import _check_pin_separation, _quantile_leaves, value_entropy
 from .sigma import IntervalDecomposition
 
 _TOL = 1e-9
@@ -32,6 +29,10 @@ _SAMPLE_LIMIT = 4096  # exact leaf integration up to this support size
 
 # The robust rhs caps each block cell at this multiple of Theta.
 _ROBUST_CAP = 4.0
+
+# _rhs_sum takes base points in blocks whose (base points, leaves) projections
+# and (base points, cells) histograms each hold at most about this many entries.
+_BLOCK_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ def schedule_from_decomposition(
 
 
 def linearization_direction(map_kind: str, x, y) -> np.ndarray:
-    """Unit direction of the derivative of the scalar map at x.
+    """Unit direction of the derivative of the scalar map at the point x, or
+    one row per row of an (n, d) array x.
 
     pinned_distance: (y - x)/|y - x|.  radial_2d: its rotation by pi/2
     (the direction along which the angle map varies), d = 2 only.
@@ -92,16 +94,16 @@ def linearization_direction(map_kind: str, x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     diff = y - x
-    norm = float(np.linalg.norm(diff))
-    if norm <= 0:
+    norm = np.linalg.norm(diff, axis=-1, keepdims=True)
+    if not (norm > 0).all():
         raise ValueError("base point coincides with the pin")
     u = diff / norm
     if map_kind == "pinned_distance":
         return u
     if map_kind == "radial_2d":
-        if len(u) != 2:
+        if u.shape[-1] != 2:
             raise ValueError("radial_2d requires ambient dimension 2")
-        return np.array([-u[1], u[0]])
+        return np.stack([-u[..., 1], u[..., 0]], axis=-1)
     raise ValueError(f"unknown map kind {map_kind!r}")
 
 
@@ -128,35 +130,53 @@ def _integration_leaves(mu: DyadicMeasure):
     return mu.coords[idx], sub_w / sub_w.sum()
 
 
-def _rhs_sum(
-    mu: DyadicMeasure,
-    map_kind: str,
-    y: np.ndarray,
-    schedule: ScaleSchedule,
-    int_keys,
-    int_w,
-    robust_theta: float | None,
-) -> float:
-    """Integral of the per-base-point block entropy sums, grouped by the
-    level-A ancestor so each magnification is computed once."""
+def _rhs_sum(mu: DyadicMeasure, map_kind: str, y: np.ndarray, schedule: ScaleSchedule,
+             base: np.ndarray, base_w: np.ndarray, cap: float | None) -> float:
+    """Integral over the base points (leaf rows `base`, weights `base_w`) of
+    their block entropy sums, capped at `cap` if given.  Per interval and
+    level-A ancestor, one matmul projects the ancestor's local leaf centers on
+    its base points' directions, and one bincount bins all their rows."""
+    dirs = linearization_direction(map_kind, (base + 0.5) * 2.0 ** (-mu.m), y)
+    n = len(mu.coords)
     rhs = 0.0
     for A, B in schedule.intervals:
-        ancestors, group = _group_rows(int_keys >> (mu.m - A))
-        members = np.split(np.argsort(group, kind="stable"),
-                           np.cumsum(np.bincount(group))[:-1])
-        for anc, idx in zip(map(tuple, ancestors.tolist()), members):
-            sub = magnify(mu, CubeRef(A, anc))
-            centers = sub.leaf_centers()
-            for i in idx:
-                x = (int_keys[i] + 0.5) * 2.0 ** (-mu.m)
-                u = linearization_direction(map_kind, x, y)
-                cells = _value_cell_masses(centers @ u, sub.masses, B - A)
-                if robust_theta is None:
-                    h = _shannon(cells)
-                else:
-                    h = _capped_fill_entropy(cells.tolist(), robust_theta)
-                rhs += float(int_w[i]) * h
+        shift = mu.m - A
+        ancestors, group = _group_rows(np.concatenate([mu.coords, base]) >> shift)
+        order = np.argsort(group, kind="stable")  # per group: its leaves, then its base points
+        at = np.concatenate(([0], np.cumsum(np.bincount(group))))
+        # leaf centers relative to their level-A ancestor, in level-B cell widths
+        centers = ((mu.coords & ((1 << shift) - 1)) + 0.5) * 2.0 ** (B - mu.m)
+        # a row's values span at most the cube's diameter sqrt(d)
+        width = int(math.sqrt(mu.d) * 2 ** (B - A)) + 2
+        for g in np.flatnonzero(np.bincount(group[n:], minlength=len(ancestors))):
+            rows = order[at[g] : at[g + 1]]
+            k = int(np.searchsorted(rows, n))
+            c, w, members = centers[rows[:k]], mu.masses[rows[:k]], rows[k:] - n
+            w = w / w.sum()
+            step = max(1, _BLOCK_CELLS // max(len(w), width))
+            for i0 in range(0, len(members), step):
+                idx = members[i0 : i0 + step]
+                bins = np.floor(dirs[idx] @ c.T).astype(np.int64)
+                bins -= bins.min(axis=1, keepdims=True)
+                span = int(bins.max()) + 1
+                bins += np.arange(len(idx))[:, None] * span
+                cells = np.bincount(bins.ravel(), np.tile(w, len(idx)), len(idx) * span)
+                h = _entropies(cells.reshape(len(idx), span), cap)
+                rhs += float(base_w[idx] @ h)
     return rhs
+
+
+def _sides(mu: DyadicMeasure, mu_prime: DyadicMeasure, map_kind: str, y,
+           schedule: ScaleSchedule, cap: float | None) -> tuple[float, float, int]:
+    """lhs from mu'; rhs integrated against mu' over the blocks of mu."""
+    if schedule.M > mu.m:
+        raise ValueError("schedule depth exceeds measure depth")
+    y = np.asarray(y, dtype=float)
+    _check_pin_separation(mu, y)
+    vals = _map_values(map_kind, mu_prime.leaf_centers(), y)
+    lhs = value_entropy(vals, mu_prime.masses, schedule.M)
+    base, w = _integration_leaves(mu_prime)
+    return lhs, _rhs_sum(mu, map_kind, y, schedule, base, w, cap), schedule.J
 
 
 def chain_sides(
@@ -172,15 +192,7 @@ def chain_sides(
         return 0.0, 0.0, schedule.J
     if not mu.normalized:
         raise ValueError("chain_sides requires a normalized measure")
-    if schedule.M > mu.m:
-        raise ValueError("schedule depth exceeds measure depth")
-    y = np.asarray(y, dtype=float)
-    _check_pin_separation(mu, y)
-    vals = _map_values(map_kind, mu.leaf_centers(), y)
-    lhs = value_entropy(vals, mu.masses, schedule.M)
-    keys, w = _integration_leaves(mu)
-    rhs = _rhs_sum(mu, map_kind, y, schedule, keys, w, None)
-    return lhs, rhs, schedule.J
+    return _sides(mu, mu, map_kind, y, schedule, None)
 
 
 def chain_sides_robust(
@@ -207,13 +219,7 @@ def chain_sides_robust(
         return 0.0, 0.0, schedule.J
     if not mu.normalized or not mu_prime.normalized:
         raise ValueError("both measures must be normalized")
-    y = np.asarray(y, dtype=float)
-    _check_pin_separation(mu, y)
-    vals = _map_values(map_kind, mu_prime.leaf_centers(), y)
-    lhs = value_entropy(vals, mu_prime.masses, schedule.M)
-    keys, w = _integration_leaves(mu_prime)
-    rhs = _rhs_sum(mu, map_kind, y, schedule, keys, w, _ROBUST_CAP * Theta)
-    return lhs, rhs, schedule.J
+    return _sides(mu, mu_prime, map_kind, y, schedule, _ROBUST_CAP * Theta)
 
 
 def fit_chain_constant(panel) -> float:

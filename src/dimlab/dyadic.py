@@ -39,25 +39,19 @@ _NORM_TOL = 1e-9
 _RIESZ_CHUNK = 2048
 
 
-def _shannon(p: np.ndarray) -> float:
-    """Shannon entropy (bits) of the probability vector p, clamped at 0."""
-    p = p[p > _MASS_FLOOR]
-    return max(0.0, float(-(p * np.log2(p)).sum()))
+def _entropies(p: np.ndarray, cap: float | None = None) -> np.ndarray:
+    """Shannon entropy (bits, clamped at 0) of each row of the (k, n) array p
+    of normalized cell masses; zero entries are empty cells.  The rows are not
+    renormalized.
 
-
-def _capped_fill_entropy(masses, Theta: float) -> float:
-    """Entropy of the greedy extreme point: fill cells by mass descending,
-    each up to its cap Theta * mass, until total mass 1."""
-    remaining = 1.0
-    h = 0.0
-    for p in sorted(masses, reverse=True):
-        take = min(Theta * p, remaining)
-        if take > _MASS_FLOOR:
-            h -= take * math.log2(take)
-        remaining -= take
-        if remaining <= 0.0:
-            break
-    return max(0.0, h)
+    With `cap`, the entropy of each row's greedy extreme point instead: fill
+    cells by mass descending, each up to cap * mass, until total mass 1.
+    """
+    if cap is not None:
+        p = cap * np.sort(p, axis=1)[:, ::-1]
+        p = np.clip(1.0 - (np.cumsum(p, axis=1) - p), 0.0, p)
+    h = (p * np.log2(np.where(p > _MASS_FLOOR, p, 1.0))).sum(axis=1)
+    return np.where(h < 0.0, -h, 0.0)
 
 
 def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +261,7 @@ class DyadicMeasure:
             return 0.0
         if not self.normalized:
             raise ValueError("entropy requires a normalized measure")
-        return _shannon(self.cells(level)[1])
+        return float(_entropies(self.cells(level)[1][None])[0])
 
     def robust_entropy(self, level: int, Theta: float) -> float:
         """Minimal level-entropy over probability vectors dominated by Theta*mu.
@@ -282,7 +276,7 @@ class DyadicMeasure:
             return 0.0
         if not self.normalized:
             raise ValueError("robust_entropy requires a normalized measure")
-        return _capped_fill_entropy(self.cells(level)[1].tolist(), Theta)
+        return float(_entropies(self.cells(level)[1][None], Theta)[0])
 
     def box_count(self, level: int) -> int:
         """Number of level-`level` dyadic cubes carrying positive mass."""

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _frozen, _shannon, _sum_by_key
+from .dyadic import DyadicMeasure, _entropies, _frozen, _sum_by_key
 
 _TOL = 1e-9
 
-# Directions per block in _tube_mass_grid; bounds the (leaves, chunk) temporaries.
+# Rows per block of the 3-d direction products (directions in _tube_mass_grid and
+# hyperplane_concentration, leaves in project_radial); bounds their temporaries.
 _DIRECTION_CHUNK = 128
 
 
@@ -152,23 +153,18 @@ def value_bins(values: np.ndarray, level: int) -> np.ndarray:
     return np.floor(np.asarray(values) * 2.0 ** level).astype(np.int64)
 
 
-def _value_cell_masses(values, weights, level: int) -> np.ndarray:
-    """Normalized masses of a weighted value cloud's occupied absolute dyadic
-    cells, in cell order (empty for zero total weight)."""
+def value_entropy(values, weights, level: int) -> float:
+    """Entropy (bits) of a weighted value cloud over absolute dyadic cells
+    (0 for zero total weight)."""
     idx = value_bins(values, level)
     w = np.asarray(weights, dtype=float)
     tot = float(w.sum())
     if tot <= 0:
-        return np.zeros(0)
+        return 0.0
     order = np.argsort(idx, kind="stable")
-    idx, w = idx[order], w[order]
-    cuts = np.nonzero(np.diff(idx))[0] + 1
-    return np.add.reduceat(w, np.concatenate(([0], cuts))) / tot
-
-
-def value_entropy(values, weights, level: int) -> float:
-    """Entropy (bits) of a weighted value cloud over absolute dyadic cells."""
-    return _shannon(_value_cell_masses(values, weights, level))
+    cuts = np.flatnonzero(np.diff(idx[order])) + 1
+    cells = np.add.reduceat(w[order], np.concatenate(([0], cuts))) / tot
+    return float(_entropies(cells[None])[0])
 
 
 def value_box_counts(values, levels) -> list[int]:
@@ -240,8 +236,9 @@ def project_radial(mu: DyadicMeasure, y, n_cells: int) -> DirectionMeasure:
         idx = np.minimum((ang / (2.0 * math.pi) * n_cells).astype(np.int64), n_cells - 1)
     else:
         unit = diff / np.linalg.norm(diff, axis=1, keepdims=True)
-        centers = _sphere_lattice(n_cells)
-        idx = np.argmax(unit @ centers.T, axis=1)
+        centers = _sphere_lattice(n_cells).T
+        idx = np.concatenate([np.argmax(unit[i0 : i0 + _DIRECTION_CHUNK] @ centers, axis=1)
+                              for i0 in range(0, len(unit), _DIRECTION_CHUNK)])
     cells, masses = _sum_by_key(idx[:, None], mu.masses)
     return DirectionMeasure(mu.d, n_cells, dict(zip(cells[:, 0].tolist(), masses.tolist())))
 
@@ -448,8 +445,10 @@ def hyperplane_concentration(rho: DirectionMeasure, a: float) -> float:
         phi = (rho.index + 0.5) * (2.0 * math.pi / rho.n_cells)
         start = np.mod(phi - alpha, math.pi)
         return _heaviest_point(start, start + 2.0 * alpha, rho.masses)[0]
-    inner = np.abs(rho.cell_centers()[rho.index] @ _hemisphere_grid(a / 4.0).T)
-    return float((rho.masses @ (inner <= a + _TOL)).max())
+    cells, normals = rho.cell_centers()[rho.index], _hemisphere_grid(a / 4.0)
+    return max(float((rho.masses @ (np.abs(cells @ normals[i0 : i0 + _DIRECTION_CHUNK].T)
+                                    <= a + _TOL)).max())
+               for i0 in range(0, len(normals), _DIRECTION_CHUNK))
 
 
 def _failing_direction_mass(rho: DirectionMeasure, mu: DyadicMeasure, level: int,

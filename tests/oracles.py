@@ -285,6 +285,75 @@ def value_box_count_reference(values, level):
     return int(len(np.unique(value_bins(values, level))))
 
 
+# -- per-base-point references for the entropy chain -------------------------
+# The chain's right-hand side as it was computed before it was binned per
+# ancestor: one magnified sub-measure per level-A ancestor, then a projection,
+# a binning and an entropy for each base point in turn.
+
+
+def shannon_reference(p):
+    """Shannon entropy (bits) of the probability vector p, clamped at 0."""
+    p = p[p > 1e-300]
+    return max(0.0, float(-(p * np.log2(p)).sum()))
+
+
+def capped_fill_entropy_reference(masses, Theta):
+    """Entropy of the greedy extreme point: fill cells by mass descending,
+    each up to its cap Theta * mass, until total mass 1."""
+    remaining = 1.0
+    h = 0.0
+    for p in sorted(masses, reverse=True):
+        take = min(Theta * p, remaining)
+        if take > 1e-300:
+            h -= take * math.log2(take)
+        remaining -= take
+        if remaining <= 0.0:
+            break
+    return max(0.0, h)
+
+
+def value_cell_masses_reference(values, weights, level):
+    """Normalized masses of a weighted value cloud's occupied absolute dyadic
+    cells, in cell order (empty for zero total weight)."""
+    from dimlab.geometry import value_bins
+
+    idx = value_bins(values, level)
+    w = np.asarray(weights, dtype=float)
+    tot = float(w.sum())
+    if tot <= 0:
+        return np.zeros(0)
+    order = np.argsort(idx, kind="stable")
+    idx, w = idx[order], w[order]
+    cuts = np.nonzero(np.diff(idx))[0] + 1
+    return np.add.reduceat(w, np.concatenate(([0], cuts))) / tot
+
+
+def rhs_sum_reference(mu, map_kind, y, schedule, int_keys, int_w, robust_theta):
+    """Integral of the per-base-point block entropy sums, grouped by the
+    level-A ancestor so each magnification is computed once."""
+    from dimlab.chain import linearization_direction
+    from dimlab.dyadic import CubeRef, _group_rows, magnify
+
+    rhs = 0.0
+    for A, B in schedule.intervals:
+        ancestors, group = _group_rows(int_keys >> (mu.m - A))
+        members = np.split(np.argsort(group, kind="stable"),
+                           np.cumsum(np.bincount(group))[:-1])
+        for anc, idx in zip(map(tuple, ancestors.tolist()), members):
+            sub = magnify(mu, CubeRef(A, anc))
+            centers = sub.leaf_centers()
+            for i in idx:
+                x = (int_keys[i] + 0.5) * 2.0 ** (-mu.m)
+                u = linearization_direction(map_kind, x, y)
+                cells = value_cell_masses_reference(centers @ u, sub.masses, B - A)
+                if robust_theta is None:
+                    h = shannon_reference(cells)
+                else:
+                    h = capped_fill_entropy_reference(cells.tolist(), robust_theta)
+                rhs += float(int_w[i]) * h
+    return rhs
+
+
 # -- dict-of-tuples references for the array-backed measure core -------------
 # The per-leaf loops the measure core ran before it stored sorted arrays.  A
 # measure is given here as its leaf dict {coords: mass} and depth m; the

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from dimlab.chain import (
+    _SAMPLE_LIMIT,
     ScaleSchedule,
+    _integration_leaves,
+    _map_values,
     chain_sides,
     chain_sides_robust,
     fit_chain_constant,
@@ -15,7 +18,13 @@ from dimlab.chain import (
 from dimlab.dyadic import CubeRef, DyadicMeasure, restrict_normalize
 from dimlab.generators import gen_cantor_product
 from dimlab.sigma import IntervalDecomposition
-from oracles import random_measure
+from oracles import (
+    random_measure,
+    rhs_sum_reference,
+    shannon_reference,
+    value_cell_masses_reference,
+)
+from test_acceptance import _random_schedule, _selfsimilar_planar
 
 
 def test_schedule_invariants():
@@ -74,6 +83,17 @@ def test_linearization_directions():
         linearization_direction("radial_2d", (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         linearization_direction("unknown", (0.0, 0.0), (1.0, 0.0))
+    # an (n, d) array of base points gives the single-point direction per row
+    rng = np.random.default_rng(11)
+    for kind, d in (("pinned_distance", 2), ("pinned_distance", 3), ("radial_2d", 2)):
+        xs = rng.random((25, d))
+        y = -0.5 * np.ones(d)
+        rows = linearization_direction(kind, xs, y)
+        assert rows.shape == (25, d)
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, linearization_direction(kind, x, y))
+    with pytest.raises(ValueError):
+        linearization_direction("pinned_distance", [(0.0, 0.0), (1.0, 1.0)], (1.0, 1.0))
 
 
 def test_chain_sides_point_mass_and_empty_schedule():
@@ -143,6 +163,81 @@ def test_robust_rhs_below_plain():
             mu, mu, "pinned_distance", y, sched, 1.0
         )
         assert rhs_rob <= rhs_plain + 1e-9
+
+
+def test_robust_rejects_schedule_deeper_than_measure():
+    mu = gen_cantor_product(0.25, 2, 8)
+    for intervals in (((6, 12),), ((9, 10),)):
+        sched = ScaleSchedule(12, intervals)
+        with pytest.raises(ValueError, match="schedule depth exceeds measure depth"):
+            chain_sides(mu, "pinned_distance", (-0.5, 0.5), sched)
+        with pytest.raises(ValueError, match="schedule depth exceeds measure depth"):
+            chain_sides_robust(mu, mu, "pinned_distance", (-0.5, 0.5), sched, 1.0)
+
+
+def _dominated(rng, mu, Theta):
+    """mu reweighted by random factors in [1, Theta] and renormalized, so
+    dominated by Theta * mu."""
+    w = mu.masses * rng.uniform(1.0, Theta, len(mu.masses))
+    return DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords, w / w.sum())
+
+
+def _filled_cubes(rng, d, m, level, n):
+    """Random masses in [0.5, 1.5] on every leaf of n random level-`level`
+    cubes: dense enough that capped block entropies are positive."""
+    s = m - level
+    local = np.stack(np.meshgrid(*[np.arange(1 << s)] * d, indexing="ij"), -1).reshape(-1, d)
+    leaves = {}
+    for corner in rng.integers(0, 1 << level, size=(n, d)):
+        for key in ((corner << s) + local).tolist():
+            leaves[tuple(key)] = float(rng.uniform(0.5, 1.5))
+    return DyadicMeasure(d, m, leaves).normalize()
+
+
+def test_chain_sides_match_per_point_reference():
+    """Both chain sides against the per-base-point loop: lhs bit for bit,
+    rhs within 1e-9 (the per-ancestor binning sums in another order)."""
+    rng = np.random.default_rng(8)
+    cases = []  # (mu, mu', map kind, pin, schedule, Theta or None for plain)
+    acc = np.random.default_rng(5)  # the start of acceptance 07's panel
+    for _ in range(3):
+        mu = _selfsimilar_planar(acc, depth=12)
+        y = (-0.5, float(acc.uniform(0.0, 1.0)))
+        sched = _random_schedule(acc, 12)
+        cases += [(mu, mu, "pinned_distance", y, sched, None),
+                  (mu, mu, "pinned_distance", y, sched, 1.0)]
+    for kind in ("pinned_distance", "radial_2d"):
+        for Theta in (1.0, 2.5):
+            mu = _filled_cubes(rng, 2, 9, 5, 6)
+            y = (-0.5, float(rng.uniform(0.0, 1.0)))
+            sched = ScaleSchedule(9, ((2, 4), (5, 9)))
+            cases += [(mu, mu, kind, y, sched, None),
+                      (mu, _dominated(rng, mu, Theta), kind, y, sched, Theta)]
+    big = gen_cantor_product(0.25, 2, 14)
+    assert len(big.masses) > _SAMPLE_LIMIT  # the subsampled outer integral
+    cases.append((big, big, "pinned_distance", (-0.5, 0.5),
+                  ScaleSchedule(14, ((5, 9), (9, 14))), None))
+    mu3 = _filled_cubes(rng, 3, 7, 4, 5)
+    y3 = (-0.5, 0.5, 0.5)
+    sched3 = ScaleSchedule(7, ((2, 4), (4, 7)))
+    cases += [(mu3, mu3, "pinned_distance", y3, sched3, None),
+              (mu3, _dominated(rng, mu3, 1.0), "pinned_distance", y3, sched3, 1.0)]
+    capped_positive = 0
+    for mu, mu_p, kind, y, sched, Theta in cases:
+        if Theta is None:
+            lhs, rhs, _ = chain_sides(mu, kind, y, sched)
+            cap = None
+        else:
+            lhs, rhs, _ = chain_sides_robust(mu, mu_p, kind, y, sched, Theta)
+            cap = 4.0 * Theta
+        vals = _map_values(kind, mu_p.leaf_centers(), np.asarray(y))
+        assert lhs == shannon_reference(value_cell_masses_reference(vals, mu_p.masses, sched.M))
+        base, w = _integration_leaves(mu_p)
+        ref = rhs_sum_reference(mu, kind, np.asarray(y), sched, base, w, cap)
+        assert ref > 0.5 or cap is not None  # a capped block entropy may be 0
+        capped_positive += cap is not None and ref > 0.5
+        assert abs(rhs - ref) <= 1e-9, (kind, Theta, rhs, ref)
+    assert capped_positive >= 5
 
 
 def test_fit_chain_constant():

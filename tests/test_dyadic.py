@@ -6,6 +6,7 @@ import pytest
 from dimlab.dyadic import (
     CubeRef,
     DyadicMeasure,
+    _entropies,
     build_from_atoms,
     magnify,
     restrict_normalize,
@@ -13,6 +14,7 @@ from dimlab.dyadic import (
 from dimlab.uniformize import decompose_uniform, extract_uniform
 from oracles import (
     build_from_atoms_reference,
+    capped_fill_entropy_reference,
     decompose_uniform_reference,
     extract_uniform_reference,
     level_masses_reference,
@@ -21,6 +23,7 @@ from oracles import (
     random_measure,
     restrict_normalize_reference,
     robust_entropy_bruteforce,
+    shannon_reference,
 )
 
 
@@ -85,6 +88,31 @@ def test_entropy_requires_normalized():
     mu = DyadicMeasure(1, 2, {(0,): 2.0})
     with pytest.raises(ValueError):
         mu.entropy(2)
+
+
+def test_entropies_rows_match_scalar_references():
+    """Each row of _entropies, zero-padded to a common width, against the
+    scalar Shannon sum (bit for bit) and the scalar capped fill."""
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        rows = []
+        for _ in range(int(rng.integers(1, 6))):
+            p = rng.random(int(rng.integers(1, 40))) ** 3 + 1e-12
+            rows.append(p / p.sum())
+        width = max(len(p) for p in rows)
+        P = np.zeros((len(rows), width))
+        for P_row, p in zip(P, rows):
+            P_row[: len(p)] = p
+        got = _entropies(P)
+        for h, p in zip(got.tolist(), rows):
+            if len(p) == width:
+                assert h == shannon_reference(p)
+            assert abs(h - shannon_reference(p)) <= 1e-12
+        cap = float(rng.uniform(1.0, 10.0))
+        for h, p in zip(_entropies(P, cap).tolist(), rows):
+            assert abs(h - capped_fill_entropy_reference(p.tolist(), cap)) <= 1e-12
+    assert _entropies(np.array([[1.0, 0.0]])).tolist() == [0.0]
+    assert math.copysign(1.0, _entropies(np.array([[1.0]]))[0]) == 1.0
 
 
 def test_robust_entropy_against_bruteforce():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from dimlab.dyadic import DyadicMeasure
 from dimlab.generators import gen_cantor_product
 from dimlab.geometry import (
     DirectionMeasure,
+    _hemisphere_grid,
+    _sphere_lattice,
     LineMeasure,
     _heaviest_point,
     _tube_mass_grid,
@@ -258,6 +261,40 @@ def test_thin_tubes_profile_contract():
     left, right = DyadicMeasure(1, 8, {(3,): 1.0}), DyadicMeasure(1, 8, {(250,): 1.0})
     with pytest.raises(ValueError, match="d = 2 or 3"):
         thin_tubes_profile(left, right, [2 ** -6, 2 ** -5], n_pins=1)
+
+
+def _peak_bytes(fn, *args):
+    """fn(*args) and the peak memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_3d_direction_products_in_blocks():
+    """The 3-d radial binning and hyperplane concentration build their
+    direction products a block at a time, with the one-piece results; in one
+    piece the two large calls below would hold about 130 MB and 165 MB."""
+    mu = gen_cantor_product(0.25, 3, 8)  # 4096 leaves
+    pin = (-0.5, 0.5, 0.5)
+    rng = np.random.default_rng(4)
+    rho = project_radial(mu, pin, 500)
+    diff = mu.leaf_centers() - np.asarray(pin)
+    unit = diff / np.linalg.norm(diff, axis=1, keepdims=True)
+    one_piece = np.argmax(unit @ _sphere_lattice(500).T, axis=1)
+    expect = np.bincount(one_piece, weights=mu.masses, minlength=500)
+    assert rho.index.tolist() == np.flatnonzero(expect).tolist()
+    assert rho.masses.tolist() == expect[expect > 0].tolist()
+    _, peak = _peak_bytes(project_radial, mu, pin, 4000)
+    assert peak < 32e6, peak
+
+    rho = DirectionMeasure(3, 512, dict(enumerate(rng.uniform(0.5, 1.5, 512).tolist())))
+    inner = np.abs(rho.cell_centers()[rho.index] @ _hemisphere_grid(0.2 / 4.0).T)
+    assert hyperplane_concentration(rho, 0.2) == float((rho.masses @ (inner <= 0.2 + 1e-9)).max())
+    _, peak = _peak_bytes(hyperplane_concentration, rho, 0.05)
+    assert peak < 32e6, peak
 
 
 def test_hyperplane_concentration_uniform_vs_atom():
