@@ -18,6 +18,9 @@ _TOL = 1e-9
 
 # Rows per block of the 3-d direction products (directions in _tube_mass_grid and
 # hyperplane_concentration, leaves in project_radial); bounds their temporaries.
+# The direction loops reuse one work array for every block: fresh temporaries
+# of this size would each be mapped and zero-filled anew by the allocator,
+# which costs more than the product itself.
 _DIRECTION_CHUNK = 128
 
 
@@ -135,9 +138,10 @@ class ThinTubeProfile:
             raise ValueError("retained fraction must be in (0, 1]")
 
 
-def _sphere_lattice(n: int) -> np.ndarray:
-    """Deterministic Fibonacci spiral: n near-uniform points on S^2."""
-    i = np.arange(n) + 0.5
+def _sphere_lattice(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Deterministic Fibonacci spiral: n near-uniform points on S^2, or
+    its points lo..hi-1 (bit-identical to those rows of the whole)."""
+    i = np.arange(lo, n if hi is None else hi) + 0.5
     z = 1.0 - 2.0 * i / n
     rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -255,11 +259,14 @@ def pinned_distance(mu: DyadicMeasure, y, out_depth: int) -> LineMeasure:
 # -- tubes ------------------------------------------------------------------
 
 
-def _hemisphere_grid(step: float) -> np.ndarray:
-    """Deterministic grid of 3-d line directions with angular step <= `step`."""
+def _hemisphere_blocks(step: float):
+    """Deterministic grid of 3-d line directions with angular step <= `step`,
+    yielded in blocks of _DIRECTION_CHUNK rows: the first n points of the
+    2n-point spiral, which are its points with z >= 0.  Memory is one block;
+    n = ceil(2 pi / step^2), and the time, still grow as 1/step^2."""
     n = max(8, int(math.ceil(2.0 * math.pi / (step * step))))
-    pts = _sphere_lattice(2 * n)
-    return pts[pts[:, 2] >= 0][:n]
+    for i0 in range(0, n, _DIRECTION_CHUNK):
+        yield _sphere_lattice(2 * n, i0, min(i0 + _DIRECTION_CHUNK, n))
 
 
 def tube_mass_max(nu: DyadicMeasure, x, r: float) -> tuple[float, np.ndarray]:
@@ -305,7 +312,7 @@ def _pin_tubes(nu: DyadicMeasure, x, rs) -> tuple[float, list[tuple[float, np.nd
     if nu.d == 2:
         ang = np.arctan2(pts[:, 1], pts[:, 0])
         return dmin, [_tube_mass_sweep(sq, ang, nu.masses, r) for r in rs]
-    return dmin, [_tube_mass_grid(pts, nu.masses, r, _hemisphere_grid(r / 4.0)) for r in rs]
+    return dmin, [_tube_mass_grid(pts, nu.masses, r, _hemisphere_blocks(r / 4.0)) for r in rs]
 
 
 def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray,
@@ -348,18 +355,19 @@ def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray) -> tuple[
 
 
 def _tube_mass_grid(pts: np.ndarray, w: np.ndarray, r: float,
-                    dirs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Max slab mass over the directions `dirs`, leaf offsets `pts` from the
-    pin, in blocks of _DIRECTION_CHUNK directions."""
-    sq = _sq_norms(pts)
+                    blocks) -> tuple[float, np.ndarray]:
+    """Max slab mass over the directions in `blocks`, an iterable of (k, d)
+    arrays of unit directions with k <= _DIRECTION_CHUNK, with leaf offsets
+    `pts` from the pin."""
+    sq = _sq_norms(pts)[:, None]
     best = -1.0
-    best_dir = dirs[0]
+    best_dir = None
     r2 = r * r
-    for i0 in range(0, len(dirs), _DIRECTION_CHUNK):
-        U = dirs[i0 : i0 + _DIRECTION_CHUNK]
-        proj = pts @ U.T
-        inside = (sq[:, None] - proj * proj) <= r2 + _TOL
-        masses = w @ inside
+    buf = np.empty((len(pts), _DIRECTION_CHUNK))
+    for U in blocks:
+        proj = np.matmul(pts, U.T, out=buf[:, : len(U)])
+        np.subtract(sq, np.multiply(proj, proj, out=proj), out=proj)
+        masses = w @ np.less_equal(proj, r2 + _TOL, out=proj)  # 1.0 or 0.0
         j = int(np.argmax(masses))
         if masses[j] > best:
             best = float(masses[j])
@@ -435,7 +443,8 @@ def hyperplane_concentration(rho: DirectionMeasure, a: float) -> float:
     the sphere.  d=2: exact, by the tube sweep: a cell centred at angle phi lies
     within a of the line through 0 at angle theta exactly when theta is within
     arcsin(a + _TOL) of phi (mod pi).  d=3: sampled on a normal grid with
-    step <= a/4, so a lower bound."""
+    step <= a/4, so a lower bound; the grid is made a block at a time, but
+    its ceil(32 pi / a^2) normals make the time grow as 1/a^2."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must be in (0, 1)")
     if rho.d == 2:
@@ -445,10 +454,14 @@ def hyperplane_concentration(rho: DirectionMeasure, a: float) -> float:
         phi = (rho.index + 0.5) * (2.0 * math.pi / rho.n_cells)
         start = np.mod(phi - alpha, math.pi)
         return _heaviest_point(start, start + 2.0 * alpha, rho.masses)[0]
-    cells, normals = rho.cell_centers()[rho.index], _hemisphere_grid(a / 4.0)
-    return max(float((rho.masses @ (np.abs(cells @ normals[i0 : i0 + _DIRECTION_CHUNK].T)
-                                    <= a + _TOL)).max())
-               for i0 in range(0, len(normals), _DIRECTION_CHUNK))
+    cells = rho.cell_centers()[rho.index]
+    best = 0.0
+    buf = np.empty((len(cells), _DIRECTION_CHUNK))
+    for U in _hemisphere_blocks(a / 4.0):
+        inner = np.matmul(cells, U.T, out=buf[:, : len(U)])
+        near = np.less_equal(np.abs(inner, out=inner), a + _TOL, out=inner)  # 1.0 or 0.0
+        best = max(best, float((rho.masses @ near).max()))
+    return best
 
 
 def _failing_direction_mass(rho: DirectionMeasure, mu: DyadicMeasure, level: int,

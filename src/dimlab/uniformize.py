@@ -8,6 +8,11 @@ class per block level, keeping the heaviest class, and iterates the sweep to
 a fixed point so the class certificates hold exactly on the final restricted
 measure (a single pruning pass can shift coarse ratios when finer levels are
 pruned afterwards).
+
+Each leaf's cube at every block level is labelled once per measure; a pass
+then sums cube masses with bincounts over those labels, and pruning only
+clears leaves from a mask.  The decomposition labels the input measure once
+and runs every extraction on it, masking out the leaves of earlier pieces.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CubeRef, DyadicMeasure, _find_rows, _group_rows, _restrict_normalize
+from .dyadic import CubeRef, DyadicMeasure, _group_rows
 from .plf import PLFunction
 
 _TOL = 1e-9
@@ -67,43 +72,103 @@ class UniformPiece:
         return head + self.measure.to_text()
 
 
-def _prune_pass(mu: DyadicMeasure, alive: np.ndarray, T: int, ell: int):
+def _block_labels(mu: DyadicMeasure, T: int, ell: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each leaf's cube at every block level, and each cube's parent.
+
+    labels[j][i] is the index of leaf i's level-jT cube among mu's level-jT
+    cubes in lexicographic order (labels[0] is all zeros: the unit cube), and
+    parents[j - 1][c] is the index of level-jT cube c's parent at level
+    (j-1)T.  One _group_rows call per block level.
+    """
+    labels = [np.zeros(len(mu.masses), dtype=np.intp)]
+    parents = []
+    for j in range(1, ell + 1):
+        cubes, label = _group_rows(mu.coords >> (mu.m - j * T))
+        parent = np.empty(len(cubes), dtype=np.intp)
+        parent[label] = labels[-1]
+        labels.append(label)
+        parents.append(parent)
+    return labels, parents
+
+
+def _prune_pass(w: np.ndarray, alive: np.ndarray, labels: list[np.ndarray],
+                parents: list[np.ndarray], bounds: np.ndarray):
     """One top-down sweep: per block level, keep the heaviest ratio class.
 
-    `alive` masks mu's surviving leaves.  Returns (alive, classes, changed).
-    Masses are recomputed from the current surviving leaves at each level,
-    summed in leaf order.
+    `alive` masks the surviving leaves and `w` weighs them; labels and
+    parents come from _block_labels.  A ratio is in class k when it lies in
+    (2^{-k-1}, 2^{-k}]: k counts the `bounds` 2^{-1}, ..., 2^{-max_k-1} at or
+    above it, and k = max_k + 1 is overflow.  Returns (alive, classes,
+    changed).  Each cube's mass is summed over its surviving leaves in leaf
+    order by one bincount.
     """
-    max_k = mu.d * T
-    # a ratio is in class k when it lies in (2^{-k-1}, 2^{-k}]: k counts the
-    # bounds 2^{-1}, ..., 2^{-max_k-1} at or above it; k = max_k + 1 is overflow
-    bounds = 2.0 ** -np.arange(1.0, max_k + 2)
+    max_k = len(bounds) - 1
     alive = alive.copy()
     classes = []
     changed = False
-    # each level's cube of every surviving leaf is the next level's parent
-    parent_of = np.zeros(len(mu.masses), dtype=np.intp)
-    for j in range(1, ell + 1):
-        coords, w = mu.coords[alive], mu.masses[alive]
-        fine, fine_of = _group_rows(coords >> (mu.m - j * T))
-        fine_mass = np.bincount(fine_of, weights=w, minlength=len(fine))
-        coarse_mass = np.bincount(parent_of[alive], weights=w)
-        parent = np.empty(len(fine), dtype=np.intp)
-        parent[fine_of] = parent_of[alive]
-        k = (bounds >= (fine_mass / coarse_mass[parent])[:, None]).sum(axis=1)
-        weight = np.bincount(k, weights=fine_mass, minlength=max_k + 2)[: max_k + 1]
+    coarse_mass = np.bincount(labels[0][alive], weights=w[alive])
+    for label, parent in zip(labels[1:], parents):
+        fine_of = label[alive]
+        fine_mass = np.bincount(fine_of, weights=w[alive], minlength=len(parent))
+        cube = np.flatnonzero(np.bincount(fine_of, minlength=len(parent)))
+        k = (bounds >= (fine_mass[cube] / coarse_mass[parent[cube]])[:, None]).sum(axis=1)
+        weight = np.bincount(k, weights=fine_mass[cube], minlength=max_k + 2)[: max_k + 1]
         present = np.bincount(k, minlength=max_k + 2)[: max_k + 1] > 0
         if not present.any():
             return np.zeros_like(alive), None, True
         # heaviest non-overflow class; smallest k wins ties
         best_k = int(np.argmax(np.where(present, weight, -1.0)))
         classes.append(best_k)
-        parent_of[alive] = fine_of
-        kept = k == best_k
-        if not kept.all():
+        dropped = cube[k != best_k]
+        if len(dropped):
             changed = True
-            alive[alive] = kept[fine_of]
+            keep = np.ones(len(parent), dtype=bool)
+            keep[dropped] = False
+            alive &= keep[label]
+        # pruning drops whole cubes, so each surviving cube keeps its leaves
+        # and its sum: this level's masses are the next level's parent masses
+        coarse_mass = fine_mass
     return alive, classes, changed
+
+
+def _extract(mu: DyadicMeasure, w: np.ndarray, alive: np.ndarray,
+             labels: list[np.ndarray], parents: list[np.ndarray],
+             T: int) -> tuple[UniformPiece, np.ndarray]:
+    """Prune the leaves of mu masked by `alive`, weighed by `w`, to a fixed
+    point.  Returns the piece, with mass_retained the w-mass kept, and the
+    mask of its leaves."""
+    bounds = 2.0 ** -np.arange(1.0, mu.d * T + 2)
+    classes = None
+    for _ in range(int(alive.sum()) + 2):  # each changed pass prunes >= 1 cube
+        alive, classes, changed = _prune_pass(w, alive, labels, parents, bounds)
+        if not alive.any():
+            raise ValueError("pruning emptied the measure")
+        if not changed:
+            break
+    else:
+        raise RuntimeError("uniformization did not stabilize")
+    piece = UniformPiece(
+        beta=tuple(k / T for k in classes),
+        T=T,
+        mass_retained=math.fsum(w[alive].tolist()),
+        measure=DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords[alive], w[alive]).normalize(),
+    )
+    piece.check_invariant()
+    return piece, alive
+
+
+def _block_count(mu: DyadicMeasure, T) -> int:
+    """ell = m / T, after checking that T is a positive int dividing the
+    depth of the nontrivial, normalized measure mu."""
+    if not isinstance(T, (int, np.integer)) or T < 1:
+        raise ValueError(f"block size must be a positive int, got {T!r}")
+    if mu.trivial:
+        raise ValueError("cannot uniformize the trivial measure")
+    if not mu.normalized:
+        raise ValueError("input must be normalized")
+    if mu.m % T != 0:
+        raise ValueError(f"depth {mu.m} is not divisible by block size {T}")
+    return mu.m // T
 
 
 def extract_uniform(mu: DyadicMeasure, T: int) -> UniformPiece:
@@ -115,31 +180,8 @@ def extract_uniform(mu: DyadicMeasure, T: int) -> UniformPiece:
     until every surviving ratio sits in its level's chosen class, so the
     final restricted measure satisfies the uniformity inequality exactly.
     """
-    if mu.trivial:
-        raise ValueError("cannot uniformize the trivial measure")
-    if not mu.normalized:
-        raise ValueError("input must be normalized")
-    if mu.m % T != 0:
-        raise ValueError(f"depth {mu.m} is not divisible by block size {T}")
-    ell = mu.m // T
-    alive = np.ones(len(mu.masses), dtype=bool)
-    classes = None
-    for _ in range(len(mu.masses) + 2):  # each changed pass prunes >= 1 cube
-        alive, classes, changed = _prune_pass(mu, alive, T, ell)
-        if not alive.any():
-            raise ValueError("pruning emptied the measure")
-        if not changed:
-            break
-    else:
-        raise RuntimeError("uniformization did not stabilize")
-    piece = UniformPiece(
-        beta=tuple(k / T for k in classes),
-        T=T,
-        mass_retained=math.fsum(mu.masses[alive].tolist()),
-        measure=_restrict_normalize(mu, alive),
-    )
-    piece.check_invariant()
-    return piece
+    labels, parents = _block_labels(mu, T, _block_count(mu, T))
+    return _extract(mu, mu.masses, np.ones(len(mu.masses), dtype=bool), labels, parents, T)[0]
 
 
 def decompose_uniform(mu: DyadicMeasure, T: int, eps: float) -> list[UniformPiece]:
@@ -148,20 +190,21 @@ def decompose_uniform(mu: DyadicMeasure, T: int, eps: float) -> list[UniformPiec
 
     mass_retained of each piece is recorded against the original measure.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not mu.normalized:
-        raise ValueError("input must be normalized")
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    labels, parents = _block_labels(mu, T, _block_count(mu, T))
     cutoff = 2.0 ** (-eps * mu.m)
     pieces: list[UniformPiece] = []
     remaining = np.ones(len(mu.masses), dtype=bool)
     residual_mass = 1.0
     while residual_mass >= cutoff and remaining.any():
-        piece = extract_uniform(_restrict_normalize(mu, remaining), T)
+        # the residual measure's normalized masses, leaf for leaf
+        w = mu.masses / math.fsum(mu.masses[remaining].tolist())
+        piece, taken = _extract(mu, w, remaining, labels, parents, T)
         # express retained mass relative to the original measure
         piece.mass_retained *= residual_mass
         pieces.append(piece)
-        remaining &= _find_rows(piece.measure.coords, mu.coords) < 0
+        remaining &= ~taken
         residual_mass = math.fsum(mu.masses[remaining].tolist())
     return pieces
 

@@ -445,7 +445,8 @@ def prune_pass_reference(leaves, m, d, surviving, T, ell):
 
 
 def extract_uniform_reference(leaves, m, d, T):
-    """(beta, surviving leaves, mass_retained) of the extraction sweep."""
+    """(beta, the piece's renormalized leaves, mass_retained) of the
+    extraction sweep."""
     surviving = set(leaves)
     while True:
         surviving, classes, changed = prune_pass_reference(leaves, m, d, surviving, T, m // T)
@@ -454,11 +455,12 @@ def extract_uniform_reference(leaves, m, d, T):
         if not changed:
             break
     retained = math.fsum(leaves[k] for k in sorted(surviving))
-    return tuple(k / T for k in classes), surviving, retained
+    return tuple(k / T for k in classes), {k: leaves[k] / retained for k in surviving}, retained
 
 
 def decompose_uniform_reference(leaves, m, d, T, eps):
-    """[(beta, surviving leaves, mass_retained)] of the repeated extraction."""
+    """[(beta, the piece's renormalized leaves, mass_retained)] of the
+    repeated extraction."""
     cutoff = 2.0 ** (-eps * m)
     pieces = []
     remaining = dict(leaves)
@@ -466,9 +468,9 @@ def decompose_uniform_reference(leaves, m, d, T, eps):
     while residual_mass >= cutoff and remaining:
         tot = math.fsum(remaining.values())
         residual = {k: v / tot for k, v in remaining.items()}
-        beta, surviving, retained = extract_uniform_reference(residual, m, d, T)
-        pieces.append((beta, surviving, retained * residual_mass))
-        for k in surviving:
+        beta, piece, retained = extract_uniform_reference(residual, m, d, T)
+        pieces.append((beta, piece, retained * residual_mass))
+        for k in piece:
             del remaining[k]
         residual_mass = math.fsum(remaining[k] for k in sorted(remaining))
     return pieces

@@ -269,7 +269,9 @@ def _check_level_ops(mu):
 
 
 def _pieces(pieces):
-    return [(p.beta, {c.coords for c in p.subset}, p.mass_retained) for p in pieces]
+    """(beta, renormalized leaves, mass_retained) of each piece, as the
+    uniformize oracles give them."""
+    return [(p.beta, p.measure.leaves, p.mass_retained) for p in pieces]
 
 
 def _exact_split_measure(rng, d, m):
@@ -313,6 +315,21 @@ def test_array_core_matches_dict_loops():
         assert _pieces([extract_uniform(mu, 2)]) == [extract_uniform_reference(leaves, m, d, 2)]
         assert _pieces(decompose_uniform(mu, 2, 0.2)) == \
             decompose_uniform_reference(leaves, m, d, 2, 0.2)
+
+
+def test_decomposition_matches_dict_loops_at_benchmark_size():
+    """decompose_uniform against the dict-loop oracle on measures as large as
+    the uniform_profile workload's (50-400 leaves), piece by piece: beta, the
+    renormalized leaves bit for bit, and mass_retained."""
+    rng = np.random.default_rng(21)
+    cases = [random_measure(rng, d=2, m=8, n_leaves=int(rng.integers(50, 401)))
+             for _ in range(10)]
+    cases += [random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(50, 401)))
+              for d, m in ((1, 8), (3, 6)) for _ in range(3)]
+    cases += [_exact_split_measure(rng, d, m) for d, m in ((1, 12), (2, 6), (3, 6)) * 2]
+    for mu in cases:
+        assert _pieces(decompose_uniform(mu, 2, 0.2)) == \
+            decompose_uniform_reference(mu.leaves, mu.m, mu.d, 2, 0.2)
 
 
 def test_measure_arrays_reject_writes():

@@ -7,8 +7,9 @@ import pytest
 from dimlab.dyadic import DyadicMeasure
 from dimlab.generators import gen_cantor_product
 from dimlab.geometry import (
+    _DIRECTION_CHUNK,
     DirectionMeasure,
-    _hemisphere_grid,
+    _hemisphere_blocks,
     _sphere_lattice,
     LineMeasure,
     _heaviest_point,
@@ -187,7 +188,9 @@ def test_tube_sweep_matches_bruteforce_and_bounds_grid():
             for r in (2 ** -6, 2 ** -4, 2 ** -2):
                 mass, u = tube_mass_max(mu, pin, r)
                 assert abs(mass - tube_mass_max_bruteforce(mu, pin, r)) <= 1e-12
-                grid, _ = _tube_mass_grid(pts, mu.masses, r, planar_direction_grid(r / 4.0))
+                dirs = planar_direction_grid(r / 4.0)
+                blocks = np.array_split(dirs, range(_DIRECTION_CHUNK, len(dirs), _DIRECTION_CHUNK))
+                grid, _ = _tube_mass_grid(pts, mu.masses, r, blocks)
                 assert grid <= mass + 1e-12
                 # the returned direction's slab holds the returned mass
                 slab = sq - (pts @ u) ** 2 <= r * r + 1e-9 + 1e-12
@@ -276,7 +279,10 @@ def _peak_bytes(fn, *args):
 def test_3d_direction_products_in_blocks():
     """The 3-d radial binning and hyperplane concentration build their
     direction products a block at a time, with the one-piece results; in one
-    piece the two large calls below would hold about 130 MB and 165 MB."""
+    piece the two large calls below would hold about 130 MB and 165 MB.  The
+    normal grid is made a block at a time too: the spiral's points with
+    z >= 0 are its first n of 2n.  At a = 0.01 it has 1,005,310 normals,
+    which in one piece held about 145 MB whatever the number of cells."""
     mu = gen_cantor_product(0.25, 3, 8)  # 4096 leaves
     pin = (-0.5, 0.5, 0.5)
     rng = np.random.default_rng(4)
@@ -291,10 +297,21 @@ def test_3d_direction_products_in_blocks():
     assert peak < 32e6, peak
 
     rho = DirectionMeasure(3, 512, dict(enumerate(rng.uniform(0.5, 1.5, 512).tolist())))
-    inner = np.abs(rho.cell_centers()[rho.index] @ _hemisphere_grid(0.2 / 4.0).T)
+    normals = np.concatenate(list(_hemisphere_blocks(0.2 / 4.0)))
+    inner = np.abs(rho.cell_centers()[rho.index] @ normals.T)
     assert hyperplane_concentration(rho, 0.2) == float((rho.masses @ (inner <= 0.2 + 1e-9)).max())
     _, peak = _peak_bytes(hyperplane_concentration, rho, 0.05)
     assert peak < 32e6, peak
+
+    for step in (0.3, 0.05, 0.01):
+        n = max(8, math.ceil(2.0 * math.pi / (step * step)))
+        whole = _sphere_lattice(2 * n)
+        blocks = list(_hemisphere_blocks(step))
+        assert max(len(b) for b in blocks) == min(n, _DIRECTION_CHUNK)
+        assert np.array_equal(np.concatenate(blocks), whole[whole[:, 2] >= 0][:n])
+    rho = DirectionMeasure(3, 512, dict(enumerate(np.linspace(0.5, 1.5, 16).tolist())))
+    _, peak = _peak_bytes(hyperplane_concentration, rho, 0.01)
+    assert peak < 4e6, peak
 
 
 def test_hyperplane_concentration_uniform_vs_atom():

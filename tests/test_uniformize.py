@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dimlab import uniformize
 from dimlab.dyadic import DyadicMeasure
 from dimlab.uniformize import (
     branching_profile,
@@ -38,6 +39,34 @@ def test_extract_uniform_rejects_bad_input():
         extract_uniform(mu.normalize(), 3)  # 8 % 3 != 0
     with pytest.raises(ValueError):
         extract_uniform(DyadicMeasure(2, 8, {}), 2)
+    mu = random_measure(np.random.default_rng(5), d=2, m=8, n_leaves=30)
+    for T in (0, -2, 2.0, "2"):
+        with pytest.raises(ValueError):
+            extract_uniform(mu, T)
+        with pytest.raises(ValueError):
+            decompose_uniform(mu, T, 0.2)
+    for eps in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            decompose_uniform(mu, 2, eps)
+    with pytest.raises(ValueError):
+        decompose_uniform(mu, 3, 0.2)
+    with pytest.raises(ValueError):
+        decompose_uniform(DyadicMeasure(2, 8, {}), 2, 0.2)
+
+
+def test_decomposition_groups_block_cubes_once(monkeypatch):
+    """decompose_uniform groups the leaves by block-level cube once, ell
+    calls in all; its pruning passes only bincount over those labels, and
+    the other ell calls per piece are check_invariant's."""
+    calls = []
+    group_rows = uniformize._group_rows
+    monkeypatch.setattr(uniformize, "_group_rows",
+                        lambda keys: calls.append(len(keys)) or group_rows(keys))
+    mu = random_measure(np.random.default_rng(6), d=2, m=8, n_leaves=300)
+    pieces = decompose_uniform(mu, 2, 0.2)
+    assert len(pieces) > 1
+    assert calls[:4] == [len(mu.masses)] * 4
+    assert len(calls) == 4 * (1 + len(pieces))
 
 
 def test_box_count_sandwich():
