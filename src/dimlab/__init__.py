@@ -1,14 +1,7 @@
 """dimlab: a numerical laboratory for dyadic measures, projections, and
 distance-set exponents."""
 
-from .dyadic import (
-    CubeRef,
-    DyadicMeasure,
-    FrostmanFit,
-    build_from_atoms,
-    magnify,
-    restrict_normalize,
-)
+from .dyadic import DyadicMeasure, FrostmanFit, build_from_atoms, restrict_normalize
 from .plf import PLFunction, from_slopes, linear
 from .sigma import (
     CustomProfile,

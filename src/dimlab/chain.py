@@ -13,7 +13,6 @@ each; above _SAMPLE_LIMIT leaves its outer integral is a mass-quantile subsample
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -206,6 +205,8 @@ def chain_sides_robust(
     """Robust chain sides: mu' <= Theta * mu verified leafwise; the rhs uses
     the capped (robust) block entropy at 4 * Theta and integrates against
     mu'."""
+    if not (1.0 <= Theta < math.inf):
+        raise ValueError(f"Theta must be in [1, inf), got {Theta}")
     if mu.m != mu_prime.m or mu.d != mu_prime.d:
         raise ValueError("mu and mu' must share shape")
     at = _find_rows(mu.coords, mu_prime.coords)
@@ -231,22 +232,9 @@ def fit_chain_constant(panel) -> float:
         raise ValueError("empty panel")
     C = 0.0
     for lhs, rhs, J in panel:
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ValueError(f"panel entry ({lhs}, {rhs}, {J}) is not finite")
         if J > 0:
             C = max(C, (rhs - lhs) / J)
     return C
 
-
-def panel_report(instances) -> str:
-    """CSV panel report; entries are dicts with instance_id, kind, m, and the
-    (lhs, rhs, J) triple."""
-    buf = io.StringIO()
-    buf.write("instance_id,kind,m,J,lhs,rhs,slack,slack_per_J\n")
-    for rec in instances:
-        lhs, rhs, J = rec["lhs"], rec["rhs"], rec["J"]
-        slack = lhs - rhs
-        per = slack / J if J else 0.0
-        buf.write(
-            f"{rec['instance_id']},{rec['kind']},{rec['m']},{J},"
-            f"{lhs!r},{rhs!r},{slack!r},{per!r}\n"
-        )
-    return buf.getvalue()

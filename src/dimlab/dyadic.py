@@ -21,22 +21,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "CubeRef",
     "FrostmanFit",
     "DyadicMeasure",
     "build_from_atoms",
     "restrict_normalize",
-    "magnify",
 ]
 
 # Entropy terms below this mass contribute < 1e-290 bits and are dropped.
 _MASS_FLOOR = 1e-300
 
 _NORM_TOL = 1e-9
-
-# Rows of the pairwise distance matrix per block in riesz_energy; bounds the
-# temporaries to _RIESZ_CHUNK * n * d doubles.
-_RIESZ_CHUNK = 2048
 
 
 def _entropies(p: np.ndarray, cap: float | None = None) -> np.ndarray:
@@ -110,24 +104,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CubeRef:
-    """A dyadic cube: level j and integer coordinates in [0, 2^j)^d."""
-
-    level: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"negative level {self.level}")
-        top = 1 << self.level
-        for c in self.coords:
-            if not (0 <= c < top):
-                raise ValueError(
-                    f"coordinate {c} out of range for level {self.level}"
-                )
-
-
-@dataclass(frozen=True)
 class FrostmanFit:
     """Power-law envelope mu(Q) <= C * side(Q)^s over a dyadic scale range.
 
@@ -169,13 +145,14 @@ class DyadicMeasure:
                 raise ValueError(f"mass {mass} at {coords} is negative or not finite")
             if mass == 0.0:
                 continue
-            coords = tuple(int(c) for c in coords)
             if len(coords) != d:
                 raise ValueError(f"leaf {coords} has wrong dimension")
             for c in coords:
                 if not (0 <= c < top):
                     raise ValueError(f"leaf coordinate {c} out of range at depth {m}")
-            leaves[coords] = float(mass)
+                if int(c) != c:
+                    raise ValueError(f"leaf coordinate {c} is not an integer")
+            leaves[tuple(map(int, coords))] = float(mass)
         coords = np.array(list(leaves), dtype=np.int64).reshape(-1, d)
         order = np.lexsort(coords.T[::-1])
         self._set(d, m, coords[order], np.array(list(leaves.values()))[order])
@@ -204,11 +181,6 @@ class DyadicMeasure:
     # -- basic structure ---------------------------------------------------
 
     @property
-    def leaves(self) -> dict[tuple[int, ...], float]:
-        """Leaf masses keyed by coordinate tuple (a new dict on each access)."""
-        return dict(zip(map(tuple, self.coords.tolist()), self.masses.tolist()))
-
-    @property
     def total_mass(self) -> float:
         return math.fsum(self.masses.tolist())
 
@@ -232,23 +204,11 @@ class DyadicMeasure:
         rows, sums = self.cells(level)
         return dict(zip(map(tuple, rows.tolist()), sums.tolist()))
 
-    def mass_of(self, cube: CubeRef) -> float:
-        if cube.level > self.m:
-            raise ValueError("cube finer than measure depth")
-        if len(cube.coords) != self.d:
-            raise ValueError(f"cube {cube.coords} has wrong dimension")
-        rows, sums = self.cells(cube.level)
-        hit = np.flatnonzero((rows == cube.coords).all(axis=1))
-        return float(sums[hit[0]]) if len(hit) else 0.0
-
     def leaf_centers(self) -> np.ndarray:
         """Read-only (n, d) array of leaf-cube centers, rows in leaf order."""
         if self._centers is None:
             self._centers = _frozen((self.coords + 0.5) * 2.0 ** (-self.m))
         return self._centers
-
-    def support_cubes(self, level: int) -> set[CubeRef]:
-        return {CubeRef(level, c) for c in map(tuple, self.cells(level)[0].tolist())}
 
     def normalize(self) -> "DyadicMeasure":
         return self._from_arrays(self.d, self.m, self.coords, self.masses / self.total_mass)
@@ -270,8 +230,8 @@ class DyadicMeasure:
         descending and fill each to its cap Theta*mu(cell) until total mass 1.
         (Greedy majorizes every feasible vector; entropy is Schur-concave.)
         """
-        if Theta < 1.0:
-            raise ValueError(f"Theta must be >= 1, got {Theta}")
+        if not (1.0 <= Theta < math.inf):
+            raise ValueError(f"Theta must be in [1, inf), got {Theta}")
         if self.trivial:
             return 0.0
         if not self.normalized:
@@ -330,14 +290,14 @@ class DyadicMeasure:
 
     def robustness_check(
         self, level: int, s: float, r: float
-    ) -> tuple[bool, list[CubeRef] | None]:
+    ) -> tuple[bool, np.ndarray | None]:
         """Check that any set of mass > r needs more than 2^{level*s} cubes.
 
         The minimal cell count achieving mass > r is the greedy descending
         prefix (swapping any chosen cell for a heavier one never increases
         the count); ties in mass go to the lexicographically smaller cube.
-        Returns (ok, witness); the witness is the offending greedy cell set
-        when the check fails.
+        Returns (ok, witness); when the check fails, the witness is the (k, d)
+        int64 array of the offending greedy cells' coordinates, heaviest first.
         """
         if not (0.0 < r < 1.0):
             raise ValueError(f"r must be in (0,1), got {r}")
@@ -355,39 +315,7 @@ class DyadicMeasure:
         threshold = 2.0 ** (level * s)
         if needed > threshold:
             return True, None
-        return False, [CubeRef(level, c) for c in map(tuple, rows[order[:needed]].tolist())]
-
-    # -- energies ------------------------------------------------------------
-
-    def riesz_energy(self, s: float) -> float:
-        """Truncated discrete Riesz s-energy over leaf-cube centers.
-
-        Off-diagonal pairs use the center distance; same-leaf pairs use the
-        truncation separation 2^{-m}.
-        """
-        if s <= 0:
-            raise ValueError("s must be positive")
-        pts = self.leaf_centers()
-        w = self.masses
-        n = len(w)
-        diag_sep = 2.0 ** (-self.m)
-        total = float(np.sum(w * w)) * diag_sep ** (-s)
-        for i0 in range(0, n, _RIESZ_CHUNK):
-            p = pts[i0 : i0 + _RIESZ_CHUNK]
-            dist = np.sqrt(
-                np.maximum(
-                    np.sum((p[:, None, :] - pts[None, :, :]) ** 2, axis=2), 0.0
-                )
-            )
-            kern = np.zeros_like(dist)
-            np.divide(1.0, dist ** s, out=kern, where=dist > 0)
-            total += float(w[i0 : i0 + _RIESZ_CHUNK] @ kern @ w)
-        return total
-
-    def l2_density_norm(self, level: int) -> float:
-        """Squared L2 norm of the level-resolution density."""
-        p = self.cells(level)[1]
-        return math.fsum((p * p).tolist()) * 2.0 ** (level * self.d)
+        return False, rows[order[:needed]]
 
     # -- serialization -------------------------------------------------------
 
@@ -453,39 +381,16 @@ def build_from_atoms(
     return DyadicMeasure._from_arrays(d, depth, *_sum_by_key(keys, w))
 
 
-def _restrict_normalize(mu: DyadicMeasure, keep: np.ndarray) -> DyadicMeasure:
-    """Restrict mu to the leaves selected by the boolean mask `keep` (over
-    mu's leaf rows) and renormalize."""
+def restrict_normalize(mu: DyadicMeasure, keep: np.ndarray) -> DyadicMeasure:
+    """Restrict mu to the leaves selected by the boolean mask `keep` (one
+    entry per row of mu.coords) and renormalize."""
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.shape != mu.masses.shape:
+        # an integer array would select rows by index instead
+        raise ValueError(
+            f"keep must be a bool mask of shape {mu.masses.shape}, "
+            f"got {keep.dtype} of shape {keep.shape}"
+        )
     if not keep.any():
         raise ValueError("kept set carries zero mass")
     return DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords[keep], mu.masses[keep]).normalize()
-
-
-def restrict_normalize(mu: DyadicMeasure, keep: Iterable[CubeRef]) -> DyadicMeasure:
-    """Restrict mu to the kept cubes (all at one level) and renormalize."""
-    keep = list(keep)
-    if not keep:
-        raise ValueError("empty kept set")
-    level = keep[0].level
-    if any(c.level != level for c in keep):
-        raise ValueError("kept cubes must share a level")
-    if level > mu.m:
-        raise ValueError("cube finer than measure depth")
-    kept = np.array([c.coords for c in keep], dtype=np.int64).reshape(len(keep), mu.d)
-    return _restrict_normalize(mu, _find_rows(kept, mu.coords >> (mu.m - level)) >= 0)
-
-
-def magnify(mu: DyadicMeasure, Q: CubeRef) -> DyadicMeasure:
-    """Renormalized restriction of mu to Q, rescaled to the unit cube.
-
-    The result has depth m - Q.level.
-    """
-    mass = mu.mass_of(Q)
-    if mass <= 0.0:
-        raise ValueError("cube carries zero mass")
-    shift = mu.m - Q.level
-    corner = np.array(Q.coords, dtype=np.int64)
-    inside = ((mu.coords >> shift) == corner).all(axis=1)
-    return DyadicMeasure._from_arrays(
-        mu.d, shift, mu.coords[inside] - (corner << shift), mu.masses[inside] / mass
-    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _restrict_normalize
+from .dyadic import DyadicMeasure, restrict_normalize
 from .generators import (
     gen_cantor_product,
     gen_circle_pair,
@@ -188,8 +188,8 @@ def split_separated(mu: DyadicMeasure) -> tuple[DyadicMeasure, DyadicMeasure]:
     right = xs > hi
     if not left.any() or not right.any():
         raise StageError("split", "no separated mass balance along axis 0")
-    mu_half = _restrict_normalize(mu, left)
-    nu_half = _restrict_normalize(mu, right)
+    mu_half = restrict_normalize(mu, left)
+    nu_half = restrict_normalize(mu, right)
     gap = _split_gap(mu_half, nu_half)
     if gap < MIN_GAP - 1e-12:
         raise StageError("split", f"split gap {gap} below {MIN_GAP}")

@@ -94,6 +94,8 @@ def from_slopes(slopes, xs=None) -> PLFunction:
     n = len(slopes)
     if xs is None:
         xs = [i / n for i in range(n + 1)]
+    elif len(xs) != n + 1:
+        raise ValueError(f"{n} slopes need {n + 1} breakpoints, got {len(xs)}")
     ys = [0.0]
     for s, a, b in zip(slopes, xs, xs[1:]):
         ys.append(ys[-1] + s * (b - a))

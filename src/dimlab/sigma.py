@@ -276,9 +276,6 @@ class IntervalDecomposition:
             if abs(acc - total) > 1e-8:
                 raise ValueError(f"stored value {total} != recomputed {acc}")
 
-    def weighted_slope_sum(self) -> float:
-        return math.fsum(sigma * (b - a) for a, b, sigma in self.entries)
-
 
 def merge(
     f: PLFunction,

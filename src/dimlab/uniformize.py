@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import CubeRef, DyadicMeasure, _group_rows
+from .dyadic import DyadicMeasure, _group_rows
 from .plf import PLFunction
 
 _TOL = 1e-9
@@ -42,11 +42,6 @@ class UniformPiece:
     @property
     def ell(self) -> int:
         return len(self.beta)
-
-    @property
-    def subset(self) -> set[CubeRef]:
-        """The surviving level-m cubes."""
-        return self.measure.support_cubes(self.measure.m)
 
     def check_invariant(self) -> None:
         """Verify the two-sided ratio inequality exactly at every block level."""

@@ -328,11 +328,24 @@ def value_cell_masses_reference(values, weights, level):
     return np.add.reduceat(w, np.concatenate(([0], cuts))) / tot
 
 
+def magnify(mu, level, q):
+    """Renormalized restriction of mu to its level-`level` cube q, rescaled
+    to the unit cube; the result has depth m - level."""
+    rows, sums = mu.cells(level)
+    mass = float(sums[(rows == q).all(axis=1)][0])
+    shift = mu.m - level
+    corner = np.array(q, dtype=np.int64)
+    inside = ((mu.coords >> shift) == corner).all(axis=1)
+    return DyadicMeasure._from_arrays(
+        mu.d, shift, mu.coords[inside] - (corner << shift), mu.masses[inside] / mass
+    )
+
+
 def rhs_sum_reference(mu, map_kind, y, schedule, int_keys, int_w, robust_theta):
     """Integral of the per-base-point block entropy sums, grouped by the
     level-A ancestor so each magnification is computed once."""
     from dimlab.chain import linearization_direction
-    from dimlab.dyadic import CubeRef, _group_rows, magnify
+    from dimlab.dyadic import _group_rows
 
     rhs = 0.0
     for A, B in schedule.intervals:
@@ -340,7 +353,7 @@ def rhs_sum_reference(mu, map_kind, y, schedule, int_keys, int_w, robust_theta):
         members = np.split(np.argsort(group, kind="stable"),
                            np.cumsum(np.bincount(group))[:-1])
         for anc, idx in zip(map(tuple, ancestors.tolist()), members):
-            sub = magnify(mu, CubeRef(A, anc))
+            sub = magnify(mu, A, anc)
             centers = sub.leaf_centers()
             for i in idx:
                 x = (int_keys[i] + 0.5) * 2.0 ** (-mu.m)
@@ -360,6 +373,12 @@ def rhs_sum_reference(mu, map_kind, y, schedule, int_keys, int_w, robust_theta):
 # property tests require exact (==) agreement with these.
 
 
+def leaf_dict(mu):
+    """mu's leaf masses keyed by coordinate tuple, the form the dict
+    references take."""
+    return dict(zip(map(tuple, mu.coords.tolist()), mu.masses.tolist()))
+
+
 def level_masses_reference(leaves, m, level):
     shift = m - level
     acc = {}
@@ -377,16 +396,6 @@ def build_from_atoms_reference(points, depth):
             key = tuple(min(int(x * top), top - 1) for x in coords)
             acc[key] = acc.get(key, 0.0) + float(w)
     return acc
-
-
-def magnify_reference(leaves, m, level, q):
-    mass = level_masses_reference(leaves, m, level)[q]
-    shift = m - level
-    out = {}
-    for k, v in leaves.items():
-        if tuple(c >> shift for c in k) == q:
-            out[tuple(c - (qq << shift) for c, qq in zip(k, q))] = v / mass
-    return out
 
 
 def restrict_normalize_reference(leaves, m, level, kept):

@@ -152,7 +152,7 @@ def test_acceptance_06_uniformization():
         seen = set()
         covered = 0.0
         for p in pieces:
-            keys = {c.coords for c in p.subset}
+            keys = set(map(tuple, p.measure.coords.tolist()))
             ok = ok and not (keys & seen)  # (i) pairwise disjoint
             seen |= keys
             covered += p.mass_retained
@@ -248,7 +248,7 @@ def test_acceptance_09_distance_set_experiment():
     mu_half, nu_half = split_separated(tt)
     nu_pts = nu_half.leaf_centers()
     best = None
-    for pin in mu_half.leaf_centers()[:: max(1, len(mu_half.leaves) // 32)]:
+    for pin in mu_half.leaf_centers()[:: max(1, len(mu_half.masses) // 32)]:
         dists = np.linalg.norm(nu_pts - pin, axis=1)
         levels = list(range(4, depth - 1))
         at_delta, *counts = value_box_counts(dists, [delta] + levels)

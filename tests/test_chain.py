@@ -12,10 +12,9 @@ from dimlab.chain import (
     chain_sides_robust,
     fit_chain_constant,
     linearization_direction,
-    panel_report,
     schedule_from_decomposition,
 )
-from dimlab.dyadic import CubeRef, DyadicMeasure, restrict_normalize
+from dimlab.dyadic import DyadicMeasure, restrict_normalize
 from dimlab.generators import gen_cantor_product
 from dimlab.sigma import IntervalDecomposition
 from oracles import (
@@ -141,15 +140,21 @@ def test_robust_domination_checked():
     sched = ScaleSchedule(8, ((4, 8),))
     y = (-0.5, 0.5)
     # restriction to half the mass is dominated with Theta = 1/mass
-    keys = [tuple(k) for k in mu.coords.tolist()]
-    half = keys[: len(keys) // 2]
-    mu_half = restrict_normalize(mu, [CubeRef(8, k) for k in half])
-    hm = math.fsum(mu.leaves[k] for k in half)
+    half = np.arange(len(mu.masses)) < len(mu.masses) // 2
+    mu_half = restrict_normalize(mu, half)
+    hm = math.fsum(mu.masses[half].tolist())
     lhs, rhs_rob, _ = chain_sides_robust(
         mu, mu_half, "pinned_distance", y, sched, 1.0 / hm
     )
     with pytest.raises(ValueError):
         chain_sides_robust(mu, mu_half, "pinned_distance", y, sched, 1.0)
+    # NaN would pass the domination check and inf would skip it, letting a
+    # disjoint mu' through
+    other = restrict_normalize(mu, ~half)
+    for Theta in (0.5, math.nan, math.inf):
+        for nu in (mu_half, other):
+            with pytest.raises(ValueError, match="Theta"):
+                chain_sides_robust(mu_half, nu, "pinned_distance", y, sched, Theta)
 
 
 def test_robust_rhs_below_plain():
@@ -246,14 +251,9 @@ def test_fit_chain_constant():
     assert fit_chain_constant([(1.0, 5.0, 2), (0.0, 9.0, 3)]) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         fit_chain_constant([])
+    # max(C, nan) keeps C, so a NaN entry would be skipped
+    for bad in (math.nan, math.inf, -math.inf):
+        for entry in ((0.0, bad, 1), (bad, 2.0, 1)):
+            with pytest.raises(ValueError):
+                fit_chain_constant([entry, (1.0, 2.0, 1)])
 
-
-def test_panel_report_format():
-    rows = [
-        {"instance_id": "a", "kind": "pinned_distance", "m": 8, "J": 2,
-         "lhs": 5.0, "rhs": 4.0},
-    ]
-    csv = panel_report(rows)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "instance_id,kind,m,J,lhs,rhs,slack,slack_per_J"
-    assert lines[1].startswith("a,pinned_distance,8,2,")

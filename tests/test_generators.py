@@ -29,8 +29,8 @@ def test_cantor_product_exponents():
 
 def test_cantor_half_is_lebesgue():
     mu = gen_cantor_product(0.5, 1, 6)
-    assert len(mu.leaves) == 64
-    assert all(abs(v - 1.0 / 64) < 1e-12 for v in mu.leaves.values())
+    assert len(mu.masses) == 64
+    assert all(abs(v - 1.0 / 64) < 1e-12 for v in mu.masses)
 
 
 def test_cantor_rejects_non_dyadic_ratio():
@@ -52,13 +52,13 @@ def test_lattice_falconer_aligned_exponent():
         gen_lattice_falconer(3, 2, 8)
     # q = 2 degenerates to the full uniform measure
     full = gen_lattice_falconer(2, 1, 4)
-    assert len(full.leaves) == 16
+    assert len(full.masses) == 16
 
 
 def test_train_track_geometry():
     delta, depth = 6, 12
     mu = gen_train_track(delta, depth)
-    ys = sorted({k[1] for k in mu.leaves})
+    ys = sorted(set(mu.coords[:, 1].tolist()))
     assert len(ys) == 2 ** (delta // 2)
     # rows spaced 2^{-delta} apart, starting at 0
     step = 1 << (depth - delta)
@@ -85,8 +85,8 @@ def test_product_set():
     mu = gen_product_set({"kind": "cantor", "params": {"r": 0.25}}, 10)
     assert abs(mu.frostman_fit((2, 8)).s - 1.0) < 0.05
     leb = gen_product_set({"kind": "lebesgue"}, 4)
-    assert len(leb.leaves) == 256
+    assert len(leb.masses) == 256
     pt = gen_product_set({"kind": "point", "params": {"x": 0.3}}, 6)
-    assert len(pt.leaves) == 1
+    assert len(pt.masses) == 1
     with pytest.raises(ValueError):
         gen_product_set({"kind": "nope"}, 6)

@@ -30,6 +30,7 @@ from dimlab.geometry import (
 from oracles import (
     hyperplane_concentration_bruteforce,
     hyperplane_concentration_grid,
+    leaf_dict,
     planar_direction_grid,
     random_measure,
     tube_mass_max_bruteforce,
@@ -71,9 +72,9 @@ def test_project_linear_mass_and_marginal():
         assert abs(line.measure.total_mass - 1.0) < 1e-9
         # axis projection reproduces the x-marginal cell masses
         marg = {}
-        for (x, _y), v in mu.leaves.items():
+        for (x, _y), v in leaf_dict(mu).items():
             marg[x] = marg.get(x, 0.0) + v
-        assert len(line.measure.leaves) == len(marg)
+        assert len(line.measure.masses) == len(marg)
 
 
 def test_project_linear_requires_unit_vector():
@@ -91,7 +92,7 @@ def test_project_radial_against_manual_binning():
         rho = project_radial(mu, y, n)
         assert abs(rho.total_mass - 1.0) < 1e-9
         manual = {}
-        for key, v in mu.leaves.items():
+        for key, v in leaf_dict(mu).items():
             c = (np.array(key) + 0.5) * 2.0 ** (-8)
             ang = math.atan2(c[1] - y[1], c[0] - y[0]) % (2 * math.pi)
             i = min(int(ang / (2 * math.pi) * n), n - 1)

@@ -51,6 +51,11 @@ def test_plfunction_validation():
     assert not f.in_class(2.0, 1.6)
     assert f.class_violation(2.0, 1.6)[0] == "below-line"
     assert f.class_violation(0.5, 0.0)[0] == "lipschitz"
+    # zip would drop the slopes past the last breakpoint
+    for xs in ([0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]):
+        with pytest.raises(ValueError, match="breakpoints"):
+            from_slopes([1.0, 1.0, 1.0], xs)
+    assert from_slopes([1.0, 3.0], [0.0, 0.25, 1.0]).ys == (0.0, 0.25, 2.5)
 
 
 def test_plfunction_json_roundtrip():
@@ -208,7 +213,7 @@ def test_merge_increasing_chain():
         dec = merge_increasing(f, entries)
         slopes = [s for _, _, s in dec.entries]
         assert all(s2 > s1 - 1e-9 for s1, s2 in zip(slopes, slopes[1:]))
-        assert abs(dec.weighted_slope_sum() - before) < 1e-9
+        assert abs(math.fsum(s * (b - a) for a, b, s in dec.entries) - before) < 1e-9
 
 
 def test_superlinear_decomposition_tiles_and_bounds():
@@ -227,7 +232,7 @@ def test_superlinear_decomposition_tiles_and_bounds():
             assert dec.tau - 1e-9 <= x1 - x0 <= rho + 1e-9
             assert is_superlinear(f, x0, x1, s)
         assert dec.entries == superlinear_chain_dense_reference(f, a, b, eps, rho)
-        total = dec.weighted_slope_sum()
+        total = math.fsum(s * (b - a) for a, b, s in dec.entries)
         growth = float(f(b)) - float(f(a))
         assert total <= growth + 1e-9  # chord slopes never overshoot
         assert total >= growth - eps * (b - a) - 1e-9

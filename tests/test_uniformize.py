@@ -12,7 +12,7 @@ from dimlab.uniformize import (
     lift_to_class,
 )
 from dimlab.plf import PLFunction
-from oracles import random_measure
+from oracles import leaf_dict, random_measure
 
 
 def test_extract_uniform_invariant_and_mass():
@@ -91,7 +91,7 @@ def test_decompose_uniform_residual_and_disjointness():
         seen = set()
         covered = 0.0
         for p in pieces:
-            keys = {c.coords for c in p.subset}
+            keys = set(map(tuple, p.measure.coords.tolist()))
             assert not (keys & seen)
             seen |= keys
             covered += p.mass_retained
@@ -110,7 +110,7 @@ def test_uniform_piece_text_roundtrip_header():
     assert f"T {piece.T}" in text
     body = text.split("\n", 3)[3]
     back = DyadicMeasure.from_text(body)
-    assert back.leaves == piece.measure.leaves
+    assert leaf_dict(back) == leaf_dict(piece.measure)
 
 
 def test_branching_profile_shape():
