@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicMeasure, _entropies, _find_rows, _group_rows
-from .geometry import _check_pin_separation, _quantile_leaves, value_entropy
+from .geometry import _pin_offsets, _quantile_leaves, value_entropy
 from .sigma import IntervalDecomposition
 
 _TOL = 1e-9
@@ -106,11 +106,11 @@ def linearization_direction(map_kind: str, x, y) -> np.ndarray:
     raise ValueError(f"unknown map kind {map_kind!r}")
 
 
-def _map_values(map_kind: str, pts: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Scalar pushforward values of the map at the given points."""
-    diff = pts - y
+def _map_values(map_kind: str, diff: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Scalar pushforward values of the map at the points with offsets diff
+    from the pin and squared offset norms sq."""
     if map_kind == "pinned_distance":
-        return np.linalg.norm(diff, axis=1)
+        return np.sqrt(sq)
     if map_kind == "radial_2d":
         # angle map parameterized to [0, 1) so dyadic bins apply
         return np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * math.pi) / (2.0 * math.pi)
@@ -171,9 +171,11 @@ def _sides(mu: DyadicMeasure, mu_prime: DyadicMeasure, map_kind: str, y,
     if schedule.M > mu.m:
         raise ValueError("schedule depth exceeds measure depth")
     y = np.asarray(y, dtype=float)
-    _check_pin_separation(mu, y)
-    vals = _map_values(map_kind, mu_prime.leaf_centers(), y)
-    lhs = value_entropy(vals, mu_prime.masses, schedule.M)
+    sep = 2.0 * 2.0 ** (-mu.m)
+    diff, sq = _pin_offsets(mu, y, sep)
+    if mu_prime is not mu:
+        diff, sq = _pin_offsets(mu_prime, y, sep)
+    lhs = value_entropy(_map_values(map_kind, diff, sq), mu_prime.masses, schedule.M)
     base, w = _integration_leaves(mu_prime)
     return lhs, _rhs_sum(mu, map_kind, y, schedule, base, w, cap), schedule.J
 

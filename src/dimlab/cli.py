@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import chain as chain_mod
@@ -73,13 +74,8 @@ def _write_or_print(text: str, out: str | None):
 
 def cmd_measure(args) -> int:
     if args.action == "build":
-        cfg = exp_mod.SceneConfig(
-            scenario="build",
-            generator={"kind": args.kind, "params": json.loads(args.params)},
-            depth=args.depth,
-            scale_window=(0, args.depth),
-        )
-        mu = exp_mod.build_scene_measure(cfg).normalize()
+        generator = {"kind": args.kind, "params": json.loads(args.params)}
+        mu = exp_mod._build_measure(generator, args.depth).normalize()
         _write_or_print(mu.to_text(), args.out)
         return PASS
     mu = _load_measure(args.file)
@@ -158,6 +154,8 @@ def cmd_sigma(args) -> int:
         print("PASS" if rep["passed"] else "FAIL")
         return PASS if rep["passed"] else FAIL
     if args.action == "verify-highdim":
+        if not math.isfinite(args.slack):
+            raise ValueError(f"slack must be finite, got {args.slack}")
         ok = True
         profiles = [HighDimProfile(args.d, s) for s in args.s]
         for s, D in zip(args.s, profiles):

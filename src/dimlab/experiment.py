@@ -13,6 +13,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -24,19 +25,10 @@ from .generators import (
     gen_product_set,
     gen_train_track,
 )
-from .geometry import thin_tubes_profile, value_box_counts
+from .geometry import _pin_offsets, thin_tubes_profile, value_box_counts
 from .sigma import phi
 
 MIN_GAP = 2.0 ** (-3)
-
-_GENERATOR_KINDS = (
-    "cantor_product",
-    "lattice_falconer",
-    "train_track",
-    "circle_pair",
-    "product_set",
-    "from_file",
-)
 
 _TARGET_NOTE = (
     "target = phi(t) - zeta, t from the Frostman fit capped at 1; "
@@ -61,26 +53,13 @@ class SceneConfig:
     scenario: str
     generator: dict
     depth: int
-    pins: dict = field(default_factory=lambda: {"count": 8, "selection": "best_tube"})
+    pins: dict = field(default_factory=lambda: {"count": 8})
     scale_window: tuple[int, int] | None = None
     zeta: float = 0.12
     output: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.generator, dict):
-            raise ConfigError(f"generator must be an object, not {self.generator!r}")
-        kind = self.generator.get("kind")
-        if kind not in _GENERATOR_KINDS:
-            raise ConfigError(f"unknown generator kind {kind!r}")
-        params = self.generator.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"generator params must be an object, not {params!r}")
-        d = int(params.get("d", 2))
-        limit = 20 if d == 2 else 14
-        if isinstance(self.depth, bool) or not isinstance(self.depth, int):
-            raise ConfigError(f"depth must be an integer, not {self.depth!r}")
-        if not (2 <= self.depth <= limit):
-            raise ConfigError(f"depth {self.depth} outside [2, {limit}] for d={d}")
+        _check_generator(self.generator, self.depth)
         if self.scale_window is None:
             self.scale_window = (2, self.depth)
         if len(self.scale_window) != 2 or not all(
@@ -110,7 +89,7 @@ class SceneConfig:
                 scenario=rec["scenario"],
                 generator=rec["generator"],
                 depth=rec["depth"],
-                pins=rec.get("pins", {"count": 8, "selection": "best_tube"}),
+                pins=rec.get("pins", {"count": 8}),
                 scale_window=tuple(rec["scale_window"]) if "scale_window" in rec else None,
                 zeta=float(rec.get("zeta", 0.12)),
                 output=rec.get("output"),
@@ -136,30 +115,72 @@ class ExperimentResult:
     curves: dict[str, list[tuple[int, float]]] = field(default_factory=dict)
 
 
-def build_scene_measure(cfg: SceneConfig) -> DyadicMeasure:
-    kind = cfg.generator["kind"]
-    p = cfg.generator.get("params", {})
+def _param(params: dict, key: str, kind: type, default=None):
+    """params[key], or `default` if given and the key is absent; raises
+    ConfigError unless it is a `kind` (float takes any number, none a bool)."""
+    value = params[key] if default is None else params.get(key, default)
+    types = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"parameter {key!r} must be of type {kind.__name__}, not {value!r}")
+    return value
+
+
+# kind -> builder(params, depth).  Each builder looks its generator up by
+# module-global name when it runs, so rebinding that name (as a tracer that
+# wraps the generators does) reaches the build.
+_BUILDERS = {
+    "cantor_product": lambda p, depth: gen_cantor_product(
+        _param(p, "r", float, 0.25), _param(p, "d", int, 2), depth),
+    "lattice_falconer": lambda p, depth: gen_lattice_falconer(
+        _param(p, "q", int, 4), _param(p, "d", int, 2), depth),
+    "train_track": lambda p, depth: gen_train_track(_param(p, "delta_level", int), depth),
+    "circle_pair": lambda p, depth: gen_circle_pair(
+        depth, radius=_param(p, "radius", float, 0.25)),
+    "product_set": lambda p, depth: gen_product_set(_param(p, "A", dict), depth),
+    "from_file": lambda p, depth: DyadicMeasure.from_text(
+        Path(_param(p, "path", str)).read_text()),
+}
+
+
+def _check_generator(generator, depth) -> dict:
+    """The params of generator = {"kind", "params"}, after checking that the
+    kind is known and that depth is an integer in [2, 20] for d = 2 (the
+    default) and in [2, 14] otherwise; raises ConfigError."""
+    if not isinstance(generator, dict):
+        raise ConfigError(f"generator must be an object, not {generator!r}")
+    kind = generator.get("kind")
+    if kind not in _BUILDERS:
+        raise ConfigError(f"unknown generator kind {kind!r}")
+    params = generator.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"generator params must be an object, not {params!r}")
+    d = _param(params, "d", int, 2)
+    limit = 20 if d == 2 else 14
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise ConfigError(f"depth must be an integer, not {depth!r}")
+    if not (2 <= depth <= limit):
+        raise ConfigError(f"depth {depth} outside [2, {limit}] for d={d}")
+    return params
+
+
+def _build_measure(generator, depth) -> DyadicMeasure:
+    """The measure generator = {"kind", "params"} gives at `depth`: a
+    ConfigError for a bad generator, its parameters or depth, a [build]
+    StageError for any other failure."""
+    params = _check_generator(generator, depth)
+    kind = generator["kind"]
     try:
-        if kind == "cantor_product":
-            return gen_cantor_product(p.get("r", 0.25), int(p.get("d", 2)), cfg.depth)
-        if kind == "lattice_falconer":
-            return gen_lattice_falconer(int(p.get("q", 4)), int(p.get("d", 2)), cfg.depth)
-        if kind == "train_track":
-            return gen_train_track(int(p["delta_level"]), cfg.depth)
-        if kind == "circle_pair":
-            return gen_circle_pair(cfg.depth, radius=p.get("radius", 0.25))
-        if kind == "product_set":
-            return gen_product_set(p["A"], cfg.depth)
-        if kind == "from_file":
-            with open(p["path"]) as fh:
-                return DyadicMeasure.from_text(fh.read())
+        return _BUILDERS[kind](params, depth)
     except KeyError as e:
         raise ConfigError(f"generator {kind!r} is missing parameter {e}") from e
     except ValueError as e:
         raise ConfigError(f"generator {kind!r}: {e}") from e
     except Exception as e:
         raise StageError("build", str(e)) from e
-    raise ConfigError(f"unknown generator kind {kind!r}")
+
+
+def build_scene_measure(cfg: SceneConfig) -> DyadicMeasure:
+    return _build_measure(cfg.generator, cfg.depth)
 
 
 def split_separated(mu: DyadicMeasure) -> tuple[DyadicMeasure, DyadicMeasure]:
@@ -203,13 +224,8 @@ def _split_gap(mu_half: DyadicMeasure, nu_half: DyadicMeasure) -> float:
 
 
 def _distance_curve(nu: DyadicMeasure, pin, levels) -> list[tuple[int, float]]:
-    d = np.linalg.norm(nu.leaf_centers() - np.asarray(pin), axis=1)
+    d = np.sqrt(_pin_offsets(nu, pin, 0.0)[1])
     return [(j, math.log2(max(1, n))) for j, n in zip(levels, value_box_counts(d, levels))]
-
-
-def _fit_window(levels) -> list[int]:
-    # drop the two coarsest and two finest levels: discretization boundaries
-    return list(levels)[2:-2]
 
 
 def run_experiment(cfg: SceneConfig) -> ExperimentResult:
@@ -245,21 +261,18 @@ def run_experiment(cfg: SceneConfig) -> ExperimentResult:
     selected = profiles[: cfg.pins.get("count", 8)]
 
     levels = list(range(lo, hi + 1))
-    fit_levels = _fit_window(levels)
     rows = []
     curves = {}
     for idx, prof in enumerate(selected):
         curve = _distance_curve(nu_half, prof.pin, levels)
-        logc = dict(curve)
-        xs = np.array(fit_levels, dtype=float)
-        ys = np.array([logc[j] for j in fit_levels])
+        # fit without the two coarsest and two finest levels: discretization boundaries
+        xs, ys = np.array(curve[2:-2], dtype=float).T
         slope = float(np.polyfit(xs, ys, 1)[0])
         rows.append(
             {
                 "pin": prof.pin,
                 "tube_t": prof.t,
                 "exponent": slope,
-                "single_scale": {j: logc[j] / j for j in levels if j > 0},
                 "passed": slope >= target,
             }
         )

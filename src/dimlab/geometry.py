@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _entropies, _frozen, _sum_by_key
+from .dyadic import DyadicMeasure, _check_shape, _entropies, _frozen, _sum_by_key
 
 _TOL = 1e-9
 
-# Rows per block of the 3-d direction products (directions in _tube_mass_grid and
-# hyperplane_concentration, leaves in project_radial); bounds their temporaries.
-# The direction loops reuse one work array for every block: fresh temporaries
+# Rows per block of the 3-d direction products (directions in _heaviest_direction,
+# leaves in project_radial); bounds their temporaries.
+# The direction loop reuses one work array for every block: fresh temporaries
 # of this size would each be mapped and zero-filled anew by the allocator,
 # which costs more than the product itself.
 _DIRECTION_CHUNK = 128
@@ -192,6 +192,7 @@ def value_box_count(values, level: int) -> int:
 
 def _bin_line(values: np.ndarray, weights: np.ndarray, lo: float, hi: float,
               out_depth: int) -> LineMeasure:
+    _check_shape(1, out_depth)  # before building a grid of 2^out_depth cells
     n = 1 << out_depth
     if hi - lo <= 0:
         hi = lo + 2.0 ** (-out_depth)
@@ -213,19 +214,25 @@ def project_linear(mu: DyadicMeasure, theta, out_depth: int) -> LineMeasure:
     return _bin_line(vals, mu.masses, float(vals.min()), float(vals.max()), out_depth)
 
 
-def _check_pin_separation(mu: DyadicMeasure, y) -> np.ndarray:
-    """Leaf-center offsets from the pin y; raises unless y has mu.d
-    coordinates and every leaf center is at least two grid cells from y."""
+def _sq_norms(pts: np.ndarray) -> np.ndarray:
+    """Squared row norms, column by column (equal to np.sum(pts * pts, axis=1)
+    and cheaper for few columns)."""
+    return sum(pts[:, i] * pts[:, i] for i in range(pts.shape[1]))
+
+
+def _pin_offsets(mu: DyadicMeasure, y, min_dist: float) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf-center offsets from the pin y and their squared norms; raises
+    unless y has mu.d coordinates and every leaf center is at least min_dist
+    from y.  np.sqrt of the squared norms equals np.linalg.norm of the rows."""
     y = np.asarray(y, dtype=float)
     if y.shape != (mu.d,):
         raise ValueError(f"pin has {y.size} coordinates; the measure has d = {mu.d}")
     diff = mu.leaf_centers() - y
-    dist = np.linalg.norm(diff, axis=1)
-    if float(dist.min()) < 2.0 * 2.0 ** (-mu.m):
-        raise ValueError(
-            "pin is too close to the support (separation below twice the grid scale)"
-        )
-    return diff
+    sq = _sq_norms(diff)
+    dmin = math.sqrt(float(sq.min(initial=math.inf)))
+    if dmin < min_dist:
+        raise ValueError(f"pin is at distance {dmin} from the support, below {min_dist}")
+    return diff, sq
 
 
 def project_radial(mu: DyadicMeasure, y, n_cells: int) -> DirectionMeasure:
@@ -234,12 +241,12 @@ def project_radial(mu: DyadicMeasure, y, n_cells: int) -> DirectionMeasure:
         raise ValueError("cannot project the trivial measure")
     if n_cells < 2 or mu.d not in (2, 3):
         raise ValueError(f"need at least 2 cells and d = 2 or 3, not {n_cells} and d = {mu.d}")
-    diff = _check_pin_separation(mu, y)
+    diff, sq = _pin_offsets(mu, y, 2.0 * 2.0 ** (-mu.m))
     if mu.d == 2:
         ang = np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * math.pi)
         idx = np.minimum((ang / (2.0 * math.pi) * n_cells).astype(np.int64), n_cells - 1)
     else:
-        unit = diff / np.linalg.norm(diff, axis=1, keepdims=True)
+        unit = diff / np.sqrt(sq)[:, None]
         centers = _sphere_lattice(n_cells).T
         idx = np.concatenate([np.argmax(unit[i0 : i0 + _DIRECTION_CHUNK] @ centers, axis=1)
                               for i0 in range(0, len(unit), _DIRECTION_CHUNK)])
@@ -251,8 +258,7 @@ def pinned_distance(mu: DyadicMeasure, y, out_depth: int) -> LineMeasure:
     """Pushforward under x -> |x - y|, binned over [0, max distance]."""
     if mu.trivial:
         raise ValueError("cannot project the trivial measure")
-    diff = _check_pin_separation(mu, y)
-    dist = np.linalg.norm(diff, axis=1)
+    dist = np.sqrt(_pin_offsets(mu, y, 2.0 * 2.0 ** (-mu.m))[1])
     return _bin_line(dist, mu.masses, 0.0, float(dist.max()), out_depth)
 
 
@@ -279,7 +285,7 @@ def tube_mass_max(nu: DyadicMeasure, x, r: float) -> tuple[float, np.ndarray]:
     step r/4, so a lower bound for the true maximum.
     """
     _check_tube_radius(nu, r)
-    return _pin_tubes(nu, x, [r])[1][0]
+    return _pin_tubes(nu, x, [r], 0.0)[0]
 
 
 def _check_tube_radius(nu: DyadicMeasure, r: float) -> None:
@@ -292,27 +298,16 @@ def _check_tube_radius(nu: DyadicMeasure, r: float) -> None:
         raise ValueError(f"tubes need d = 2 or 3, not d = {nu.d}")
 
 
-def _sq_norms(pts: np.ndarray) -> np.ndarray:
-    """Squared row norms, column by column (equal to np.sum(pts * pts, axis=1)
-    and cheaper for few columns)."""
-    return sum(pts[:, i] * pts[:, i] for i in range(pts.shape[1]))
-
-
-def _pin_tubes(nu: DyadicMeasure, x, rs) -> tuple[float, list[tuple[float, np.ndarray]]]:
-    """(distance from the pin x to the nearest leaf center of nu,
-    tube_mass_max's (mass, direction) at each radius in rs), with the leaf
-    offsets, their squared norms and, in d = 2, their angles computed once for
-    all radii.  The radii must have passed _check_tube_radius."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (nu.d,):
-        raise ValueError(f"pin has {x.size} coordinates; the measure has d = {nu.d}")
-    pts = nu.leaf_centers() - x
-    sq = _sq_norms(pts)
-    dmin = math.sqrt(float(sq.min(initial=math.inf)))
+def _pin_tubes(nu: DyadicMeasure, x, rs, min_dist: float) -> list[tuple[float, np.ndarray]]:
+    """tube_mass_max's (mass, direction) at each radius in rs, with the leaf
+    offsets from the pin x (checked by _pin_offsets against min_dist), their
+    squared norms and, in d = 2, their angles computed once for all radii.
+    The radii must have passed _check_tube_radius."""
+    pts, sq = _pin_offsets(nu, x, min_dist)
     if nu.d == 2:
         ang = np.arctan2(pts[:, 1], pts[:, 0])
-        return dmin, [_tube_mass_sweep(sq, ang, nu.masses, r) for r in rs]
-    return dmin, [_tube_mass_grid(pts, nu.masses, r, _hemisphere_blocks(r / 4.0)) for r in rs]
+        return [_tube_mass_sweep(sq, ang, nu.masses, r) for r in rs]
+    return [_tube_mass_grid(pts, sq, nu.masses, r, _hemisphere_blocks(r / 4.0)) for r in rs]
 
 
 def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray,
@@ -354,20 +349,31 @@ def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray) -> tuple[
     return float(cover[k]), float(s[k])
 
 
-def _tube_mass_grid(pts: np.ndarray, w: np.ndarray, r: float,
+def _tube_mass_grid(pts: np.ndarray, sq: np.ndarray, w: np.ndarray, r: float,
                     blocks) -> tuple[float, np.ndarray]:
-    """Max slab mass over the directions in `blocks`, an iterable of (k, d)
-    arrays of unit directions with k <= _DIRECTION_CHUNK, with leaf offsets
-    `pts` from the pin."""
-    sq = _sq_norms(pts)[:, None]
+    """Max slab mass over the directions in `blocks`, with leaf offsets
+    `pts` from the pin and their squared norms `sq`."""
+    sq = sq[:, None]
+    r2 = r * r + _TOL
+
+    def slab(proj):  # |p|^2 - <p, u>^2 <= r^2 + _TOL
+        np.subtract(sq, np.multiply(proj, proj, out=proj), out=proj)
+        return np.less_equal(proj, r2, out=proj)
+
+    return _heaviest_direction(pts, w, blocks, slab)
+
+
+def _heaviest_direction(pts: np.ndarray, w: np.ndarray, blocks,
+                        inside) -> tuple[float, np.ndarray]:
+    """(mass, direction) of a heaviest unit direction u in `blocks`, an
+    iterable of (k, d) arrays with k <= _DIRECTION_CHUNK: the w-mass of the
+    rows of pts that inside(proj) marks 1.0, where proj holds <p, u> for each
+    row p and column u and inside overwrites it with 1.0 or 0.0."""
     best = -1.0
     best_dir = None
-    r2 = r * r
     buf = np.empty((len(pts), _DIRECTION_CHUNK))
     for U in blocks:
-        proj = np.matmul(pts, U.T, out=buf[:, : len(U)])
-        np.subtract(sq, np.multiply(proj, proj, out=proj), out=proj)
-        masses = w @ np.less_equal(proj, r2 + _TOL, out=proj)  # 1.0 or 0.0
+        masses = w @ inside(np.matmul(pts, U.T, out=buf[:, : len(U)]))
         j = int(np.argmax(masses))
         if masses[j] > best:
             best = float(masses[j])
@@ -403,21 +409,15 @@ def thin_tubes_profile(
     rs = sorted(float(r) for r in r_levels)
     if len(rs) < 2:
         raise ValueError("need at least two tube radii")
-    if not all(map(math.isfinite, rs)):
-        raise ValueError(f"tube radii must be finite: {rs}")
     if len(set(rs)) != len(rs):
         raise ValueError(f"tube radii must be distinct: {rs}")
     for r in rs:
         _check_tube_radius(nu, r)
-    max_r = rs[-1]
     pins = mu.leaf_centers()[_quantile_leaves(mu.masses, n_pins)]
     out = []
     for pin in pins:
-        dmin, tubes = _pin_tubes(nu, pin, rs)
-        if dmin < 4.0 * max_r:
-            raise ValueError(
-                f"supports not separated: pin at distance {dmin} < 4*max r"
-            )
+        # the supports must be separated by 4 times the largest radius
+        tubes = _pin_tubes(nu, pin, rs, 4.0 * rs[-1])
         table = [(r, mass) for r, (mass, _) in zip(rs, tubes)]
         logs_r = np.log2([r for r, _ in table])
         logs_m = np.log2([max(m, 1e-300) for _, m in table])
@@ -454,14 +454,9 @@ def hyperplane_concentration(rho: DirectionMeasure, a: float) -> float:
         phi = (rho.index + 0.5) * (2.0 * math.pi / rho.n_cells)
         start = np.mod(phi - alpha, math.pi)
         return _heaviest_point(start, start + 2.0 * alpha, rho.masses)[0]
-    cells = rho.cell_centers()[rho.index]
-    best = 0.0
-    buf = np.empty((len(cells), _DIRECTION_CHUNK))
-    for U in _hemisphere_blocks(a / 4.0):
-        inner = np.matmul(cells, U.T, out=buf[:, : len(U)])
-        near = np.less_equal(np.abs(inner, out=inner), a + _TOL, out=inner)  # 1.0 or 0.0
-        best = max(best, float((rho.masses @ near).max()))
-    return best
+    return _heaviest_direction(
+        rho.cell_centers()[rho.index], rho.masses, _hemisphere_blocks(a / 4.0),
+        lambda inner: np.less_equal(np.abs(inner, out=inner), a + _TOL, out=inner))[0]
 
 
 def _failing_direction_mass(rho: DirectionMeasure, mu: DyadicMeasure, level: int,

@@ -71,12 +71,16 @@ def _dimension(d) -> float:
 
 
 class Profile:
-    """Nondecreasing map D: [0, d] -> [0, k] scoring projection gain per slope."""
+    """Nondecreasing map D: [0, d] -> [0, inf) scoring projection gain per
+    slope.  Subclasses give the formula as `_values`, on a float array."""
 
     d: float
-    k: float
 
     def __call__(self, t):
+        val = self._values(np.asarray(t, dtype=float))
+        return val if val.ndim else float(val)
+
+    def _values(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -88,12 +92,9 @@ class HighDimProfile(Profile):
         if not self.d.is_integer():
             raise ValueError(f"d must be an integer, got {d}")
         self.s = _finite("s", s)
-        self.k = 1.0
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        val = np.maximum(np.minimum(1.0, self.s + t - (self.d - 1.0)), t / self.d)
-        return val if val.ndim else float(val)
+    def _values(self, t):
+        return np.maximum(np.minimum(1.0, self.s + t - (self.d - 1.0)), t / self.d)
 
 
 class TrivialHalfProfile(Profile):
@@ -101,12 +102,9 @@ class TrivialHalfProfile(Profile):
 
     def __init__(self, d: float = 2.0):
         self.d = _dimension(d)
-        self.k = self.d / 2.0
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        val = t / 2.0
-        return val if val.ndim else float(val)
+    def _values(self, t):
+        return t / 2.0
 
 
 class KaufmanProfile(Profile):
@@ -115,17 +113,14 @@ class KaufmanProfile(Profile):
     def __init__(self, s: float, d: float = 2.0):
         self.d = _dimension(d)
         self.s = _finite("s", s)
-        self.k = self.s
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        val = np.minimum(t, self.s)
-        return val if val.ndim else float(val)
+    def _values(self, t):
+        return np.minimum(t, self.s)
 
 
 class PlanarProfile(Profile):
     """Three-regime planar profile: identity, then a plateau s + eta, then
-    t/2 beyond the crossover s' solving s + eta = s'/2 (capped at 2).
+    t/2 beyond the crossover s' = 2 (s + eta), capped at 2.
 
     The plateau height eta is a positive constant.  The theory does not pin
     it down numerically; the default of 0.01 is clearly non-canonical.
@@ -138,33 +133,12 @@ class PlanarProfile(Profile):
             raise ValueError(f"eta must be positive and finite, got {eta}")
         self.d = 2.0
         self.s = float(s)
-        self.k = 1.0
-        self._eta = float(eta)
-        self.s_prime = self._solve_crossover()
+        self.eta = float(eta)
+        self.s_prime = min(2.0, 2.0 * (self.s + self.eta))
 
-    def eta(self, t: float) -> float:
-        return 0.0 if t <= self.s else self._eta
-
-    def _solve_crossover(self) -> float:
-        # root of g(t) = s + eta - t/2 on (s, 2]; g(s+) > 0, g nonincreasing
-        g = lambda t: self.s + self.eta(t) - t / 2.0
-        hi = 2.0
-        if g(hi) >= 0.0:
-            return hi
-        lo = self.s
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if g(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        plateau = self.s + self._eta
-        val = np.where(t <= self.s, t, np.where(t <= self.s_prime, plateau, t / 2.0))
-        return val if val.ndim else float(val)
+    def _values(self, t):
+        plateau = self.s + self.eta
+        return np.where(t <= self.s, t, np.where(t <= self.s_prime, plateau, t / 2.0))
 
 
 class CustomProfile(Profile):
@@ -177,16 +151,15 @@ class CustomProfile(Profile):
             self.ys = tuple(_finite("value", y) for y in ys)
         except TypeError:
             raise ValueError("breakpoints and values must be lists of numbers") from None
+        if not self.xs or len(self.xs) != len(self.ys):
+            raise ValueError("need one value per breakpoint and at least one breakpoint")
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(b < a - _TOL for a, b in zip(self.ys, self.ys[1:])):
             raise ValueError("profile must be nondecreasing")
-        self.k = max(self.ys)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        val = np.interp(t, self.xs, self.ys)
-        return val if val.ndim else float(val)
+    def _values(self, t):
+        return np.interp(t, self.xs, self.ys)
 
 
 # -- superlinearity --------------------------------------------------------
@@ -644,27 +617,20 @@ def sigma_tau(
                 consider(from_slopes(slopes))
         # local descent on the best found slope vector
         if best_f is not None and len(best_f.xs) == n_segments + 1:
-            cur = list(np.diff(best_f.ys) / np.diff(best_f.xs))
             levels = sorted(slope_levels)
-            improved = True
-            while improved and n_eval < budget + 4 * n_segments:
-                improved = False
+            while n_eval < budget + 4 * n_segments:
+                cur = list(np.diff(best_f.ys) / np.diff(best_f.xs))
                 base = best_val
                 for i in range(n_segments):
-                    for delta in (-1, 1):
-                        try:
-                            k = levels.index(min(levels, key=lambda s: abs(s - cur[i])))
-                        except ValueError:
-                            continue
-                        k2 = k + delta
+                    k = levels.index(min(levels, key=lambda s: abs(s - cur[i])))
+                    for k2 in (k - 1, k + 1):
                         if not (0 <= k2 < len(levels)):
                             continue
                         trial = list(cur)
                         trial[i] = levels[k2]
                         consider(from_slopes(trial))
-                if best_val < base - 1e-15:
-                    improved = True
-                    cur = list(np.diff(best_f.ys) / np.diff(best_f.xs))
+                if best_val >= base - 1e-15:
+                    break
 
     if best_f is None:
         raise ValueError("no feasible candidate found")
@@ -712,7 +678,7 @@ def verify_planar_bound(
     if s_grid is None:
         s_grid = [s_max * k / 6.0 for k in range(1, 7)]
     rows = []
-    for idx, s in enumerate(s_grid):
+    for s in s_grid:
         if not (0.0 < s <= s_max + _TOL):
             raise ValueError(f"s={s} outside (0, {s_max}]")
         D = PlanarProfile(s, eta=eta)
@@ -723,7 +689,6 @@ def verify_planar_bound(
                 "tau": tau,
                 "estimate": res.estimate,
                 "margin": res.estimate - s,
-                "certificate_id": f"s{idx}",
                 "certificate": res.certificate,
                 "base_case": s <= u / 3.0,
             }

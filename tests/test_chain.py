@@ -7,7 +7,6 @@ from dimlab.chain import (
     _SAMPLE_LIMIT,
     ScaleSchedule,
     _integration_leaves,
-    _map_values,
     chain_sides,
     chain_sides_robust,
     fit_chain_constant,
@@ -235,7 +234,9 @@ def test_chain_sides_match_per_point_reference():
         else:
             lhs, rhs, _ = chain_sides_robust(mu, mu_p, kind, y, sched, Theta)
             cap = 4.0 * Theta
-        vals = _map_values(kind, mu_p.leaf_centers(), np.asarray(y))
+        diff = mu_p.leaf_centers() - np.asarray(y)
+        vals = (np.linalg.norm(diff, axis=1) if kind == "pinned_distance" else
+                np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2 * math.pi) / (2 * math.pi))
         assert lhs == shannon_reference(value_cell_masses_reference(vals, mu_p.masses, sched.M))
         base, w = _integration_leaves(mu_p)
         ref = rhs_sum_reference(mu, kind, np.asarray(y), sched, base, w, cap)

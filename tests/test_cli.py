@@ -22,6 +22,14 @@ def test_measure_build_and_info(tmp_path, capsys):
     assert "normalized=True" in captured
 
 
+def test_measure_build_has_no_scale_window(tmp_path):
+    """measure build keeps the size guard but not a scene's six-level window."""
+    out = str(tmp_path / "mu.txt")
+    assert main(["measure", "build", "--kind", "cantor_product",
+                 "--params", '{"r": 0.25, "d": 2}', "--depth", "4", "--out", out]) == 0
+    assert DyadicMeasure.from_text(Path(out).read_text()).m == 4
+
+
 def test_dims_command(tmp_path, capsys):
     out = str(tmp_path / "mu.txt")
     main(["measure", "build", "--kind", "cantor_product",
@@ -172,7 +180,10 @@ def _write(path, text):
     "highdim_s_nan", "highdim_d_inf", "highdim_d_zero", "kaufman_s_nan", "trivial_d_inf",
     "custom_value_nan", "custom_breakpoints_number", "verify_highdim_s_nan", "cdtable_reversed",
     "sigma_eval_f_nan", "sigma_eval_f_inf", "rho_no_mass_adapted", "rho_no_mass_entropy_proj",
-    "radial_cells_zero", "radial_one_dim",
+    "radial_cells_zero", "radial_one_dim", "distance_depth_100", "adapted_level_100",
+    "build_r_string", "build_product_set_number", "build_radius_null", "build_d_null",
+    "build_delta_level_fraction", "build_too_deep", "verify_highdim_slack_nan",
+    "tubes_not_separated",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -204,6 +215,10 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     def custom_eval(name, **rec):
         path = _write(tmp_path / f"custom_{name}.json", json.dumps({"d": 2.0, **rec}))
         return ["sigma", "eval", "--f", f, "--tau", "0.1", "--profile", "custom:" + path]
+
+    def build(kind, params, depth="8"):
+        return ["measure", "build", "--kind", kind, "--params", json.dumps(params),
+                "--depth", depth]
 
     def scene_run(name, **fields):
         rec = {"scenario": name, "generator": {"kind": "cantor_product", "params": {}},
@@ -301,6 +316,19 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "radial_cells_zero": ["radial", cube, "--pin", "-0.5", "0.5", "0.5", "--cells", "0"],
         "radial_one_dim": ["radial", _write(tmp_path / "line.txt", "1 4\n3 1.0\n"),
                            "--pin", "-0.5", "--cells", "16"],
+        "distance_depth_100": ["distance", mu, "--pin", "-0.5", "0.5", "--depth", "100"],
+        "adapted_level_100": ["audit", "adapted", "--rho", rho, "--mu", mu,
+                              "--level", "100", "--s", "0.5", "--eps", "0.1"],
+        "build_r_string": build("cantor_product", {"r": "x"}),
+        "build_product_set_number": build("product_set", {"A": 5}),
+        "build_radius_null": build("circle_pair", {"radius": None}),
+        "build_d_null": build("cantor_product", {"d": None}),
+        "build_delta_level_fraction": build("train_track", {"delta_level": 2.5}),
+        "build_too_deep": build("cantor_product", {"r": 0.25}, depth="21"),
+        "verify_highdim_slack_nan": ["sigma", "verify-highdim", "--d", "3", "--t", "1.5",
+                                     "--s", "1.2", "--slack", "nan"],
+        "tubes_not_separated": ["tubes", "--mu", right, "--nu", right,
+                                "--radii", "0.0625", "0.03125"],
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -342,6 +370,16 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "rho_no_mass_entropy_proj": "no mass",
         "radial_cells_zero": "need at least 2 cells",
         "radial_one_dim": "d = 2 or 3",
+        "distance_depth_100": "depth must be in 0..40",
+        "adapted_level_100": "depth must be in 0..40",
+        "build_r_string": "'r' must be of type float",
+        "build_product_set_number": "'A' must be of type dict",
+        "build_radius_null": "'radius' must be of type float",
+        "build_d_null": "'d' must be of type int",
+        "build_delta_level_fraction": "'delta_level' must be of type int",
+        "build_too_deep": "outside [2, 20]",
+        "verify_highdim_slack_nan": "slack must be finite",
+        "tubes_not_separated": "from the support",
     }.get(case, "") in err
     assert out == ""
     assert len(err.splitlines()) == 1

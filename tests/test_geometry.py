@@ -191,7 +191,7 @@ def test_tube_sweep_matches_bruteforce_and_bounds_grid():
                 assert abs(mass - tube_mass_max_bruteforce(mu, pin, r)) <= 1e-12
                 dirs = planar_direction_grid(r / 4.0)
                 blocks = np.array_split(dirs, range(_DIRECTION_CHUNK, len(dirs), _DIRECTION_CHUNK))
-                grid, _ = _tube_mass_grid(pts, mu.masses, r, blocks)
+                grid, _ = _tube_mass_grid(pts, sq, mu.masses, r, blocks)
                 assert grid <= mass + 1e-12
                 # the returned direction's slab holds the returned mass
                 slab = sq - (pts @ u) ** 2 <= r * r + 1e-9 + 1e-12
@@ -249,9 +249,12 @@ def test_thin_tubes_profile_contract():
         ms = [m for _, m in p.table]
         assert rs == sorted(rs)
         assert all(b >= a - 1e-12 for a, b in zip(ms, ms[1:]))  # mass grows with r
-    # separation contract: huge radii must be rejected
-    with pytest.raises(ValueError):
+    # separation contract: huge radii, and pins in the tube measure's support,
+    # must be rejected
+    with pytest.raises(ValueError, match="from the support"):
         thin_tubes_profile(mu_half, nu_half, [0.25, 0.5], n_pins=2)
+    with pytest.raises(ValueError, match="from the support"):
+        thin_tubes_profile(nu_half, nu_half, radii, n_pins=4)
     for n_pins in (0, -3):
         with pytest.raises(ValueError, match="at least one pin"):
             thin_tubes_profile(mu_half, nu_half, radii, n_pins=n_pins)

@@ -126,6 +126,7 @@ def test_planar_profile_crossover():
     D = PlanarProfile(0.5, eta=0.01)
     sp = D.s_prime
     assert abs(0.5 + 0.01 - sp / 2.0) < 1e-9
+    assert PlanarProfile(1.5, eta=0.6).s_prime == 2.0  # the crossover is capped at 2
     assert float(D(0.3)) == pytest.approx(0.3)
     assert float(D(0.8)) == pytest.approx(0.51)
     assert float(D(1.5)) == pytest.approx(0.75)
@@ -154,6 +155,8 @@ def test_custom_profile_validation():
     (lambda: CustomProfile([0.0, 2.0], [0.0, None], 2.0), "lists of numbers"),
     (lambda: CustomProfile(5, [0.0, 1.0], 2.0), "lists of numbers"),
     (lambda: CustomProfile([0.0, 2.0], [0.0, 1.0], 0.0), "d must be positive"),
+    (lambda: CustomProfile([0.0, 2.0], [0.0], 2.0), "one value per breakpoint"),
+    (lambda: CustomProfile([], [], 2.0), "at least one breakpoint"),
 ])
 def test_profiles_reject_bad_parameters(make, match):
     with pytest.raises(ValueError, match=match):
