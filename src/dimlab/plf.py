@@ -43,16 +43,9 @@ class PLFunction:
     def is_nondecreasing(self, tol: float = _TOL) -> bool:
         return bool(np.all(self.slopes() >= -tol))
 
-    def is_lipschitz(self, d: float, tol: float = _TOL) -> bool:
-        return bool(np.all(np.abs(self.slopes()) <= d + tol))
-
     def in_class(self, d: float, u: float, tol: float = _TOL) -> bool:
         """Membership in L(d,u): d-Lipschitz and above the line u*x."""
-        if not self.is_lipschitz(d, tol):
-            return False
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        return bool(np.all(ys >= u * xs - tol))
+        return bool(_in_class_rows(self.xs, self.ys, d, u, tol))
 
     def class_violation(self, d: float, u: float) -> tuple[str, float] | None:
         """First violated L(d,u) condition and its witness x, or None."""
@@ -82,6 +75,15 @@ class PLFunction:
         except (KeyError, TypeError) as e:
             raise ValueError(
                 f"a PL function needs 'breakpoints' and 'values' lists: {e!r}") from None
+
+
+def _in_class_rows(xs, ys, d: float, u: float, tol: float = _TOL) -> np.ndarray:
+    """Membership in L(d,u) of each PL function with breakpoints xs and
+    values ys[..., :] (a row per function)."""
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    lipschitz = np.all(np.abs(np.diff(ys, axis=-1) / np.diff(xs)) <= d + tol, axis=-1)
+    return lipschitz & np.all(ys >= u * xs - tol, axis=-1)
 
 
 def linear(slope: float) -> PLFunction:

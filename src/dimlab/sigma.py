@@ -23,9 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plf import PLFunction, from_slopes, linear
+from .plf import PLFunction, _in_class_rows, from_slopes, linear
 
 _TOL = 1e-9
+# candidates per batched sub-grid bound in sigma_tau; from about 4 a batch
+# costs less per candidate than one at a time, and 8 keeps its weights
+# (8 x 201^2 floats at grid 800) at half of one full-grid evaluation's
+_BATCH = 8
 
 
 # -- the threshold constant -------------------------------------------------
@@ -188,25 +192,28 @@ def is_superlinear(f: PLFunction, a: float, b: float, sigma: float, tol: float =
 
 
 def _slope_rows(G: np.ndarray, fG: np.ndarray, p: np.ndarray, q1: int) -> np.ndarray:
-    """Best superlinear slopes of f (fG = f(G)) from the starts G[p], p
-    increasing, to the ends G[q], p[0] < q <= q1, on the sorted grid G:
-    S[r, q - p[0] - 1] = best_slope(f, G[p[r]], G[q]), exact when G contains
-    f's breakpoints (inf for q <= p[r])."""
+    """Best superlinear slopes of f (fG = f(G), or a row f(G) per function
+    on a leading axis) from the starts G[p], p increasing, to the ends G[q],
+    p[0] < q <= q1, on the sorted grid G: S[..., r, q - p[0] - 1] =
+    best_slope(f, G[p[r]], G[q]), exact when G contains f's breakpoints
+    (inf for q <= p[r])."""
     ends = slice(p[0] + 1, q1 + 1)
     dx = G[ends] - G[p, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        S = (fG[ends] - fG[p, None]) / dx
+        S = (fG[..., None, ends] - fG[..., p, None]) / dx
     # q <= p[r] only happens for q <= p[-1]
     stair = slice(0, p[-1] - p[0])
-    S[:, stair][dx[:, stair] <= 0] = np.inf
-    return np.minimum.accumulate(S, axis=1, out=S)
+    np.copyto(S[..., stair], np.inf, where=dx[:, stair] <= 0)
+    return np.minimum.accumulate(S, axis=-1, out=S)
 
 
-def _row_chunk(n: int) -> int:
-    """Rows per _slope_rows call on an n-step grid.  A chunk spans the union
-    of its rows' bands, so larger chunks waste columns and smaller ones pay
-    more per-call overhead; about 48 rows was fastest for n = 100 to 800."""
-    return max(48, n // 16)
+def _row_chunk(n: int, k: int = 1) -> int:
+    """Rows per _slope_rows call on an n-step grid for k functions at once.
+    A chunk spans the union of its rows' bands, so larger chunks waste
+    columns and smaller ones pay more per-call overhead; about 48 rows was
+    fastest for one function and n = 100 to 800, and 16 to 32 rows for two
+    to eight functions on the sub-grids of n = 400 and 800."""
+    return max(16, max(48, n // 16) // k)
 
 
 # -- interval decompositions -----------------------------------------------
@@ -368,13 +375,75 @@ def superlinear_decomposition(
 # -- exact inner maximization ----------------------------------------------
 
 
+def _positive_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def _grid(grid_n: int) -> np.ndarray:
     """The endpoint grid {i/grid_n : 0 <= i <= grid_n}."""
-    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)):
-        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
-    if grid_n < 1:
-        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
-    return np.arange(grid_n + 1) / grid_n
+    return np.arange(_positive_int("grid_n", grid_n) + 1) / grid_n
+
+
+def _band(xs: np.ndarray, tau: float):
+    """The ends lo[i] <= j <= hi[i] of the band per start i on the sorted
+    grid xs, a little wider than the allowable xs[i] + tau <= xs[j] <=
+    2 xs[i], and the starts whose band is not empty."""
+    idx = np.arange(len(xs))
+    lo = np.maximum(np.searchsorted(xs, xs + (tau - 4 * _TOL)), idx + 1)
+    hi = np.searchsorted(xs, 2.0 * xs + 4 * _TOL, side="right") - 1
+    return lo, hi, np.flatnonzero(lo <= hi)
+
+
+def _weights(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray, band):
+    """Column-major weights W[r, j, i] of [xs[i], xs[j]] against fs[r], for
+    functions that share their breakpoints: -inf off the band and where no
+    sigma in [0, d] certifies the interval.  Also the clipped slopes per row
+    chunk, (c0, j0, sg) with sg[r, i - c0, j - j0], for the certificate.
+
+    Slopes and weights are built only on the band; the exact allowability
+    test then runs on it, so every weight equals the one a full (n+1)^2
+    matrix would hold.
+    """
+    lo, hi, rows = band
+    n = len(xs) - 1
+    G = np.union1d(xs, np.clip(np.array(fs[0].xs), 0.0, 1.0))
+    gi = np.searchsorted(G, xs)
+    fG = np.array([f(G) for f in fs])
+    W = np.full((len(fs), n + 1, n + 1), -math.inf)
+    clipped = []
+    chunk = _row_chunk(n, len(fs))
+    for c0 in range(rows[0], rows[-1] + 1, chunk):
+        c1 = min(c0 + chunk, rows[-1] + 1)
+        j0, j1 = lo[c0], hi[c1 - 1] + 1
+        if j1 <= j0:
+            continue
+        S = _slope_rows(G, fG, gi[c0:c1], gi[j1 - 1])
+        Bg = S[..., gi[j0:j1] - (gi[c0] + 1)]
+        lens = xs[j0:j1] - xs[c0:c1, None]
+        allowable = (lens >= tau - _TOL) & (lens <= xs[c0:c1, None] + _TOL) & (lens > 0)
+        sg = np.clip(Bg, 0.0, D.d)
+        W[:, j0:j1, c0:c1] = np.where(allowable & (Bg >= -_TOL),
+                                      lens * np.asarray(D(sg)), -math.inf).transpose(0, 2, 1)
+        clipped.append((c0, j0, sg))
+    return W, clipped
+
+
+def _column_blocks(band):
+    """Blocks [j0, j1) of columns and the rows [r0, r1) whose bands hold a
+    column of the block.  Each such row is at most j - k for column j, so a
+    block of k columns reads only entries of the DP finished before it."""
+    lo, hi, rows = band
+    idx = np.arange(len(lo))
+    k = int(np.min(lo[rows] - rows))
+    rstart = np.searchsorted(hi, idx).tolist()
+    rend = np.searchsorted(lo, idx, side="right").tolist()
+    for j0 in range(int(lo[rows[0]]), len(lo), k):
+        j1 = min(j0 + k, len(lo))
+        yield j0, j1, rstart[j0], rend[j1 - 1]
 
 
 def _grid_dp(D: Profile, f: PLFunction, tau: float, xs: np.ndarray):
@@ -384,57 +453,18 @@ def _grid_dp(D: Profile, f: PLFunction, tau: float, xs: np.ndarray):
     Returns (value, take, sig): take[j] is the start index of the interval
     ending at xs[j] in an optimal family on xs[:j+1] (-1 if none), and sig[j]
     that interval's best superlinear slope clipped to [0, d] (nan if none).
-
-    Slopes and weights are built only on a band of ends lo[i] <= j <= hi[i]
-    per start i, a little wider than the allowable xs[i] + tau <= xs[j] <=
-    2 xs[i]; the exact allowability test then runs on the band, so every
-    weight equals the one a full (n+1)^2 matrix would hold.
     """
-    d = D.d
     n = len(xs) - 1
-    G = np.union1d(xs, np.clip(np.array(f.xs), 0.0, 1.0))
-    gi = np.searchsorted(G, xs)
-    fG = np.asarray(f(G))
-    idx = np.arange(n + 1)
-    lo = np.maximum(np.searchsorted(xs, xs + (tau - 4 * _TOL)), idx + 1)
-    hi = np.searchsorted(xs, 2.0 * xs + 4 * _TOL, side="right") - 1
-    rows = np.flatnonzero(lo <= hi)
-
     best = np.zeros(n + 1)
     take = np.full(n + 1, -1, dtype=int)
     sig = np.full(n + 1, np.nan)
-    if not len(rows):
+    band = _band(xs, tau)
+    if not len(band[2]):
         return 0.0, take, sig
-    NEG = -math.inf
-    # column-major weights: W[j, i] is the weight of [xs[i], xs[j]], NEG off
-    # the band and where no sigma in [0, d] certifies the interval; each row
-    # chunk keeps its clipped slopes for the certificate
-    W = np.full((n + 1, n + 1), NEG)
-    clipped = []
-    chunk = _row_chunk(n)
-    for c0 in range(rows[0], rows[-1] + 1, chunk):
-        c1 = min(c0 + chunk, rows[-1] + 1)
-        j0, j1 = lo[c0], hi[c1 - 1] + 1
-        if j1 <= j0:
-            continue
-        S = _slope_rows(G, fG, gi[c0:c1], gi[j1 - 1])
-        Bg = S[:, gi[j0:j1] - (gi[c0] + 1)]
-        lens = xs[j0:j1] - xs[c0:c1, None]
-        allowable = (lens >= tau - _TOL) & (lens <= xs[c0:c1, None] + _TOL) & (lens > 0)
-        sg = np.clip(Bg, 0.0, d)
-        W[j0:j1, c0:c1] = np.where(allowable & (Bg >= -_TOL), lens * np.asarray(D(sg)), NEG).T
-        clipped.append((c0, j0, sg))
-
-    # Column j reads the rows rstart[j] <= i < rend[j] whose bands hold j.
-    # Each is at most j - k, so a block of k columns reads only entries of
-    # best finished before the block.
-    k = int(np.min(lo[rows] - rows))
-    rstart = np.searchsorted(hi, idx).tolist()
-    rend = np.searchsorted(lo, idx, side="right").tolist()
+    W, clipped = _weights(D, [f], tau, xs, band)
+    W = W[0]
     b = 0.0
-    for j0 in range(int(lo[rows[0]]), n + 1, k):
-        j1 = min(j0 + k, n + 1)
-        r0, r1 = rstart[j0], rend[j1 - 1]
+    for j0, j1, r0, r1 in _column_blocks(band):
         if r1 <= r0:
             best[j0:j1] = b
             continue
@@ -448,8 +478,8 @@ def _grid_dp(D: Profile, f: PLFunction, tau: float, xs: np.ndarray):
     ends = np.flatnonzero(take >= 0)
     starts = take[ends]
     for c0, j0, sg in clipped:
-        sel = (starts >= c0) & (starts < c0 + len(sg))
-        sig[ends[sel]] = sg[starts[sel] - c0, ends[sel] - j0]
+        sel = (starts >= c0) & (starts < c0 + sg.shape[1])
+        sig[ends[sel]] = sg[0, starts[sel] - c0, ends[sel] - j0]
     return float(best[n]), take, sig
 
 
@@ -482,16 +512,32 @@ def sigma_for_f(
     return value, dec
 
 
-def _pruning_bound(D: Profile, f: PLFunction, tau: float, xs: np.ndarray) -> float:
-    """Lower bound for the value of f on the grid xs: its value on the
-    sub-grid xs[::4].
+def _pruning_bounds(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray) -> np.ndarray:
+    """Lower bounds for the values of fs, functions that share their
+    breakpoints, on the grid xs: their values on the sub-grid xs[::4].
 
     Every family with endpoints on the sub-grid is a family on xs, and the
-    sub-grid points are the same floats, so the bound holds up to rounding
+    sub-grid points are the same floats, so each bound holds up to rounding
     in the best slopes (exact on the grid united with f's breakpoints), far
-    below 1e-12.
+    below 1e-12.  One DP carries all of fs on a leading axis; it takes the
+    same sums and maxima as `_grid_dp`, so each bound equals
+    `_grid_dp(D, f, tau, xs[::4])[0]` bit for bit.
     """
-    return _grid_dp(D, f, tau, xs[::4])[0]
+    sub = xs[::4]
+    best = np.zeros((len(fs), len(sub)))
+    band = _band(sub, tau)
+    if not len(band[2]):
+        return best[:, -1]
+    W, _ = _weights(D, fs, tau, sub, band)
+    for j0, j1, r0, r1 in _column_blocks(band):
+        if r1 > r0:
+            # best of each column's own intervals, then the running maximum
+            # from the column before the block
+            np.max(W[:, j0:j1, r0:r1] + best[:, None, r0:r1], axis=2, out=best[:, j0:j1])
+            np.maximum.accumulate(best[:, j0 - 1:j1], axis=1, out=best[:, j0 - 1:j1])
+        else:
+            best[:, j0:j1] = best[:, j0 - 1, None]
+    return best[:, -1]
 
 
 # -- adversarial outer minimization ----------------------------------------
@@ -555,72 +601,94 @@ def sigma_tau(
     already exceeds the best value cannot win and gets none, so
     `n_full_evals <= n_candidates` and the result is the same as with a full
     evaluation of every candidate.
+
+    The sub-grid bounds read nothing of the search, so one DP computes them
+    for up to _BATCH consecutive candidates with the same breakpoints: the
+    two-slope candidates with inner breakpoint x0 (whose class test runs on
+    a row of values before any function is built), or candidates of another
+    phase (a descent sweep builds all its trials from the slopes at its
+    start).  The batch is then walked in generation order, so every output
+    equals that of bounding one candidate at a time.
     """
     d = D.d
     if not (0.0 < t < d):
         raise ValueError(f"t must be in (0, {d}), got {t}")
     if not (0.0 < tau <= 0.5):
         raise ValueError(f"tau must be in (0, 1/2], got {tau}")
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+    _positive_int("budget", budget)
+    _positive_int("n_segments", n_segments)
     if slope_levels is None:
         slope_levels = [d * i / 8.0 for i in range(9)]
+    try:
+        slope_levels = [float(s) for s in slope_levels]
+    except (TypeError, ValueError):
+        slope_levels = []
+    if not slope_levels or not all(map(math.isfinite, slope_levels)):
+        raise ValueError("slope_levels must be a non-empty list of finite numbers")
     if grid_n is None:
         grid_n = _default_grid_n(tau, n_segments)
     xs = _grid(grid_n)
 
-    best_val = math.inf
-    best_f = None
-    best_dec = None
-    n_eval = 0
-    n_full = 0
-
-    def consider(f: PLFunction):
-        nonlocal best_val, best_f, best_dec, n_eval, n_full
-        if not f.in_class(d, t):
-            return
-        n_eval += 1
-        if best_val < math.inf and _pruning_bound(D, f, tau, xs) > best_val + 1e-12:
-            return
-        val, dec = sigma_for_f(D, f, tau, grid_n)
-        n_full += 1
-        if val < best_val:
-            best_val, best_f, best_dec = val, f, dec
-
     # explicit feasible point: the boundary line of the class
-    consider(linear(t))
+    best_f = linear(t)
+    best_val, best_dec = sigma_for_f(D, best_f, tau, grid_n)
+    n_eval = n_full = 1
+
+    def consider(fs):
+        """Walk fs, functions in L(d, t) with the same breakpoints, in order."""
+        nonlocal best_val, best_f, best_dec, n_eval, n_full
+        fs = iter(fs)
+        while batch := list(itertools.islice(fs, _BATCH)):
+            for f, bound in zip(batch, _pruning_bounds(D, batch, tau, xs)):
+                n_eval += 1
+                if bound > best_val + 1e-12:
+                    continue
+                val, dec = sigma_for_f(D, f, tau, grid_n)
+                n_full += 1
+                if val < best_val:
+                    best_val, best_f, best_dec = val, f, dec
 
     total = len(slope_levels) ** n_segments
     if total <= budget:
-        for combo in itertools.product(slope_levels, repeat=n_segments):
-            consider(from_slopes(combo))
+        fs = map(from_slopes, itertools.product(slope_levels, repeat=n_segments))
+        consider(f for f in fs if f.in_class(d, t))
     else:
-        # structured two-slope candidates
-        fine = [d * i / 16.0 for i in range(17)]
+        # structured two-slope candidates: a row of s2 per s1 until the
+        # budget is reached, all rows with breakpoint x0 walked together
+        fine = np.array([d * i / 16.0 for i in range(17)])
+        ys = np.zeros((len(fine), 3))
         for k in range(1, n_segments):
             x0 = k / n_segments
-            for s1 in fine:
-                if n_eval >= budget:
+            bx = (0.0, x0, 1.0)
+            fs = []
+            for s1 in fine.tolist():
+                if n_eval + len(fs) >= budget:
                     break
-                for s2 in fine:
-                    f = PLFunction(
-                        (0.0, x0, 1.0), (0.0, s1 * x0, s1 * x0 + s2 * (1.0 - x0))
-                    )
-                    consider(f)
+                ys[:, 1] = s1 * x0
+                ys[:, 2] = s1 * x0 + fine * (1.0 - x0)
+                rows = ys[_in_class_rows(bx, ys, d, t)].tolist()
+                fs += [PLFunction(bx, tuple(row)) for row in rows]
+            consider(fs)
         # seeded random feasible slope vectors
         rng = np.random.default_rng(seed)
         tries = 0
         while n_eval < budget and tries < 20 * budget:
-            tries += 1
-            slopes = _feasible_random_slopes(rng, t, d, slope_levels, n_segments)
-            if slopes is not None:
-                consider(from_slopes(slopes))
+            batch = []
+            while len(batch) < min(_BATCH, budget - n_eval) and tries < 20 * budget:
+                tries += 1
+                slopes = _feasible_random_slopes(rng, t, d, slope_levels, n_segments)
+                if slopes is not None:
+                    f = from_slopes(slopes)
+                    if f.in_class(d, t):
+                        batch.append(f)
+            consider(batch)
         # local descent on the best found slope vector
-        if best_f is not None and len(best_f.xs) == n_segments + 1:
+        if len(best_f.xs) == n_segments + 1:
             levels = sorted(slope_levels)
             while n_eval < budget + 4 * n_segments:
                 cur = list(np.diff(best_f.ys) / np.diff(best_f.xs))
                 base = best_val
+                trials = []
                 for i in range(n_segments):
                     k = levels.index(min(levels, key=lambda s: abs(s - cur[i])))
                     for k2 in (k - 1, k + 1):
@@ -628,12 +696,11 @@ def sigma_tau(
                             continue
                         trial = list(cur)
                         trial[i] = levels[k2]
-                        consider(from_slopes(trial))
+                        trials.append(from_slopes(trial))
+                consider(f for f in trials if f.in_class(d, t))
                 if best_val >= base - 1e-15:
                     break
 
-    if best_f is None:
-        raise ValueError("no feasible candidate found")
     return SigmaTauResult(best_val, best_f, n_eval, n_full, best_dec)
 
 

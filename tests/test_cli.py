@@ -183,7 +183,7 @@ def _write(path, text):
     "radial_cells_zero", "radial_one_dim", "distance_depth_100", "adapted_level_100",
     "build_r_string", "build_product_set_number", "build_radius_null", "build_d_null",
     "build_delta_level_fraction", "build_too_deep", "verify_highdim_slack_nan",
-    "tubes_not_separated",
+    "tubes_not_separated", "build_product_set_r_string", "build_product_set_x_string",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -329,6 +329,10 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
                                      "--s", "1.2", "--slack", "nan"],
         "tubes_not_separated": ["tubes", "--mu", right, "--nu", right,
                                 "--radii", "0.0625", "0.03125"],
+        "build_product_set_r_string": build(
+            "product_set", {"A": {"kind": "cantor", "params": {"r": "x"}}}),
+        "build_product_set_x_string": build(
+            "product_set", {"A": {"kind": "point", "params": {"x": "a"}}}),
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -380,6 +384,8 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "build_too_deep": "outside [2, 20]",
         "verify_highdim_slack_nan": "slack must be finite",
         "tubes_not_separated": "from the support",
+        "build_product_set_r_string": "'r' must be a number",
+        "build_product_set_x_string": "'x' must be a number",
     }.get(case, "") in err
     assert out == ""
     assert len(err.splitlines()) == 1

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from dimlab import sigma
-from dimlab.plf import PLFunction, from_slopes, linear
+from dimlab.plf import PLFunction, _in_class_rows, from_slopes, linear
 from dimlab.sigma import (
     CustomProfile,
     HighDimProfile,
@@ -333,7 +334,7 @@ def test_sigma_tau_and_sigma_for_f_reject_bad_input():
     for tau in (0.0, -0.1, 0.6):
         with pytest.raises(ValueError, match="tau"):
             sigma_tau(D, 1.0, tau)
-    for budget in (0, -1):
+    for budget in (0, -1, 2.5, "8", True):
         with pytest.raises(ValueError, match="budget"):
             sigma_tau(D, 1.0, 0.1, budget=budget)
     for grid_n in (0, -4, 16.5, 16.0, True):
@@ -341,6 +342,12 @@ def test_sigma_tau_and_sigma_for_f_reject_bad_input():
             sigma_for_f(D, linear(1.0), 0.1, grid_n)
         with pytest.raises(ValueError, match="grid_n"):
             sigma_tau(D, 1.0, 0.1, grid_n=grid_n)
+    for n_segments in (0, -1, 2.5, 4.0, True, None):
+        with pytest.raises(ValueError, match="n_segments"):
+            sigma_tau(D, 1.0, 0.1, n_segments=n_segments)
+    for levels in ([], [math.nan, 1.0], [0.5, math.inf], [-math.inf], ["a"], [[1.0]], 3):
+        with pytest.raises(ValueError, match="slope"):
+            sigma_tau(D, 1.0, 0.1, slope_levels=levels)
 
 
 def _dp_function(rng, d, grid_n, on_grid):
@@ -416,8 +423,66 @@ def test_pruning_bound_is_a_lower_bound():
             tau = float(rng.choice([0.05, 0.1, 0.2, 0.3]))
             for grid_n in (80, 96, 101):
                 fine, _ = sigma_for_f(D, f, tau, grid_n)
-                coarse = sigma._pruning_bound(D, f, tau, sigma._grid(grid_n))
+                [coarse] = sigma._pruning_bounds(D, [f], tau, sigma._grid(grid_n))
                 assert coarse <= fine + 1e-12, (type(D).__name__, grid_n, coarse, fine)
+
+
+def test_batched_pruning_bounds_equal_grid_dp():
+    """One DP over a batch of functions with the same breakpoints gives each
+    one's _grid_dp value on the quarter sub-grid bit for bit: two-slope rows
+    with the breakpoint x0 = k/16 (mostly off the sub-grid) and random slope
+    vectors with some decreasing pieces, in batches of 1 to 17."""
+    rng = np.random.default_rng(14)
+    sizes = itertools.cycle(range(1, 18))
+    for grid_n in (80, 96, 101, 400, 800):
+        xs = sigma._grid(grid_n)
+        for D in _all_profiles(rng):
+            d = D.d
+            for kind in ("two_slope", "slopes"):
+                tau = float(rng.choice([0.01, 0.02, 0.05, 0.125, 0.3, 0.5]))
+                size = next(sizes)
+                low = -d / 4.0 if rng.random() < 0.3 else 0.0
+                if kind == "two_slope":
+                    x0 = int(rng.integers(1, 16)) / 16.0
+                    s1 = float(rng.uniform(low, d))
+                    fs = [PLFunction((0.0, x0, 1.0), (0.0, s1 * x0, s1 * x0 + s2 * (1.0 - x0)))
+                          for s2 in rng.uniform(low, d, size).tolist()]
+                else:
+                    n_segments = int(rng.integers(2, 17))
+                    fs = [from_slopes(rng.uniform(low, d, n_segments).tolist())
+                          for _ in range(size)]
+                bounds = sigma._pruning_bounds(D, fs, tau, xs)
+                case = (grid_n, tau, type(D).__name__, kind, size)
+                assert bounds.shape == (size,), case
+                assert bounds.tolist() == [sigma._grid_dp(D, f, tau, xs[::4])[0]
+                                           for f in fs], case
+
+
+@pytest.mark.parametrize("d, t", [(2.0, 1.0), (2.0, 0.125), (3.0, 1.5), (3.0, 2.25)])
+def test_two_slope_class_filter_matches_in_class(d, t):
+    """The row-wise class test of the two-slope phase agrees with
+    PLFunction.in_class and with a scalar reference on every (k, s1, s2),
+    including functions that touch the line t*x, some only up to rounding
+    (x0 = k/3 or k/7), or have slope exactly d."""
+    fine = np.array([d * i / 16.0 for i in range(17)])
+    touching = 0
+    for n_segments in (3, 4, 7, 16):
+        for k in range(1, n_segments):
+            x0 = k / n_segments
+            bx = (0.0, x0, 1.0)
+            for s1 in fine.tolist():
+                ys = np.zeros((len(fine), 3))
+                ys[:, 1] = s1 * x0
+                ys[:, 2] = s1 * x0 + fine * (1.0 - x0)
+                rows = _in_class_rows(bx, ys, d, t)
+                for s2, row in zip(fine.tolist(), rows.tolist()):
+                    y = (0.0, s1 * x0, s1 * x0 + s2 * (1.0 - x0))
+                    slopes = [(y[1] - y[0]) / x0, (y[2] - y[1]) / (1.0 - x0)]
+                    ref = (all(abs(s) <= d + 1e-9 for s in slopes)
+                           and all(v >= t * x - 1e-9 for x, v in zip(bx, y)))
+                    assert row == ref == PLFunction(bx, y).in_class(d, t), (k, s1, s2)
+                    touching += abs(y[1] - t * x0) < 1e-12 or abs(y[2] - t) < 1e-12
+    assert touching > 0
 
 
 _SEARCH_CONFIGS = {
@@ -444,9 +509,14 @@ def test_pruned_sigma_tau_equals_full_evaluation(name, monkeypatch):
                         lambda *a: random_calls.append(1) or real_random(*a))
     pruned = sigma_tau(D, t, tau, **kwargs)
     phase_calls = len(random_calls)
-    monkeypatch.setattr(sigma, "_pruning_bound", lambda *a: -math.inf)
+    # bounding one candidate at a time prunes the same candidates
+    monkeypatch.setattr(sigma, "_BATCH", 1)
+    single = sigma_tau(D, t, tau, **kwargs)
+    monkeypatch.setattr(sigma, "_pruning_bounds", lambda D, fs, *a: np.full(len(fs), -math.inf))
     full = sigma_tau(D, t, tau, **kwargs)
 
+    assert repr(single) == repr(pruned)
+    assert single.decomposition.entries == pruned.decomposition.entries
     assert pruned.estimate == full.estimate
     assert pruned.certificate.xs == full.certificate.xs
     assert pruned.certificate.ys == full.certificate.ys
