@@ -12,7 +12,8 @@ pruned afterwards).
 Each leaf's cube at every block level is labelled once per measure; a pass
 then sums cube masses with bincounts over those labels, and pruning only
 clears leaves from a mask.  The decomposition labels the input measure once
-and runs every extraction on it, masking out the leaves of earlier pieces.
+and runs every extraction on it, masking out the leaves of earlier pieces;
+the same labels, restricted to a piece's leaves, check its ratio classes.
 """
 
 from __future__ import annotations
@@ -39,27 +40,22 @@ class UniformPiece:
     mass_retained: float
     measure: DyadicMeasure
 
+    def __post_init__(self) -> None:
+        T, mu = self.T, self.measure
+        if not (isinstance(T, (int, np.integer)) and T >= 1 and len(self.beta) * T == mu.m
+                and all(math.isfinite(b) and b == round(b * T) / T and 0 <= b <= mu.d
+                        for b in self.beta)):
+            raise ValueError(f"beta {self.beta!r} with T = {T!r} does not give one class "
+                             f"k/T, 0 <= k <= dT, per block of depth {mu.m}")
+
     @property
     def ell(self) -> int:
         return len(self.beta)
 
     def check_invariant(self) -> None:
-        """Verify the two-sided ratio inequality exactly at every block level."""
-        mu = self.measure
-        T = self.T
-        for j in range(1, self.ell + 1):
-            k = round(self.beta[j - 1] * T)
-            bound = 2.0 ** (-k)
-            fine, mass = mu.cells(j * T)
-            # the parents of the level-jT cubes are exactly the level-(j-1)T cubes
-            pm = mu.cells((j - 1) * T)[1][_group_rows(fine >> T)[1]]
-            ok = (mass <= bound * pm + _TOL * pm) & (bound * pm <= 2.0 * mass + _TOL * pm)
-            if not ok.all():
-                i = int(np.argmin(ok))
-                raise ValueError(
-                    f"uniformity violated at level {j * T}, cube {tuple(fine[i].tolist())}: "
-                    f"ratio {mass[i] / pm[i]} outside [2^-{k + 1}, 2^-{k}]"
-                )
+        """Verify the two-sided ratio inequality exactly at every block level,
+        grouping the piece's own leaves (independently of the pruning)."""
+        _check_classes(self, *_block_labels(self.measure, self.T, self.ell))
 
     def to_text(self) -> str:
         head = f"beta {' '.join(repr(b) for b in self.beta)}\n"
@@ -67,23 +63,53 @@ class UniformPiece:
         return head + self.measure.to_text()
 
 
-def _block_labels(mu: DyadicMeasure, T: int, ell: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each leaf's cube at every block level, and each cube's parent.
+def _block_labels(mu: DyadicMeasure, T: int, ell: int) -> tuple[list[np.ndarray], ...]:
+    """Each leaf's cube at every block level, each cube's parent, and the
+    cubes' coordinates.
 
     labels[j][i] is the index of leaf i's level-jT cube among mu's level-jT
-    cubes in lexicographic order (labels[0] is all zeros: the unit cube), and
+    cubes in lexicographic order (labels[0] is all zeros: the unit cube),
     parents[j - 1][c] is the index of level-jT cube c's parent at level
-    (j-1)T.  One _group_rows call per block level.
+    (j-1)T, and cubes[j - 1][c] is cube c's row.  One _group_rows call per
+    block level.
     """
     labels = [np.zeros(len(mu.masses), dtype=np.intp)]
-    parents = []
+    parents, cubes = [], []
     for j in range(1, ell + 1):
-        cubes, label = _group_rows(mu.coords >> (mu.m - j * T))
-        parent = np.empty(len(cubes), dtype=np.intp)
+        rows, label = _group_rows(mu.coords >> (mu.m - j * T))
+        parent = np.empty(len(rows), dtype=np.intp)
         parent[label] = labels[-1]
         labels.append(label)
         parents.append(parent)
-    return labels, parents
+        cubes.append(rows)
+    return labels, parents, cubes
+
+
+def _check_classes(piece: UniformPiece, labels: list[np.ndarray],
+                   parents: list[np.ndarray], cubes: list[np.ndarray]) -> None:
+    """Raise unless, at every block level j, each cube's mass ratio to its
+    parent lies in [2^{-k-1}, 2^{-k}] up to _TOL, k = beta_j T.
+
+    labels (one per leaf of piece.measure), parents and cubes are as from
+    _block_labels.  Cube masses are bincounts in leaf order, bit-identical
+    to piece.measure.cells; cubes are tested in lexicographic order.
+    """
+    masses = piece.measure.masses
+    coarse_mass = np.bincount(labels[0], weights=masses)
+    for j, (label, parent, rows) in enumerate(zip(labels[1:], parents, cubes), 1):
+        fine_mass = np.bincount(label, weights=masses, minlength=len(parent))
+        cube = np.flatnonzero(fine_mass)  # leaf masses are positive
+        mass, pm = fine_mass[cube], coarse_mass[parent[cube]]
+        k = round(piece.beta[j - 1] * piece.T)
+        bound = 2.0 ** (-k)
+        ok = (mass <= bound * pm + _TOL * pm) & (bound * pm <= 2.0 * mass + _TOL * pm)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(
+                f"uniformity violated at level {j * piece.T}, cube {tuple(rows[cube[i]].tolist())}: "
+                f"ratio {mass[i] / pm[i]} outside [2^-{k + 1}, 2^-{k}]"
+            )
+        coarse_mass = fine_mass
 
 
 def _prune_pass(w: np.ndarray, alive: np.ndarray, labels: list[np.ndarray],
@@ -128,10 +154,11 @@ def _prune_pass(w: np.ndarray, alive: np.ndarray, labels: list[np.ndarray],
 
 def _extract(mu: DyadicMeasure, w: np.ndarray, alive: np.ndarray,
              labels: list[np.ndarray], parents: list[np.ndarray],
-             T: int) -> tuple[UniformPiece, np.ndarray]:
+             cubes: list[np.ndarray], T: int) -> tuple[UniformPiece, np.ndarray]:
     """Prune the leaves of mu masked by `alive`, weighed by `w`, to a fixed
-    point.  Returns the piece, with mass_retained the w-mass kept, and the
-    mask of its leaves."""
+    point, and check the piece against the labels of its leaves.  Returns
+    the piece, with mass_retained the w-mass kept, and the mask of its
+    leaves."""
     bounds = 2.0 ** -np.arange(1.0, mu.d * T + 2)
     classes = None
     for _ in range(int(alive.sum()) + 2):  # each changed pass prunes >= 1 cube
@@ -142,13 +169,15 @@ def _extract(mu: DyadicMeasure, w: np.ndarray, alive: np.ndarray,
             break
     else:
         raise RuntimeError("uniformization did not stabilize")
+    kept = w[alive]
+    retained = math.fsum(kept.tolist())
     piece = UniformPiece(
         beta=tuple(k / T for k in classes),
         T=T,
-        mass_retained=math.fsum(w[alive].tolist()),
-        measure=DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords[alive], w[alive]).normalize(),
+        mass_retained=retained,
+        measure=DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords[alive], kept / retained),
     )
-    piece.check_invariant()
+    _check_classes(piece, [label[alive] for label in labels], parents, cubes)
     return piece, alive
 
 
@@ -175,8 +204,9 @@ def extract_uniform(mu: DyadicMeasure, T: int) -> UniformPiece:
     until every surviving ratio sits in its level's chosen class, so the
     final restricted measure satisfies the uniformity inequality exactly.
     """
-    labels, parents = _block_labels(mu, T, _block_count(mu, T))
-    return _extract(mu, mu.masses, np.ones(len(mu.masses), dtype=bool), labels, parents, T)[0]
+    labels, parents, cubes = _block_labels(mu, T, _block_count(mu, T))
+    alive = np.ones(len(mu.masses), dtype=bool)
+    return _extract(mu, mu.masses, alive, labels, parents, cubes, T)[0]
 
 
 def decompose_uniform(mu: DyadicMeasure, T: int, eps: float) -> list[UniformPiece]:
@@ -187,20 +217,19 @@ def decompose_uniform(mu: DyadicMeasure, T: int, eps: float) -> list[UniformPiec
     """
     if not (0.0 < eps < math.inf):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    labels, parents = _block_labels(mu, T, _block_count(mu, T))
+    labels, parents, cubes = _block_labels(mu, T, _block_count(mu, T))
     cutoff = 2.0 ** (-eps * mu.m)
     pieces: list[UniformPiece] = []
     remaining = np.ones(len(mu.masses), dtype=bool)
-    residual_mass = 1.0
+    residual_mass, total = 1.0, mu.total_mass
     while residual_mass >= cutoff and remaining.any():
         # the residual measure's normalized masses, leaf for leaf
-        w = mu.masses / math.fsum(mu.masses[remaining].tolist())
-        piece, taken = _extract(mu, w, remaining, labels, parents, T)
+        piece, taken = _extract(mu, mu.masses / total, remaining, labels, parents, cubes, T)
         # express retained mass relative to the original measure
         piece.mass_retained *= residual_mass
         pieces.append(piece)
         remaining &= ~taken
-        residual_mass = math.fsum(mu.masses[remaining].tolist())
+        residual_mass = total = math.fsum(mu.masses[remaining].tolist())
     return pieces
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from dimlab.dyadic import DyadicMeasure
+from dimlab.dyadic import DyadicMeasure, _group_rows
 
 _TOL = 1e-9
 
@@ -483,3 +483,24 @@ def decompose_uniform_reference(leaves, m, d, T, eps):
             del remaining[k]
         residual_mass = math.fsum(remaining[k] for k in sorted(remaining))
     return pieces
+
+
+def check_invariant_reference(piece):
+    """UniformPiece.check_invariant through DyadicMeasure.cells: each block
+    level's cubes are regrouped from the piece's leaves and their parents
+    looked up by a second grouping."""
+    mu = piece.measure
+    T = piece.T
+    for j in range(1, piece.ell + 1):
+        k = round(piece.beta[j - 1] * T)
+        bound = 2.0 ** (-k)
+        fine, mass = mu.cells(j * T)
+        # the parents of the level-jT cubes are exactly the level-(j-1)T cubes
+        pm = mu.cells((j - 1) * T)[1][_group_rows(fine >> T)[1]]
+        ok = (mass <= bound * pm + _TOL * pm) & (bound * pm <= 2.0 * mass + _TOL * pm)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(
+                f"uniformity violated at level {j * T}, cube {tuple(fine[i].tolist())}: "
+                f"ratio {mass[i] / pm[i]} outside [2^-{k + 1}, 2^-{k}]"
+            )

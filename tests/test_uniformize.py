@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ import pytest
 from dimlab import uniformize
 from dimlab.dyadic import DyadicMeasure
 from dimlab.uniformize import (
+    UniformPiece,
     branching_profile,
     decompose_uniform,
     extract_uniform,
     lift_to_class,
 )
 from dimlab.plf import PLFunction
-from oracles import leaf_dict, random_measure
+from oracles import check_invariant_reference, leaf_dict, random_measure
+
+RECORDED = Path(__file__).parent / "data" / "decompose_uniform.txt"
 
 
 def test_extract_uniform_invariant_and_mass():
@@ -56,8 +60,8 @@ def test_extract_uniform_rejects_bad_input():
 
 def test_decomposition_groups_block_cubes_once(monkeypatch):
     """decompose_uniform groups the leaves by block-level cube once, ell
-    calls in all; its pruning passes only bincount over those labels, and
-    the other ell calls per piece are check_invariant's."""
+    calls in all: its pruning passes and its piece checks only bincount
+    over those labels."""
     calls = []
     group_rows = uniformize._group_rows
     monkeypatch.setattr(uniformize, "_group_rows",
@@ -65,8 +69,78 @@ def test_decomposition_groups_block_cubes_once(monkeypatch):
     mu = random_measure(np.random.default_rng(6), d=2, m=8, n_leaves=300)
     pieces = decompose_uniform(mu, 2, 0.2)
     assert len(pieces) > 1
-    assert calls[:4] == [len(mu.masses)] * 4
-    assert len(calls) == 4 * (1 + len(pieces))
+    assert calls == [len(mu.masses)] * 4
+
+
+def _raised(check, *args):
+    """The message check(*args) raises ValueError with, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(piece, rng):
+    """Copies of piece with beta_j moved by -1/T and +1/T at each level
+    (where that stays in [0, d]), and with one leaf's mass scaled."""
+    T, mu = piece.T, piece.measure
+    for j in range(piece.ell):
+        for step in (-1, 1):
+            k = round(piece.beta[j] * T) + step
+            if 0 <= k <= mu.d * T:
+                beta = piece.beta[:j] + (k / T,) + piece.beta[j + 1:]
+                yield UniformPiece(beta, T, piece.mass_retained, mu)
+    masses = mu.masses.copy()
+    masses[rng.integers(len(masses))] *= rng.choice([0.3, 0.9, 1.1, 3.0])
+    yield UniformPiece(piece.beta, T, piece.mass_retained,
+                       DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords, masses))
+
+
+def test_piece_checks_match_the_cells_oracle(monkeypatch):
+    """On extracted pieces and corrupted copies, the label check in _extract
+    and the public check_invariant give the cells form's verdict and
+    message.  Equal leaf masses put ratios on the class boundaries, where
+    only the _TOL slack decides."""
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for d, m, T in ((1, 8, 1), (1, 8, 2), (2, 8, 2), (3, 6, 1), (3, 6, 2)):
+        for equal in (False, True):
+            mu = random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(20, 120)))
+            if equal:
+                mu = DyadicMeasure._from_arrays(d, m, mu.coords, np.ones(len(mu.masses))).normalize()
+            labels = uniformize._block_labels(mu, T, m // T)
+            remaining = np.ones(len(mu.masses), dtype=bool)
+            for _ in range(2):  # the first piece and one from the residual
+                w = mu.masses / math.fsum(mu.masses[remaining].tolist())
+                piece, alive = uniformize._extract(mu, w, remaining, *labels, T)
+                check_invariant_reference(piece)
+                for bad in [piece, *_corruptions(piece, rng)]:
+                    want = _raised(check_invariant_reference, bad)
+                    assert _raised(bad.check_invariant) == want
+                    # _extract builds `bad` in place of its piece and checks it
+                    monkeypatch.setattr(uniformize, "UniformPiece", lambda **kw: bad)
+                    assert _raised(uniformize._extract, mu, w, remaining, *labels, T) == want
+                    monkeypatch.undo()
+                    verdicts.append(want is None)
+                remaining &= ~alive
+    # 20 pieces and 138 corrupted copies, 120 of them violations
+    assert verdicts.count(True) > 30 and verdicts.count(False) > 100
+
+
+@pytest.mark.parametrize("change", [
+    lambda beta, T: (beta[:2], T),  # levels 6 and 8 left unchecked
+    lambda beta, T: ((0.7,) + beta[1:], T),  # not a multiple of 1/T
+    lambda beta, T: (beta, 0),
+    lambda beta, T: ((2.5,) + beta[1:], T),  # k = 5 > dT
+    lambda beta, T: (beta, 4),  # 4 blocks of 4 levels
+], ids=["truncated_beta", "off_grid_beta", "T_zero", "beta_above_d", "blocks_overrun_depth"])
+def test_uniform_piece_rejects_inconsistent_fields(change):
+    """beta must give one class k/T, 0 <= k <= dT, per block of the depth."""
+    piece = extract_uniform(random_measure(np.random.default_rng(9), d=2, m=8, n_leaves=60), 2)
+    beta, T = change(piece.beta, piece.T)
+    with pytest.raises(ValueError):
+        UniformPiece(beta, T, piece.mass_retained, piece.measure)
 
 
 def test_box_count_sandwich():
@@ -139,3 +213,22 @@ def test_lift_to_class():
         lift_to_class(g, 1.0, eps, 2.0)
     with pytest.raises(ValueError):
         lift_to_class(f, 1.0, 0.1, 2.0)  # 4 sqrt(eps) > 1: no room for the chord
+
+
+def _decomposition_texts() -> str:
+    """Every piece's text for seeded random measures, d = 1..3, T = 1, 2."""
+    rng = np.random.default_rng(14)
+    out = []
+    for d, m in ((1, 8), (2, 8), (3, 6)):
+        for T in (1, 2):
+            for _ in range(3):
+                mu = random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(10, 90)))
+                pieces = decompose_uniform(mu, T, 0.5)
+                out.append(f"# d {d} m {m} T {T}: {len(pieces)} pieces\n")
+                out.extend(p.to_text() for p in pieces)
+    return "".join(out)
+
+
+def test_decompose_uniform_matches_recorded_pieces():
+    """Pieces (beta, mass_retained and leaf masses) byte for byte as recorded."""
+    assert _decomposition_texts() == RECORDED.read_text()
