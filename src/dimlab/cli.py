@@ -37,29 +37,39 @@ def _load_measure(path: str) -> DyadicMeasure:
         return DyadicMeasure.from_text(fh.read())
 
 
+# the parameters each profile kind takes in a spec "kind:key=value,..."
+_PROFILE_KEYS = {"highdim": {"d", "s"}, "planar": {"s", "eta"},
+                 "kaufman": {"s", "d"}, "trivial": {"d"}}
+
+
 def _parse_profile(spec: str):
     kind, _, rest = spec.partition(":")
-    params = {}
-    if rest and kind != "custom":
-        for part in rest.split(","):
-            key, _, val = part.partition("=")
-            params[key] = float(val)
     try:
+        if kind == "custom":
+            with open(rest) as fh:
+                rec = json.load(fh)
+            if not isinstance(rec, dict):
+                raise ValueError(f"custom profile {rest!r} must hold a JSON object")
+            return CustomProfile(rec["breakpoints"], rec["values"], rec["d"])
+        if kind not in _PROFILE_KEYS:
+            raise ValueError(f"unknown profile spec {spec!r}")
+        params = {}
+        for part in rest.split(",") if rest else ():
+            key, _, val = part.partition("=")
+            if key not in _PROFILE_KEYS[kind]:
+                raise ValueError(f"profile {kind!r} takes no parameter {key!r}")
+            if key in params:
+                raise ValueError(f"profile spec {spec!r} gives {key!r} twice")
+            params[key] = float(val)
         if kind == "highdim":
             return HighDimProfile(params["d"], params["s"])
         if kind == "planar":
             return PlanarProfile(params["s"], eta=params.get("eta", 0.01))
         if kind == "kaufman":
             return KaufmanProfile(params["s"], d=params.get("d", 2.0))
-        if kind == "trivial":
-            return TrivialHalfProfile(d=params.get("d", 2.0))
-        if kind == "custom":
-            with open(rest) as fh:
-                rec = json.load(fh)
-            return CustomProfile(rec["breakpoints"], rec["values"], rec["d"])
+        return TrivialHalfProfile(d=params.get("d", 2.0))
     except KeyError as e:
         raise ValueError(f"profile spec {spec!r} is missing parameter {e}") from None
-    raise ValueError(f"unknown profile spec {spec!r}")
 
 
 def _write_or_print(text: str, out: str | None):
@@ -176,7 +186,7 @@ def cmd_chain(args) -> int:
     for part in args.intervals.split(","):
         a, _, b = part.partition(":")
         intervals.append((int(a), int(b)))
-    sched = chain_mod.ScaleSchedule(args.M if args.M else mu.m, tuple(intervals))
+    sched = chain_mod.ScaleSchedule(mu.m if args.M is None else args.M, tuple(intervals))
     lhs, rhs, J = chain_mod.chain_sides(mu, args.map, args.pin, sched)
     print(f"lhs={lhs!r} rhs={rhs!r} J={J} slack={lhs - rhs!r}")
     return PASS

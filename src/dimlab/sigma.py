@@ -17,6 +17,7 @@ minimizing f).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -61,7 +62,10 @@ def c_d_table(d_range) -> list[tuple[int, float]]:
 
 
 def _finite(name: str, value) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -131,13 +135,13 @@ class PlanarProfile(Profile):
     """
 
     def __init__(self, s: float, eta: float = 0.01):
-        if not (0.0 < s < 2.0):
-            raise ValueError(f"s must be in (0, 2), got {s}")
-        if not 0.0 < eta < math.inf:
-            raise ValueError(f"eta must be positive and finite, got {eta}")
         self.d = 2.0
-        self.s = float(s)
-        self.eta = float(eta)
+        self.s = _finite("s", s)
+        self.eta = _finite("eta", eta)
+        if not 0.0 < self.s < 2.0:
+            raise ValueError(f"s must be in (0, 2), got {s}")
+        if not self.eta > 0.0:
+            raise ValueError(f"eta must be positive, got {eta}")
         self.s_prime = min(2.0, 2.0 * (self.s + self.eta))
 
     def _values(self, t):
@@ -151,10 +155,11 @@ class CustomProfile(Profile):
     def __init__(self, xs, ys, d: float):
         self.d = _dimension(d)
         try:
-            self.xs = tuple(_finite("breakpoint", x) for x in xs)
-            self.ys = tuple(_finite("value", y) for y in ys)
+            xs, ys = tuple(map(float, xs)), tuple(map(float, ys))
         except TypeError:
             raise ValueError("breakpoints and values must be lists of numbers") from None
+        self.xs = tuple(_finite("breakpoint", x) for x in xs)
+        self.ys = tuple(_finite("value", y) for y in ys)
         if not self.xs or len(self.xs) != len(self.ys):
             raise ValueError("need one value per breakpoint and at least one breakpoint")
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
@@ -446,41 +451,30 @@ def _column_blocks(band):
         yield j0, j1, rstart[j0], rend[j1 - 1]
 
 
-def _grid_dp(D: Profile, f: PLFunction, tau: float, xs: np.ndarray):
+def _dp(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray):
     """Weighted interval scheduling over allowable families with endpoints in
-    the sorted grid xs.
+    the sorted grid xs, for functions fs that share their breakpoints.
 
-    Returns (value, take, sig): take[j] is the start index of the interval
-    ending at xs[j] in an optimal family on xs[:j+1] (-1 if none), and sig[j]
-    that interval's best superlinear slope clipped to [0, d] (nan if none).
+    Returns (best, W, clipped): best[r, j] is the value of fs[r] on xs[:j+1],
+    and W, clipped the weights and clipped slopes of `_weights` (None and []
+    when no interval is allowable).  One sweep carries all of fs on a leading
+    axis, so each row takes the same sums and maxima as a sweep of its own.
     """
-    n = len(xs) - 1
-    best = np.zeros(n + 1)
-    take = np.full(n + 1, -1, dtype=int)
-    sig = np.full(n + 1, np.nan)
+    best = np.zeros((len(fs), len(xs)))
     band = _band(xs, tau)
     if not len(band[2]):
-        return 0.0, take, sig
-    W, clipped = _weights(D, [f], tau, xs, band)
-    W = W[0]
-    b = 0.0
+        return best, None, []
+    W, clipped = _weights(D, fs, tau, xs, band)
     for j0, j1, r0, r1 in _column_blocks(band):
-        if r1 <= r0:
-            best[j0:j1] = b
-            continue
-        cand = W[j0:j1, r0:r1] + best[r0:r1]
-        for j, i in enumerate(cand.argmax(axis=1).tolist(), j0):
-            c = cand.item(j - j0, i)
-            if c > b:
-                b = c
-                take[j] = r0 + i
-            best[j] = b
-    ends = np.flatnonzero(take >= 0)
-    starts = take[ends]
-    for c0, j0, sg in clipped:
-        sel = (starts >= c0) & (starts < c0 + sg.shape[1])
-        sig[ends[sel]] = sg[0, starts[sel] - c0, ends[sel] - j0]
-    return float(best[n]), take, sig
+        if r1 > r0:
+            # best of each column's own intervals, then the running maximum
+            # from the column before the block
+            np.maximum.reduce(W[:, j0:j1, r0:r1] + best[:, None, r0:r1], axis=2,
+                              out=best[:, j0:j1])
+            np.maximum.accumulate(best[:, j0 - 1:j1], axis=1, out=best[:, j0 - 1:j1])
+        else:
+            best[:, j0:j1] = best[:, j0 - 1, None]
+    return best, W, clipped
 
 
 def sigma_for_f(
@@ -496,20 +490,29 @@ def sigma_for_f(
     if not (0.0 < tau <= 0.5):
         raise ValueError(f"tau must be in (0, 1/2], got {tau}")
     xs = _grid(grid_n)
-    value, take, sig = _grid_dp(D, f, tau, xs)
-    # recover certificate
-    entries = []
-    j = grid_n
-    while j > 0:
-        i = take[j]
-        if i < 0:
-            j -= 1
-            continue
-        entries.append((float(xs[i]), float(xs[j]), float(sig[j])))
-        j = i
-    entries.reverse()
-    dec = IntervalDecomposition(entries, tau=tau, value_against=(D, value))
+    best, W, clipped = _dp(D, [f], tau, xs)
+    value = float(best[0, -1])
+    dec = IntervalDecomposition(_certificate(xs, best[0], W, clipped), tau=tau,
+                                value_against=(D, value))
     return value, dec
+
+
+def _certificate(xs: np.ndarray, best: np.ndarray, W, clipped) -> list[tuple[float, float, float]]:
+    """The entries (a, b, sigma) of an optimal family for the first function
+    of a `_dp` result with values best, walked back from the right end: a
+    family optimal on xs[:j+1] has an interval ending at xs[j] exactly where
+    the value rises, and it starts at the first row that attains the value."""
+    rises = (np.flatnonzero(best[1:] > best[:-1]) + 1).tolist()
+    starts = [c0 for c0, _, _ in clipped]
+    entries = []
+    k = len(rises)
+    while k:
+        j = rises[k - 1]
+        i = int(np.argmax(W[0, j, :j] + best[:j]))
+        c0, j0, sg = clipped[bisect.bisect_right(starts, i) - 1]
+        entries.append((float(xs[i]), float(xs[j]), float(sg[0, i - c0, j - j0])))
+        k = bisect.bisect_right(rises, i)
+    return entries[::-1]
 
 
 def _pruning_bounds(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray) -> np.ndarray:
@@ -519,25 +522,9 @@ def _pruning_bounds(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray
     Every family with endpoints on the sub-grid is a family on xs, and the
     sub-grid points are the same floats, so each bound holds up to rounding
     in the best slopes (exact on the grid united with f's breakpoints), far
-    below 1e-12.  One DP carries all of fs on a leading axis; it takes the
-    same sums and maxima as `_grid_dp`, so each bound equals
-    `_grid_dp(D, f, tau, xs[::4])[0]` bit for bit.
+    below 1e-12.
     """
-    sub = xs[::4]
-    best = np.zeros((len(fs), len(sub)))
-    band = _band(sub, tau)
-    if not len(band[2]):
-        return best[:, -1]
-    W, _ = _weights(D, fs, tau, sub, band)
-    for j0, j1, r0, r1 in _column_blocks(band):
-        if r1 > r0:
-            # best of each column's own intervals, then the running maximum
-            # from the column before the block
-            np.max(W[:, j0:j1, r0:r1] + best[:, None, r0:r1], axis=2, out=best[:, j0:j1])
-            np.maximum.accumulate(best[:, j0 - 1:j1], axis=1, out=best[:, j0 - 1:j1])
-        else:
-            best[:, j0:j1] = best[:, j0 - 1, None]
-    return best[:, -1]
+    return _dp(D, fs, tau, xs[::4])[0][:, -1]
 
 
 # -- adversarial outer minimization ----------------------------------------

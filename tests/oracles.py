@@ -132,8 +132,9 @@ def sigma_value_bruteforce(D, f, tau, grid_n):
 
 
 # -- dense references for the banded sigma_for_f DP --------------------------
-# The (n+1)^2 best-slope and weight matrices and the per-column DP that
-# sigma._grid_dp ran before it restricted them to the allowable band.
+# The (n+1)^2 best-slope and weight matrices and a per-column DP that records
+# each column's interval, against sigma._dp's banded block sweep and
+# sigma._certificate's walk-back from where the value rises.
 
 
 def _best_slope_matrix(f, G):

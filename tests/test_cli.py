@@ -111,6 +111,20 @@ def test_sigma_inf(capsys):
     assert 1 <= full <= int(lines[0].partition(" candidates=")[2])
 
 
+@pytest.mark.parametrize("name, profile, tau, grid", [
+    ("planar", "planar:s=0.4", "0.01", "800"),
+    ("highdim", "highdim:d=3,s=1.2", "0.02", "400"),
+])
+def test_sigma_eval_matches_recorded_output(name, profile, tau, grid, capsys):
+    """`sigma eval` prints the recorded value and certificate byte for byte,
+    for a two-slope f whose breakpoint 0.3141 lies off both grids."""
+    data = Path(__file__).parent / "data"
+    rc = main(["sigma", "eval", "--profile", profile, "--f", str(data / "sigma_eval_f.json"),
+               "--tau", tau, "--grid", grid])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / f"sigma_eval_{name}.txt").read_text()
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["measure", "info", "/nonexistent"]) == 2
     assert main(["sigma", "phi", "--u", "2.0"]) == 2
@@ -184,6 +198,8 @@ def _write(path, text):
     "build_r_string", "build_product_set_number", "build_radius_null", "build_d_null",
     "build_delta_level_fraction", "build_too_deep", "verify_highdim_slack_nan",
     "tubes_not_separated", "build_product_set_r_string", "build_product_set_x_string",
+    "custom_d_null", "custom_not_object", "chain_M_zero", "profile_unknown_key",
+    "profile_duplicate_key",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -333,6 +349,13 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
             "product_set", {"A": {"kind": "cantor", "params": {"r": "x"}}}),
         "build_product_set_x_string": build(
             "product_set", {"A": {"kind": "point", "params": {"x": "a"}}}),
+        "custom_d_null": custom_eval("d_null", breakpoints=[0.0, 2.0], values=[0.0, 1.0],
+                                     d=None),
+        "custom_not_object": ["sigma", "eval", "--f", f, "--tau", "0.1", "--profile",
+                              "custom:" + _write(tmp_path / "custom_list.json", "[1, 2]")],
+        "chain_M_zero": chain + ["2:4", "--M", "0"],
+        "profile_unknown_key": sigma_inf("planar:s=0.4,eat=0.5"),
+        "profile_duplicate_key": sigma_inf("planar:s=0.4,s=1.9"),
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -386,6 +409,11 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "tubes_not_separated": "from the support",
         "build_product_set_r_string": "'r' must be a number",
         "build_product_set_x_string": "'x' must be a number",
+        "custom_d_null": "d must be a number",
+        "custom_not_object": "JSON object",
+        "chain_M_zero": "outside [0, 0]",
+        "profile_unknown_key": "takes no parameter 'eat'",
+        "profile_duplicate_key": "gives 's' twice",
     }.get(case, "") in err
     assert out == ""
     assert len(err.splitlines()) == 1

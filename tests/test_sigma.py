@@ -152,6 +152,10 @@ def test_custom_profile_validation():
     (lambda: TrivialHalfProfile(d=math.nan), "d must be finite"),
     (lambda: TrivialHalfProfile(d=0.0), "d must be positive"),
     (lambda: PlanarProfile(0.5, eta=math.inf), "eta"),
+    (lambda: PlanarProfile(None), "s must be a number"),
+    (lambda: HighDimProfile(None, 1.2), "d must be a number"),
+    (lambda: KaufmanProfile([0.5]), "s must be a number"),
+    (lambda: TrivialHalfProfile(d={}), "d must be a number"),
     (lambda: CustomProfile([0.0, math.nan], [0.0, 1.0], 2.0), "breakpoint must be finite"),
     (lambda: CustomProfile([0.0, 2.0], [0.0, None], 2.0), "lists of numbers"),
     (lambda: CustomProfile(5, [0.0, 1.0], 2.0), "lists of numbers"),
@@ -365,8 +369,9 @@ def _dp_function(rng, d, grid_n, on_grid):
 
 
 def test_grid_dp_matches_dense_reference():
-    """The banded DP gives the dense reference's value, take and certificate
-    slopes bit for bit, on full grids and their quarter sub-grids, and on
+    """The banded DP and the walk-back from where its value rises give the
+    dense reference's value and certificate chain, its slopes clipped to
+    [0, d], bit for bit, on full grids and their quarter sub-grids, and on
     small grids with points within _TOL of the allowable lengths' limits."""
     rng = np.random.default_rng(12)
     for grid_n in (16, 80, 96, 101, 400, 800):
@@ -379,15 +384,24 @@ def test_grid_dp_matches_dense_reference():
             for kind, D in enumerate(_all_profiles(rng)):
                 f = _dp_function(rng, D.d, grid_n, on_grid=kind % 2 == 0)
                 for xs in grids:
-                    value, take, sig = sigma._grid_dp(D, f, tau, xs)
+                    best, W, clipped = sigma._dp(D, [f], tau, xs)
+                    entries = sigma._certificate(xs, best[0], W, clipped)
                     ref_value, ref_take, Bg = grid_dp_dense_reference(D, f, tau, xs)
                     case = (grid_n, len(xs), tau, type(D).__name__)
-                    assert value == ref_value, case
-                    assert np.array_equal(take, ref_take), case
-                    ends = np.flatnonzero(ref_take >= 0)
-                    assert np.array_equal(sig[ends],
-                                          np.clip(Bg[ref_take[ends], ends], 0.0, D.d)), case
-                    assert np.isnan(sig[ref_take < 0]).all(), case
+                    assert best[0, -1] == ref_value, case
+                    assert np.array_equal(np.flatnonzero(np.diff(best[0]) > 0) + 1,
+                                          np.flatnonzero(ref_take >= 0)), case
+                    ref_entries = []
+                    j = len(xs) - 1
+                    while j > 0:
+                        i = int(ref_take[j])
+                        if i < 0:
+                            j -= 1
+                            continue
+                        ref_entries.append((float(xs[i]), float(xs[j]),
+                                            float(np.clip(Bg[i, j], 0.0, D.d))))
+                        j = i
+                    assert entries == ref_entries[::-1], case
 
 
 def _all_profiles(rng):
@@ -429,9 +443,10 @@ def test_pruning_bound_is_a_lower_bound():
 
 def test_batched_pruning_bounds_equal_grid_dp():
     """One DP over a batch of functions with the same breakpoints gives each
-    one's _grid_dp value on the quarter sub-grid bit for bit: two-slope rows
-    with the breakpoint x0 = k/16 (mostly off the sub-grid) and random slope
-    vectors with some decreasing pieces, in batches of 1 to 17."""
+    one's value from a DP of its own on the quarter sub-grid, and the dense
+    reference's, bit for bit: two-slope rows with the breakpoint x0 = k/16
+    (mostly off the sub-grid) and random slope vectors with some decreasing
+    pieces, in batches of 1 to 17."""
     rng = np.random.default_rng(14)
     sizes = itertools.cycle(range(1, 18))
     for grid_n in (80, 96, 101, 400, 800):
@@ -454,7 +469,9 @@ def test_batched_pruning_bounds_equal_grid_dp():
                 bounds = sigma._pruning_bounds(D, fs, tau, xs)
                 case = (grid_n, tau, type(D).__name__, kind, size)
                 assert bounds.shape == (size,), case
-                assert bounds.tolist() == [sigma._grid_dp(D, f, tau, xs[::4])[0]
+                assert bounds.tolist() == [sigma._dp(D, [f], tau, xs[::4])[0][0, -1]
+                                           for f in fs], case
+                assert bounds.tolist() == [grid_dp_dense_reference(D, f, tau, xs[::4])[0]
                                            for f in fs], case
 
 
