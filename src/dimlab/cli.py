@@ -7,6 +7,7 @@ Exit codes: 0 on pass, 1 when a check ran and failed (a report is printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -224,7 +225,11 @@ def cmd_experiment(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dimlab argument parser, built once per process (building it costs
+    about a millisecond).  Parsing leaves it unchanged; callers must not
+    change it either, since every caller gets the same parser."""
     ap = argparse.ArgumentParser(prog="dimlab")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -191,13 +191,32 @@ class DyadicMeasure:
     def cells(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (coords, masses) arrays of the positive cubes at `level`,
         rows in lexicographic order (cached).  Each cube's mass is summed
-        over its leaves in leaf order."""
+        over its leaves in leaf order; at level m they are the leaf arrays."""
         if not (0 <= level <= self.m):
             raise ValueError(f"level {level} outside [0, {self.m}]")
+        if level == self.m:
+            return self.coords, self.masses
         if level not in self._cells:
-            rows, sums = _sum_by_key(self.coords >> (self.m - level), self.masses)
-            self._cells[level] = (_frozen(rows), _frozen(sums))
+            self._cache_levels(level, level)
         return self._cells[level]
+
+    def _cache_levels(self, lo: int, hi: int) -> None:
+        """Cache cells() at levels hi down to lo, finest first: each level
+        groups the next finer level's rows >> 1, and the leaf -> cube index
+        is composed through that parent map in place (take reads an entry
+        before overwriting it).  The sums stay one bincount over the leaves
+        in leaf order, bit-identical to grouping the leaves at each level."""
+        if hi == self.m:
+            rows, idx = self.coords, None  # None: the identity
+        else:
+            rows, idx = _group_rows(self.coords >> (self.m - hi))
+        for j in range(hi, lo - 1, -1):
+            if j < hi:
+                rows, parent = _group_rows(rows >> 1)
+                idx = parent if idx is None else np.take(parent, idx, out=idx, mode="clip")
+            if j < self.m and j not in self._cells:
+                sums = np.bincount(idx, weights=self.masses, minlength=len(rows))
+                self._cells[j] = (_frozen(rows), _frozen(sums))
 
     def level_masses(self, level: int) -> dict[tuple[int, ...], float]:
         """Masses of all positive cubes at the given level, keyed by coordinate tuple."""
@@ -260,6 +279,7 @@ class DyadicMeasure:
         if not (0 <= j_lo <= j_hi <= self.m):
             raise ValueError("scale_range outside measure depth")
         levels = list(range(j_lo, j_hi + 1))
+        self._cache_levels(j_lo, j_hi)
         worst = [float(self.cells(j)[1].max()) for j in levels]
         logm = np.array([math.log2(w) for w in worst])
         js = np.array(levels, dtype=float)

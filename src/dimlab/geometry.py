@@ -321,10 +321,30 @@ def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray,
     """
     r2 = r * r + _TOL
     far = sq > r2
-    alpha = np.arcsin(np.sqrt(r2 / sq[far]))
-    start = np.mod(ang[far] - alpha, math.pi)
-    mass, theta = _heaviest_point(start, start + 2.0 * alpha, w[far])
+    # arcsin(sqrt(r2 / sq)), ang - alpha and start + 2 alpha, in place;
+    # ang - alpha is never -0.0 since alpha > 0
+    alpha = np.divide(r2, sq[far])
+    np.arcsin(np.sqrt(alpha, out=alpha), out=alpha)
+    start = ang[far]
+    _mod_pi(np.subtract(start, alpha, out=start))
+    end = np.multiply(alpha, 2.0, out=alpha)
+    end += start
+    mass, theta = _heaviest_point(start, end, w[far])
     return float(w[~far].sum()) + mass, np.array([math.cos(theta), math.sin(theta)])
+
+
+def _mod_pi(x: np.ndarray) -> np.ndarray:
+    """np.mod(x, pi) bit for bit, in place, for x in [-2pi, pi] but not -0.0.
+
+    np.mod adds pi to fmod(x, pi) if that is negative and maps 0 to +0.0, so
+    pi goes to +0.0 first.  Below -pi the first add of pi gives fmod, exact by
+    Sterbenz's lemma, and the second is np.mod's rounded add; on [-pi, 0)
+    the one add is that rounded add.  Masked adds cost a tenth of np.mod
+    when signs come in long runs, as in leaf order.
+    """
+    np.subtract(x, math.pi, out=x, where=x >= math.pi)
+    np.add(x, math.pi, out=x, where=x < 0.0)
+    return np.add(x, math.pi, out=x, where=x < 0.0)
 
 
 def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -335,16 +355,23 @@ def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray) -> tuple[
     Coverage rises only at starts, so its maximum is at one.  At theta it is
     the mass of the starts <= theta, less the ends < theta, plus the arcs
     that wrap past pi and are still open at theta (ends >= theta + pi).
+    start and end are overwritten, to spare a sweep fresh arrays.
     """
     if not len(w):
         return 0.0, 0.0
     s_order = np.argsort(start, kind="stable")
     s = start[s_order]
+    # mass of the starts <= s[k]; mode="clip" writes to out unbuffered
+    cover = np.cumsum(np.take(w, s_order, out=start, mode="clip"), out=start)
     e_order = np.argsort(end, kind="stable")
     e = end[e_order]
-    ended = np.concatenate(([0.0], np.cumsum(w[e_order])))  # mass of the first k ends
-    cover = (np.cumsum(w[s_order]) - ended[np.searchsorted(e, s)]
-             + (ended[-1] - ended[np.searchsorted(e, s + math.pi)]))
+    ended = np.empty(len(w) + 1)  # ended[k]: mass of the first k ends
+    ended[0] = 0.0
+    np.cumsum(np.take(w, e_order, out=end, mode="clip"), out=ended[1:])
+    cover -= np.take(ended, np.searchsorted(e, s), out=end, mode="clip")
+    wrapped = np.take(ended, np.searchsorted(e, np.add(s, math.pi, out=end)), out=end,
+                      mode="clip")
+    cover += np.subtract(ended[-1], wrapped, out=wrapped)
     k = int(np.argmax(cover))
     return float(cover[k]), float(s[k])
 

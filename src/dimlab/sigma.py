@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,11 +62,16 @@ def c_d_table(d_range) -> list[tuple[int, float]]:
 # -- profile functions ------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """A real number other than a bool; a string is none, though float()
+    would parse it."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite(name: str, value) -> float:
-    try:
-        value = float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -154,10 +160,13 @@ class CustomProfile(Profile):
 
     def __init__(self, xs, ys, d: float):
         self.d = _dimension(d)
+        bad = ValueError("breakpoints and values must be lists of numbers")
         try:
-            xs, ys = tuple(map(float, xs)), tuple(map(float, ys))
+            xs, ys = list(xs), list(ys)
         except TypeError:
-            raise ValueError("breakpoints and values must be lists of numbers") from None
+            raise bad from None
+        if not all(map(_is_number, xs + ys)):
+            raise bad
         self.xs = tuple(_finite("breakpoint", x) for x in xs)
         self.ys = tuple(_finite("value", y) for y in ys)
         if not self.xs or len(self.xs) != len(self.ys):

@@ -172,6 +172,49 @@ def test_experiment_run(tmp_path, capsys):
     assert os.path.exists(tmp_path / "out" / "report.csv")
 
 
+def test_experiment_run_matches_recorded_cantor16_report(tmp_path, capsys):
+    """`experiment run` on the README's cantor16 scene prints the recorded
+    stdout (output directory stripped) and writes the recorded report.csv
+    and per-pin curves byte for byte."""
+    data = Path(__file__).parent / "data" / "cantor16"
+    out = tmp_path / "report"
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "scenario": "cantor16",
+        "generator": {"kind": "cantor_product", "params": {"r": 0.25, "d": 2}},
+        "depth": 16, "zeta": 0.12, "output": str(out)}))
+    assert main(["experiment", "run", str(scene)]) == 0
+    stdout = capsys.readouterr().out.replace(f"{out}{os.sep}", "")
+    assert stdout == (data / "stdout.txt").read_text()
+    names = ["report.csv"] + [f"cantor16_pin{i}.dat" for i in range(8)]
+    assert sorted(os.listdir(out)) == sorted(names)
+    for name in names:
+        assert (out / name).read_bytes() == (data / name).read_bytes(), name
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """main reuses one parser: consecutive calls with different commands,
+    a usage error and --help behave as they would on a fresh parser."""
+    from dimlab.cli import build_parser
+
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        assert main(["sigma", "phi", "--u", "1.0"]) == 0
+        assert capsys.readouterr().out == "phi(1.0)=0.6180339887498949\n"
+        assert main(["sigma", "cdtable", "--d-min", "4", "--d-max", "4"]) == 0
+        assert capsys.readouterr().out.startswith("d=4 ")
+        with pytest.raises(SystemExit) as exc:
+            main(["sigma", "phi"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --u" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sigma", "phi", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dimlab sigma phi")
+        assert main(["experiment", "run", "/nonexistent.json"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)
@@ -199,7 +242,7 @@ def _write(path, text):
     "build_delta_level_fraction", "build_too_deep", "verify_highdim_slack_nan",
     "tubes_not_separated", "build_product_set_r_string", "build_product_set_x_string",
     "custom_d_null", "custom_not_object", "chain_M_zero", "profile_unknown_key",
-    "profile_duplicate_key",
+    "profile_duplicate_key", "custom_bool_and_string", "custom_breakpoints_string",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -356,6 +399,10 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "chain_M_zero": chain + ["2:4", "--M", "0"],
         "profile_unknown_key": sigma_inf("planar:s=0.4,eat=0.5"),
         "profile_duplicate_key": sigma_inf("planar:s=0.4,s=1.9"),
+        "custom_bool_and_string": custom_eval("bool", breakpoints=["0", "2"],
+                                              values=[False, True], d=True),
+        "custom_breakpoints_string": custom_eval("string", breakpoints=["0", "2"],
+                                                 values=[0.0, 1.0]),
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -414,6 +461,8 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "chain_M_zero": "outside [0, 0]",
         "profile_unknown_key": "takes no parameter 'eat'",
         "profile_duplicate_key": "gives 's' twice",
+        "custom_bool_and_string": "d must be a number, got True",
+        "custom_breakpoints_string": "lists of numbers",
     }.get(case, "") in err
     assert out == ""
     assert len(err.splitlines()) == 1

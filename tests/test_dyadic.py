@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dimlab.dyadic import DyadicMeasure, _entropies, build_from_atoms, restrict_normalize
+from dimlab.dyadic import (
+    DyadicMeasure,
+    _entropies,
+    _sum_by_key,
+    build_from_atoms,
+    restrict_normalize,
+)
+from dimlab.generators import gen_cantor_product
 from dimlab.uniformize import decompose_uniform, extract_uniform
 from oracles import (
     build_from_atoms_reference,
@@ -176,6 +183,31 @@ def test_frostman_fit_constant_cap():
     assert fit.C <= 4.0 + 1e-9
     # the heavy atom pins the exponent near zero once C is capped
     assert fit.s < 0.5
+
+
+def test_finest_first_cells_equal_direct_grouping():
+    """frostman_fit's finest-first cells (each level grouped from the next
+    finer level's rows, the leaf index composed through the parent maps)
+    equal the direct grouping of all leaves bit for bit, whether the range
+    starts at the leaves or above them."""
+    rng = np.random.default_rng(8)
+    cases = [random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(1, 300)))
+             for d, m in ((1, 12), (2, 9), (3, 6), (2, 1)) for _ in range(3)]
+    cases += [build_from_atoms([(tuple(rng.random(2).tolist()), float(rng.random()))
+                                for _ in range(100)], 40),
+              gen_cantor_product(0.25, 2, 16)]
+    for mu in cases:
+        for lo, hi in ((0, mu.m), (0, mu.m - 1), (mu.m // 2, mu.m - 1)):
+            fresh = DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords, mu.masses)
+            fresh._cache_levels(lo, hi)
+            assert sorted(fresh._cells) == list(range(lo, min(hi, mu.m - 1) + 1))
+            for j in range(lo, hi + 1):
+                rows, sums = _sum_by_key(mu.coords >> (mu.m - j), mu.masses)
+                assert np.array_equal(fresh.cells(j)[0], rows)
+                assert fresh.cells(j)[1].tobytes() == sums.tobytes()
+    # cells at the finest level are the leaf arrays themselves
+    mu = cases[-1]
+    assert mu.cells(mu.m)[0] is mu.coords and mu.cells(mu.m)[1] is mu.masses
 
 
 def test_serialization_roundtrip():

@@ -13,6 +13,7 @@ from dimlab.geometry import (
     _sphere_lattice,
     LineMeasure,
     _heaviest_point,
+    _mod_pi,
     _tube_mass_grid,
     adapted_audit,
     entropy_projection_bound,
@@ -224,6 +225,46 @@ def test_heaviest_point_closed_arcs_and_wrap():
     assert start + math.pi == 4.0
     assert _heaviest_point(np.array([3.0, start]), np.array([4.0, start + 0.5]),
                            np.array([2.0, 4.0])) == (6.0, start)
+
+
+def test_mod_pi_equals_np_mod_bitwise():
+    """The conditional-add reduction gives np.mod(x, pi)'s bits on its domain
+    [-2pi, pi]: at -pi and its neighbours, tiny negatives, the ends, and
+    random points of (-3pi/2, pi), the range of the sweeps' ang - alpha."""
+    pi = math.pi
+    edges = [-pi, np.nextafter(-pi, -np.inf), np.nextafter(-pi, np.inf), -5e-324, -1e-300,
+             -1e-17, -2.0 ** -60, -0.5 * pi, -1.5 * pi, np.nextafter(-1.5 * pi, np.inf),
+             -2.0 * pi, np.nextafter(-2.0 * pi, np.inf), 0.0, 5e-324, np.nextafter(pi, 0.0), pi]
+    rng = np.random.default_rng(11)
+    x = np.concatenate([edges, rng.uniform(-1.5 * pi, pi, 100_000),
+                        -pi + rng.uniform(-1e-12, 1e-12, 1000)])
+    assert _mod_pi(x.copy()).tobytes() == np.mod(x, pi).tobytes()
+
+
+def test_tube_sweep_with_tied_arcs_matches_bruteforce():
+    """Leaves mirrored through the pin along its row have the same arc
+    (tied starts and ends); the sweep still matches the brute force, and
+    its direction's slab holds its mass."""
+    rng = np.random.default_rng(13)
+    m = 6
+    pin = (0.5, 19.5 / 64)  # between columns 31 and 32, on row 19
+    for _ in range(10):
+        leaves = {}
+        for k in rng.choice(28, size=10, replace=False).tolist():
+            leaves[(32 + k, 19)] = leaves[(31 - k, 19)] = float(rng.random()) + 1e-3
+        for _ in range(20):
+            leaves[tuple(rng.integers(0, 64, 2).tolist())] = float(rng.random()) + 1e-3
+        mu = DyadicMeasure(2, m, leaves).normalize()
+        pts = mu.leaf_centers() - np.asarray(pin)
+        ang, sq = np.arctan2(pts[:, 1], pts[:, 0]), np.sum(pts * pts, axis=1)
+        for r in (2 ** -6, 2 ** -5, 2 ** -3):
+            far = sq > r * r + 1e-9
+            start = np.mod(ang[far] - np.arcsin(np.sqrt((r * r + 1e-9) / sq[far])), math.pi)
+            assert len(np.unique(start)) < len(start)  # the mirrored leaves tie
+            mass, u = tube_mass_max(mu, pin, r)
+            assert abs(mass - tube_mass_max_bruteforce(mu, pin, r)) <= 1e-12
+            slab = sq - (pts @ u) ** 2 <= r * r + 1e-9 + 1e-12
+            assert abs(float(mu.masses[slab].sum()) - mass) <= 1e-12
 
 
 def test_tube_mass_monotone_in_radius():

@@ -168,6 +168,27 @@ def test_profiles_reject_bad_parameters(make, match):
         make()
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: HighDimProfile(True, 1.2), "d must be a number, got True"),
+    (lambda: PlanarProfile("0.4"), "s must be a number, got '0.4'"),
+    (lambda: PlanarProfile(0.4, eta=False), "eta must be a number"),
+    (lambda: KaufmanProfile(0.7, d="2"), "d must be a number"),
+    (lambda: TrivialHalfProfile(d=True), "d must be a number"),
+    (lambda: CustomProfile([0.0, 2.0], [0.0, 1.0], True), "d must be a number"),
+    (lambda: CustomProfile(["0", "2"], [0.0, 1.0], 2.0), "lists of numbers"),
+    (lambda: CustomProfile([0.0, 2.0], [False, True], 2.0), "lists of numbers"),
+    (lambda: CustomProfile("02", [0.0, 1.0], 2.0), "lists of numbers"),
+])
+def test_profiles_reject_bools_and_strings(make, match):
+    """float() takes a bool or a numeric string; a profile parameter must be
+    a real number, as an integer parameter must not be a bool."""
+    with pytest.raises(ValueError, match=match):
+        make()
+    # numpy scalars and plain ints are numbers
+    assert HighDimProfile(np.int64(3), np.float64(1.2)).d == 3.0
+    assert CustomProfile([0, np.float32(2.0)], [0, 1], 2).xs == (0.0, 2.0)
+
+
 # -- superlinearity ---------------------------------------------------------
 
 
