@@ -162,18 +162,22 @@ class DyadicMeasure:
                      masses: np.ndarray) -> "DyadicMeasure":
         """Measure on leaves already known to be valid: distinct in-range rows
         of the int64 array `coords` in lexicographic order, with finite
-        non-negative `masses`."""
+        non-negative `masses`.  When every mass is positive the arrays are
+        frozen and kept as given, so they must be fresh or already frozen."""
         _check_shape(d, m)
         mu = cls.__new__(cls)
         mu._set(d, m, coords, masses)
         return mu
 
     def _set(self, d: int, m: int, coords: np.ndarray, masses: np.ndarray) -> None:
+        masses = np.asarray(masses, dtype=float)
         keep = masses > 0.0
+        if not keep.all():
+            coords, masses = coords[keep], masses[keep]
         self.d = d
         self.m = m
-        self.coords = _frozen(coords[keep].reshape(-1, d))
-        self.masses = _frozen(np.asarray(masses, dtype=float)[keep])
+        self.coords = _frozen(coords.reshape(-1, d))
+        self.masses = _frozen(masses)
         self.trivial = not len(self.masses)
         self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._centers: np.ndarray | None = None

@@ -77,11 +77,11 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def _dimension(d) -> float:
-    d = _finite("d", d)
-    if d <= 0.0:
-        raise ValueError(f"d must be positive, got {d}")
-    return d
+def _positive(name: str, value) -> float:
+    value = _finite(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 class Profile:
@@ -102,7 +102,7 @@ class HighDimProfile(Profile):
     """D(t) = max(min(1, s + t - (d-1)), t/d)."""
 
     def __init__(self, d: int, s: float):
-        self.d = _dimension(d)
+        self.d = _positive("d", d)
         if not self.d.is_integer():
             raise ValueError(f"d must be an integer, got {d}")
         self.s = _finite("s", s)
@@ -115,7 +115,7 @@ class TrivialHalfProfile(Profile):
     """D(t) = t/2, valid for any positive base exponent."""
 
     def __init__(self, d: float = 2.0):
-        self.d = _dimension(d)
+        self.d = _positive("d", d)
 
     def _values(self, t):
         return t / 2.0
@@ -125,7 +125,7 @@ class KaufmanProfile(Profile):
     """Identity up to the direction-measure exponent: D(t) = min(t, s)."""
 
     def __init__(self, s: float, d: float = 2.0):
-        self.d = _dimension(d)
+        self.d = _positive("d", d)
         self.s = _finite("s", s)
 
     def _values(self, t):
@@ -159,7 +159,7 @@ class CustomProfile(Profile):
     """Piecewise-linear profile given by breakpoints on [0, d]."""
 
     def __init__(self, xs, ys, d: float):
-        self.d = _dimension(d)
+        self.d = _positive("d", d)
         bad = ValueError("breakpoints and values must be lists of numbers")
         try:
             xs, ys = list(xs), list(ys)

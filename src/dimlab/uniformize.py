@@ -9,11 +9,13 @@ a fixed point so the class certificates hold exactly on the final restricted
 measure (a single pruning pass can shift coarse ratios when finer levels are
 pruned afterwards).
 
-Each leaf's cube at every block level is labelled once per measure; a pass
-then sums cube masses with bincounts over those labels, and pruning only
-clears leaves from a mask.  The decomposition labels the input measure once
-and runs every extraction on it, masking out the leaves of earlier pieces;
-the same labels, restricted to a piece's leaves, check its ratio classes.
+The pruning works in cube space.  The cubes of all block levels form one
+tree per measure, in one index space: each leaf is labelled with its cube at
+every level, and each cube points to its parent.  A pass sums every cube's
+mass with one bincount over the survivors' labels, classes every ratio at
+once, and chooses each level's class on the cube arrays alone.  The
+decomposition builds the input measure's tree once for all its extractions;
+restricted to a piece's leaves, the tree checks the piece's ratio classes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .dyadic import DyadicMeasure, _group_rows
 from .plf import PLFunction
+from .sigma import _finite, _positive, _positive_int
 
 _TOL = 1e-9
 
@@ -42,7 +45,8 @@ class UniformPiece:
 
     def __post_init__(self) -> None:
         T, mu = self.T, self.measure
-        if not (isinstance(T, (int, np.integer)) and T >= 1 and len(self.beta) * T == mu.m
+        if not (isinstance(T, (int, np.integer)) and not isinstance(T, bool)
+                and T >= 1 and len(self.beta) * T == mu.m
                 and all(math.isfinite(b) and b == round(b * T) / T and 0 <= b <= mu.d
                         for b in self.beta)):
             raise ValueError(f"beta {self.beta!r} with T = {T!r} does not give one class "
@@ -63,129 +67,121 @@ class UniformPiece:
         return head + self.measure.to_text()
 
 
-def _block_labels(mu: DyadicMeasure, T: int, ell: int) -> tuple[list[np.ndarray], ...]:
-    """Each leaf's cube at every block level, each cube's parent, and the
-    cubes' coordinates.
+def _block_labels(mu: DyadicMeasure, T: int, ell: int):
+    """(L, up, off): the tree of mu's cubes at the block levels jT, j <= ell.
 
-    labels[j][i] is the index of leaf i's level-jT cube among mu's level-jT
-    cubes in lexicographic order (labels[0] is all zeros: the unit cube),
-    parents[j - 1][c] is the index of level-jT cube c's parent at level
-    (j-1)T, and cubes[j - 1][c] is cube c's row.  One _group_rows call per
-    block level.
+    Cubes are numbered coarsest level first, lexicographically within a
+    level: level j holds cubes off[j] to off[j + 1] - 1, and cube 0 is the
+    unit cube.  L[j, i] is leaf i's level-j cube and up[c] is cube c's parent
+    (up[0] = 0).  One _group_rows call per block level.
     """
-    labels = [np.zeros(len(mu.masses), dtype=np.intp)]
-    parents, cubes = [], []
+    L = np.zeros((ell + 1, len(mu.masses)), dtype=np.intp)
+    up, off = [np.zeros(1, dtype=np.intp)], [0, 1]
     for j in range(1, ell + 1):
         rows, label = _group_rows(mu.coords >> (mu.m - j * T))
+        L[j] = label + off[j]
         parent = np.empty(len(rows), dtype=np.intp)
-        parent[label] = labels[-1]
-        labels.append(label)
-        parents.append(parent)
-        cubes.append(rows)
-    return labels, parents, cubes
+        parent[label] = L[j - 1]
+        up.append(parent)
+        off.append(off[j] + len(rows))
+    return L, np.concatenate(up), tuple(off)
 
 
-def _check_classes(piece: UniformPiece, labels: list[np.ndarray],
-                   parents: list[np.ndarray], cubes: list[np.ndarray]) -> None:
+def _cube_masses(L: np.ndarray, w: np.ndarray, n_cubes: int) -> np.ndarray:
+    """Every cube's mass over the leaves labelled by the columns of L, weighed
+    by w: one bincount, summed in leaf order as the measure's cells are."""
+    return np.bincount(L.ravel(), weights=np.concatenate([w] * len(L)), minlength=n_cubes)
+
+
+def _check_classes(piece: UniformPiece, L: np.ndarray, up: np.ndarray,
+                   off: tuple[int, ...]) -> None:
     """Raise unless, at every block level j, each cube's mass ratio to its
     parent lies in [2^{-k-1}, 2^{-k}] up to _TOL, k = beta_j T.
 
-    labels (one per leaf of piece.measure), parents and cubes are as from
-    _block_labels.  Cube masses are bincounts in leaf order, bit-identical
-    to piece.measure.cells; cubes are tested in lexicographic order.
+    L labels the leaves of piece.measure in the cube tree (up, off) of
+    _block_labels.  All cubes holding a leaf are tested at once; the first
+    failure, level first and then lexicographically, is reported.
     """
-    masses = piece.measure.masses
-    coarse_mass = np.bincount(labels[0], weights=masses)
-    for j, (label, parent, rows) in enumerate(zip(labels[1:], parents, cubes), 1):
-        fine_mass = np.bincount(label, weights=masses, minlength=len(parent))
-        cube = np.flatnonzero(fine_mass)  # leaf masses are positive
-        mass, pm = fine_mass[cube], coarse_mass[parent[cube]]
-        k = round(piece.beta[j - 1] * piece.T)
-        bound = 2.0 ** (-k)
-        ok = (mass <= bound * pm + _TOL * pm) & (bound * pm <= 2.0 * mass + _TOL * pm)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise ValueError(
-                f"uniformity violated at level {j * piece.T}, cube {tuple(rows[cube[i]].tolist())}: "
-                f"ratio {mass[i] / pm[i]} outside [2^-{k + 1}, 2^-{k}]"
-            )
-        coarse_mass = fine_mass
+    mu = piece.measure
+    mass = _cube_masses(L, mu.masses, len(up))
+    pm = mass[up]
+    ks = [0] + [round(b * piece.T) for b in piece.beta]  # the unit cube passes as k = 0
+    bound = 2.0 ** -np.repeat(ks, np.diff(off))
+    ok = (mass <= bound * pm + _TOL * pm) & (bound * pm <= 2.0 * mass + _TOL * pm)
+    ok |= mass == 0.0  # cubes holding no leaf
+    if not ok.all():
+        c = int(np.argmin(ok))
+        j = int(np.searchsorted(off, c, side="right")) - 1
+        row = mu.coords[np.argmax(L[j] == c)] >> (mu.m - j * piece.T)
+        raise ValueError(
+            f"uniformity violated at level {j * piece.T}, cube {tuple(row.tolist())}: "
+            f"ratio {mass[c] / pm[c]} outside [2^-{ks[j] + 1}, 2^-{ks[j]}]"
+        )
 
 
-def _prune_pass(w: np.ndarray, alive: np.ndarray, labels: list[np.ndarray],
-                parents: list[np.ndarray], bounds: np.ndarray):
+def _prune_pass(w: np.ndarray, idx: np.ndarray, L: np.ndarray, up: np.ndarray,
+                off: tuple[int, ...], asc: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """One top-down sweep: per block level, keep the heaviest ratio class.
 
-    `alive` masks the surviving leaves and `w` weighs them; labels and
-    parents come from _block_labels.  A ratio is in class k when it lies in
-    (2^{-k-1}, 2^{-k}]: k counts the `bounds` 2^{-1}, ..., 2^{-max_k-1} at or
-    above it, and k = max_k + 1 is overflow.  Returns (alive, classes,
-    changed).  Each cube's mass is summed over its surviving leaves in leaf
-    order by one bincount.
+    idx lists the surviving leaves, w weighs them, and (L, up, off) is the
+    cube tree.  A ratio is in class k when it lies in (2^{-k-1}, 2^{-k}]: k
+    counts the bounds `asc` (2^{-max_k-1}, ..., 2^{-1}) at or above it, and
+    k = max_k + 1 is overflow.  Pruning drops whole cubes, so the masses of
+    one bincount at the start serve every level.  A cube is live when it
+    holds a survivor and its parent is kept; dead cubes weigh an exact zero.
+    Returns the leaves in kept finest cubes and the classes.
     """
-    max_k = len(bounds) - 1
-    alive = alive.copy()
+    n_k = len(asc)
+    mass = _cube_masses(L[:, idx], w[idx], len(up))
+    keep = mass > 0.0
+    ratio = np.divide(mass, mass[up], out=np.zeros(len(up)), where=keep)
+    cls = n_k - asc.searchsorted(ratio)
     classes = []
-    changed = False
-    coarse_mass = np.bincount(labels[0][alive], weights=w[alive])
-    for label, parent in zip(labels[1:], parents):
-        fine_of = label[alive]
-        fine_mass = np.bincount(fine_of, weights=w[alive], minlength=len(parent))
-        cube = np.flatnonzero(np.bincount(fine_of, minlength=len(parent)))
-        k = (bounds >= (fine_mass[cube] / coarse_mass[parent[cube]])[:, None]).sum(axis=1)
-        weight = np.bincount(k, weights=fine_mass[cube], minlength=max_k + 2)[: max_k + 1]
-        present = np.bincount(k, minlength=max_k + 2)[: max_k + 1] > 0
-        if not present.any():
-            return np.zeros_like(alive), None, True
-        # heaviest non-overflow class; smallest k wins ties
-        best_k = int(np.argmax(np.where(present, weight, -1.0)))
-        classes.append(best_k)
-        dropped = cube[k != best_k]
-        if len(dropped):
-            changed = True
-            keep = np.ones(len(parent), dtype=bool)
-            keep[dropped] = False
-            alive &= keep[label]
-        # pruning drops whole cubes, so each surviving cube keeps its leaves
-        # and its sum: this level's masses are the next level's parent masses
-        coarse_mass = fine_mass
-    return alive, classes, changed
-
-
-def _extract(mu: DyadicMeasure, w: np.ndarray, alive: np.ndarray,
-             labels: list[np.ndarray], parents: list[np.ndarray],
-             cubes: list[np.ndarray], T: int) -> tuple[UniformPiece, np.ndarray]:
-    """Prune the leaves of mu masked by `alive`, weighed by `w`, to a fixed
-    point, and check the piece against the labels of its leaves.  Returns
-    the piece, with mass_retained the w-mass kept, and the mask of its
-    leaves."""
-    bounds = 2.0 ** -np.arange(1.0, mu.d * T + 2)
-    classes = None
-    for _ in range(int(alive.sum()) + 2):  # each changed pass prunes >= 1 cube
-        alive, classes, changed = _prune_pass(w, alive, labels, parents, bounds)
-        if not alive.any():
+    for lo, hi in zip(off[1:], off[2:]):
+        live = keep[lo:hi]  # a view: this level's keep is set in place
+        live &= keep[up[lo:hi]]
+        weight = np.bincount(cls[lo:hi], weights=mass[lo:hi] * live, minlength=n_k + 1)
+        best = int(weight[:n_k].argmax())  # smallest k wins ties
+        if weight[best] == 0.0:  # every live ratio overflows
             raise ValueError("pruning emptied the measure")
-        if not changed:
+        classes.append(best)
+        live &= cls[lo:hi] == best
+    return idx[keep[L[-1, idx]]], classes
+
+
+def _extract(mu: DyadicMeasure, w: np.ndarray, alive: np.ndarray, L: np.ndarray,
+             up: np.ndarray, off: tuple[int, ...], T: int) -> tuple[UniformPiece, np.ndarray]:
+    """Prune the leaves of mu masked by `alive`, weighed by `w`, to a fixed
+    point, and check the piece against the cube tree (L, up, off) restricted
+    to its leaves.  Returns the piece, with mass_retained the w-mass kept,
+    and the mask of its leaves."""
+    asc = 2.0 ** np.arange(-mu.d * T - 1.0, 0.0)
+    idx = np.flatnonzero(alive)
+    for _ in range(len(idx) + 2):  # each changed pass prunes >= 1 leaf
+        survivors, classes = _prune_pass(w, idx, L, up, off, asc)
+        if len(survivors) == len(idx):
             break
+        idx = survivors
     else:
         raise RuntimeError("uniformization did not stabilize")
-    kept = w[alive]
+    kept = w[idx]
     retained = math.fsum(kept.tolist())
     piece = UniformPiece(
         beta=tuple(k / T for k in classes),
         T=T,
         mass_retained=retained,
-        measure=DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords[alive], kept / retained),
+        measure=DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords[idx], kept / retained),
     )
-    _check_classes(piece, [label[alive] for label in labels], parents, cubes)
-    return piece, alive
+    _check_classes(piece, L[:, idx], up, off)
+    taken = np.zeros_like(alive)
+    taken[idx] = True
+    return piece, taken
 
 
 def _block_count(mu: DyadicMeasure, T) -> int:
     """ell = m / T, after checking that T is a positive int dividing the
     depth of the nontrivial, normalized measure mu."""
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"block size must be a positive int, got {T!r}")
+    _positive_int("T", T)
     if mu.trivial:
         raise ValueError("cannot uniformize the trivial measure")
     if not mu.normalized:
@@ -204,9 +200,9 @@ def extract_uniform(mu: DyadicMeasure, T: int) -> UniformPiece:
     until every surviving ratio sits in its level's chosen class, so the
     final restricted measure satisfies the uniformity inequality exactly.
     """
-    labels, parents, cubes = _block_labels(mu, T, _block_count(mu, T))
+    tree = _block_labels(mu, T, _block_count(mu, T))
     alive = np.ones(len(mu.masses), dtype=bool)
-    return _extract(mu, mu.masses, alive, labels, parents, cubes, T)[0]
+    return _extract(mu, mu.masses, alive, *tree, T)[0]
 
 
 def decompose_uniform(mu: DyadicMeasure, T: int, eps: float) -> list[UniformPiece]:
@@ -215,16 +211,15 @@ def decompose_uniform(mu: DyadicMeasure, T: int, eps: float) -> list[UniformPiec
 
     mass_retained of each piece is recorded against the original measure.
     """
-    if not (0.0 < eps < math.inf):
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    labels, parents, cubes = _block_labels(mu, T, _block_count(mu, T))
+    eps = _positive("eps", eps)
+    tree = _block_labels(mu, T, _block_count(mu, T))
     cutoff = 2.0 ** (-eps * mu.m)
     pieces: list[UniformPiece] = []
     remaining = np.ones(len(mu.masses), dtype=bool)
     residual_mass, total = 1.0, mu.total_mass
     while residual_mass >= cutoff and remaining.any():
         # the residual measure's normalized masses, leaf for leaf
-        piece, taken = _extract(mu, mu.masses / total, remaining, labels, parents, cubes, T)
+        piece, taken = _extract(mu, mu.masses / total, remaining, *tree, T)
         # express retained mass relative to the original measure
         piece.mass_retained *= residual_mass
         pieces.append(piece)
@@ -247,6 +242,7 @@ def branching_profile(piece: UniformPiece) -> PLFunction:
 def lift_to_class(f: PLFunction, u: float, eps: float, d: float) -> PLFunction:
     """Replace f near 0 by the chord from the origin so the result lies in
     L(d, u - sqrt(eps)), given that f clears that line on [4 sqrt(eps), 1]."""
+    u, d, eps = _finite("u", u), _finite("d", d), _positive("eps", eps)
     cut = 4.0 * math.sqrt(eps)
     if cut >= 1.0:
         raise ValueError("eps too large: 4*sqrt(eps) must be < 1")

@@ -22,6 +22,22 @@ def random_measure(rng, d=2, m=8, n_leaves=40):
     return DyadicMeasure(d, m, leaves).normalize()
 
 
+def exact_split_measure(rng, d, m):
+    """Each cube splits its mass equally over 1, 2 or 4 of its children, so
+    every ratio to an ancestor is an exact power of two: the ratio-class
+    boundaries of the extraction are hit exactly."""
+    leaves = {(0,) * d: 1.0}
+    sizes = [k for k in (1, 2, 4) if k <= 2 ** d]
+    for _ in range(m):
+        nxt = {}
+        for key, mass in leaves.items():
+            n = int(rng.choice(sizes))
+            for child in rng.choice(2 ** d, size=n, replace=False).tolist():
+                nxt[tuple(2 * c + (child >> i & 1) for i, c in enumerate(key))] = mass / n
+        leaves = nxt
+    return DyadicMeasure(d, m, leaves)
+
+
 def random_plf(rng, n_segments=8, max_slope=2.0, nonneg=True):
     from dimlab.plf import from_slopes
 

@@ -16,6 +16,7 @@ from oracles import (
     build_from_atoms_reference,
     capped_fill_entropy_reference,
     decompose_uniform_reference,
+    exact_split_measure,
     extract_uniform_reference,
     leaf_dict,
     level_masses_reference,
@@ -276,22 +277,6 @@ def _pieces(pieces):
     return [(p.beta, leaf_dict(p.measure), p.mass_retained) for p in pieces]
 
 
-def _exact_split_measure(rng, d, m):
-    """Each cube splits its mass equally over 1, 2 or 4 of its children, so
-    every ratio to an ancestor is an exact power of two: the ratio-class
-    boundaries of the extraction are hit exactly."""
-    leaves = {(0,) * d: 1.0}
-    sizes = [k for k in (1, 2, 4) if k <= 2 ** d]
-    for _ in range(m):
-        nxt = {}
-        for key, mass in leaves.items():
-            n = int(rng.choice(sizes))
-            for child in rng.choice(2 ** d, size=n, replace=False).tolist():
-                nxt[tuple(2 * c + (child >> i & 1) for i, c in enumerate(key))] = mass / n
-        leaves = nxt
-    return DyadicMeasure(d, m, leaves)
-
-
 def test_array_core_matches_dict_loops():
     rng = np.random.default_rng(12)
     trivial = DyadicMeasure(2, 4, {})
@@ -311,7 +296,7 @@ def test_array_core_matches_dict_loops():
     # measures whose ratios sit exactly on the class boundaries
     cases = [random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(5, 120)))
              for d, m, count in ((2, 8, 30), (1, 8, 10), (3, 6, 10)) for _ in range(count)]
-    cases += [_exact_split_measure(rng, d, m) for d, m in ((1, 8), (2, 6), (3, 4)) * 4]
+    cases += [exact_split_measure(rng, d, m) for d, m in ((1, 8), (2, 6), (3, 4)) * 4]
     for mu in cases:
         leaves, d, m = leaf_dict(mu), mu.d, mu.m
         assert _pieces([extract_uniform(mu, 2)]) == [extract_uniform_reference(leaves, m, d, 2)]
@@ -328,7 +313,7 @@ def test_decomposition_matches_dict_loops_at_benchmark_size():
              for _ in range(10)]
     cases += [random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(50, 401)))
               for d, m in ((1, 8), (3, 6)) for _ in range(3)]
-    cases += [_exact_split_measure(rng, d, m) for d, m in ((1, 12), (2, 6), (3, 6)) * 2]
+    cases += [exact_split_measure(rng, d, m) for d, m in ((1, 12), (2, 6), (3, 6)) * 2]
     for mu in cases:
         assert _pieces(decompose_uniform(mu, 2, 0.2)) == \
             decompose_uniform_reference(leaf_dict(mu), mu.m, mu.d, 2, 0.2)

@@ -14,7 +14,7 @@ from dimlab.uniformize import (
     lift_to_class,
 )
 from dimlab.plf import PLFunction
-from oracles import check_invariant_reference, leaf_dict, random_measure
+from oracles import check_invariant_reference, exact_split_measure, leaf_dict, random_measure
 
 RECORDED = Path(__file__).parent / "data" / "decompose_uniform.txt"
 
@@ -56,6 +56,45 @@ def test_extract_uniform_rejects_bad_input():
         decompose_uniform(mu, 3, 0.2)
     with pytest.raises(ValueError):
         decompose_uniform(DyadicMeasure(2, 8, {}), 2, 0.2)
+
+
+def test_bools_are_rejected_as_block_size_and_eps():
+    """True is not read as T = 1 or eps = 1."""
+    mu = random_measure(np.random.default_rng(5), d=2, m=8, n_leaves=30)
+    piece = extract_uniform(mu, 1)
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="T must be an integer"):
+            extract_uniform(mu, flag)
+        with pytest.raises(ValueError, match="T must be an integer"):
+            decompose_uniform(mu, flag, 0.2)
+        with pytest.raises(ValueError, match="eps must be a number"):
+            decompose_uniform(mu, 2, flag)
+        with pytest.raises(ValueError, match="does not give one class"):
+            UniformPiece(piece.beta, flag, piece.mass_retained, piece.measure)
+    UniformPiece(piece.beta, np.int64(1), piece.mass_retained, piece.measure)
+
+
+def test_cube_tree_matches_cells():
+    """The cube tree's one-bincount masses at block level j are the level-jT
+    cells byte for byte, each leaf's label is the cube holding it, and up
+    maps each cube to the cube holding its row >> T."""
+    rng = np.random.default_rng(15)
+    for d, m in ((1, 8), (2, 8), (3, 6)):
+        for T in (1, 2):
+            mu = random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(1, 200)))
+            equal = DyadicMeasure._from_arrays(d, m, mu.coords, np.ones(len(mu.masses)))
+            for nu in (mu, exact_split_measure(rng, d, m), equal.normalize()):
+                L, up, off = uniformize._block_labels(nu, T, m // T)
+                mass = uniformize._cube_masses(L, nu.masses, len(up))
+                assert up[0] == 0 and off[-1] == len(up) == len(mass)
+                for j in range(m // T + 1):
+                    rows, sums = nu.cells(j * T)
+                    assert mass[off[j]:off[j + 1]].tobytes() == sums.tobytes()
+                    assert np.array_equal(rows[L[j] - off[j]], nu.coords >> (m - j * T))
+                    if j:
+                        coarse = nu.cells((j - 1) * T)[0]
+                        assert np.array_equal(coarse[up[off[j]:off[j + 1]] - off[j - 1]],
+                                              rows >> T)
 
 
 def test_decomposition_groups_block_cubes_once(monkeypatch):
@@ -213,6 +252,21 @@ def test_lift_to_class():
         lift_to_class(g, 1.0, eps, 2.0)
     with pytest.raises(ValueError):
         lift_to_class(f, 1.0, 0.1, 2.0)  # 4 sqrt(eps) > 1: no room for the chord
+
+
+@pytest.mark.parametrize("u, eps, d, name", [
+    (math.nan, 0.01, 2.0, "u"),
+    (math.inf, 0.01, 2.0, "u"),
+    (1.0, 0.01, math.nan, "d"),
+    (1.0, -0.01, 2.0, "eps"),
+    (1.0, 0.0, 2.0, "eps"),
+    (1.0, math.nan, 2.0, "eps"),
+    (1.0, True, 2.0, "eps"),
+])
+def test_lift_to_class_names_a_bad_parameter(u, eps, d, name):
+    f = PLFunction((0.0, 0.5, 1.0), (0.1, 0.6, 1.1))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        lift_to_class(f, u, eps, d)
 
 
 def _decomposition_texts() -> str:
