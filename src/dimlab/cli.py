@@ -155,6 +155,7 @@ def cmd_sigma(args) -> int:
         print(f"estimate={res.estimate!r} candidates={res.n_candidates}")
         print(f"certificate={res.certificate.to_json()}")
         print(f"full_evaluations={res.n_full_evals}")
+        print(f"pruned=coarse:{res.n_pruned_coarse} quarter:{res.n_pruned_quarter}")
         return PASS
     if args.action == "verify-planar":
         rep = verify_planar_bound(args.u, args.zeta, eta=args.eta,

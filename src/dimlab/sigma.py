@@ -29,9 +29,13 @@ from .plf import PLFunction, _in_class_rows, from_slopes, linear
 
 _TOL = 1e-9
 # candidates per batched sub-grid bound in sigma_tau; from about 4 a batch
-# costs less per candidate than one at a time, and 8 keeps its weights
-# (8 x 201^2 floats at grid 800) at half of one full-grid evaluation's
-_BATCH = 8
+# costs less per candidate than one at a time, and 12 keeps its weights
+# (12 x 201^2 floats on the quarter grid of 800) under one full-grid
+# evaluation's
+_BATCH = 12
+# most `_plan`s kept at once: a search uses one per grid and chunk size
+_PLANS_KEPT = 16
+_PLANS: dict = {}
 
 
 # -- the threshold constant -------------------------------------------------
@@ -210,15 +214,17 @@ def _slope_rows(G: np.ndarray, fG: np.ndarray, p: np.ndarray, q1: int) -> np.nda
     on a leading axis) from the starts G[p], p increasing, to the ends G[q],
     p[0] < q <= q1, on the sorted grid G: S[..., r, q - p[0] - 1] =
     best_slope(f, G[p[r]], G[q]), exact when G contains f's breakpoints
-    (inf for q <= p[r])."""
+    (inf for q <= p[r]).  Also the chord lengths dx[r, q - p[0] - 1] =
+    G[q] - G[p[r]]."""
     ends = slice(p[0] + 1, q1 + 1)
     dx = G[ends] - G[p, None]
+    S = np.subtract(fG[..., None, ends], fG[..., p, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        S = (fG[..., None, ends] - fG[..., p, None]) / dx
+        np.divide(S, dx, out=S)
     # q <= p[r] only happens for q <= p[-1]
     stair = slice(0, p[-1] - p[0])
     np.copyto(S[..., stair], np.inf, where=dx[:, stair] <= 0)
-    return np.minimum.accumulate(S, axis=-1, out=S)
+    return np.minimum.accumulate(S, axis=-1, out=S), dx
 
 
 def _row_chunk(n: int, k: int = 1) -> int:
@@ -333,6 +339,7 @@ def superlinear_decomposition(
     which dominates the constructive guarantee
     f(b) - f(a) - eps (b - a) whenever one exists.
     """
+    eps, rho = _positive("eps", eps), _positive("rho", rho)
     if not f.is_nondecreasing():
         raise ValueError("f must be nondecreasing")
     if a < rho - _TOL or b - a < rho - _TOL:
@@ -355,7 +362,7 @@ def superlinear_decomposition(
     for p0 in range(0, K - 1, chunk):
         p1 = min(p0 + chunk, K - 1)
         q1 = hi[p1 - 1]
-        Bt[p0 + 1:q1 + 1, p0:p1] = _slope_rows(G, fG, np.arange(p0, p1), q1).T
+        Bt[p0 + 1:q1 + 1, p0:p1] = _slope_rows(G, fG, np.arange(p0, p1), q1)[0].T
 
     NEG = -math.inf
     val = np.full(K, NEG)
@@ -412,36 +419,69 @@ def _band(xs: np.ndarray, tau: float):
     return lo, hi, np.flatnonzero(lo <= hi)
 
 
-def _weights(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray, band):
+def _plan(xs: np.ndarray, tau: float, chunk: int):
+    """What `_dp` needs of the sorted grid xs and tau alone, for row chunks
+    of `chunk` rows: the chunks (c0, c1, j0, j1, allowable), rows [c0, c1)
+    and the union [j0, j1) of their bands with the exact allowability test
+    allowable[i - c0, j - j0], and the sweep's `_column_blocks` (both empty
+    when no interval is allowable).  Index bounds and booleans only, kept
+    for the last _PLANS_KEPT keys."""
+    key = (xs.tobytes(), tau, chunk)
+    plan = _PLANS.get(key)
+    if plan is None:
+        band = _band(xs, tau)
+        lo, hi, rows = band
+        chunks, blocks = [], []
+        if len(rows):
+            for c0 in range(rows[0], rows[-1] + 1, chunk):
+                c1 = min(c0 + chunk, rows[-1] + 1)
+                j0, j1 = int(lo[c0]), int(hi[c1 - 1]) + 1
+                if j1 > j0:
+                    lens = xs[j0:j1] - xs[c0:c1, None]
+                    allowable = ((lens >= tau - _TOL) & (lens <= xs[c0:c1, None] + _TOL)
+                                 & (lens > 0))
+                    allowable.setflags(write=False)
+                    chunks.append((c0, c1, j0, j1, allowable))
+            blocks = list(_column_blocks(band))
+        if len(_PLANS) >= _PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]
+        plan = _PLANS[key] = (chunks, blocks)
+    return plan
+
+
+def _weights(D: Profile, fs: list[PLFunction], xs: np.ndarray, chunks):
     """Column-major weights W[r, j, i] of [xs[i], xs[j]] against fs[r], for
     functions that share their breakpoints: -inf off the band and where no
     sigma in [0, d] certifies the interval.  Also the clipped slopes per row
     chunk, (c0, j0, sg) with sg[r, i - c0, j - j0], for the certificate.
 
-    Slopes and weights are built only on the band; the exact allowability
-    test then runs on it, so every weight equals the one a full (n+1)^2
-    matrix would hold.
+    Slopes and weights are built only on the chunks of a `_plan`; the exact
+    allowability test then runs on them, so every weight equals the one a
+    full (n+1)^2 matrix would hold.  When the breakpoints lie on xs, the
+    slopes are taken on xs itself, and the chord lengths are the interval
+    lengths.
     """
-    lo, hi, rows = band
-    n = len(xs) - 1
-    G = np.union1d(xs, np.clip(np.array(fs[0].xs), 0.0, 1.0))
-    gi = np.searchsorted(G, xs)
+    n1 = len(xs)
+    bx = np.clip(np.array(fs[0].xs), 0.0, 1.0)
+    on_grid = np.array_equal(xs[np.minimum(np.searchsorted(xs, bx), n1 - 1)], bx)
+    if on_grid:
+        G, gi = xs, np.arange(n1)
+    else:
+        G = np.union1d(xs, bx)
+        gi = np.searchsorted(G, xs)
     fG = np.array([f(G) for f in fs])
-    W = np.full((len(fs), n + 1, n + 1), -math.inf)
+    W = np.full((len(fs), n1, n1), -math.inf)
     clipped = []
-    chunk = _row_chunk(n, len(fs))
-    for c0 in range(rows[0], rows[-1] + 1, chunk):
-        c1 = min(c0 + chunk, rows[-1] + 1)
-        j0, j1 = lo[c0], hi[c1 - 1] + 1
-        if j1 <= j0:
-            continue
-        S = _slope_rows(G, fG, gi[c0:c1], gi[j1 - 1])
-        Bg = S[..., gi[j0:j1] - (gi[c0] + 1)]
-        lens = xs[j0:j1] - xs[c0:c1, None]
-        allowable = (lens >= tau - _TOL) & (lens <= xs[c0:c1, None] + _TOL) & (lens > 0)
+    for c0, c1, j0, j1, allowable in chunks:
+        S, dx = _slope_rows(G, fG, gi[c0:c1], gi[j1 - 1])
+        if on_grid:
+            Bg, lens = S[..., j0 - c0 - 1:], dx[:, j0 - c0 - 1:]
+        else:
+            Bg, lens = S[..., gi[j0:j1] - (gi[c0] + 1)], xs[j0:j1] - xs[c0:c1, None]
         sg = np.clip(Bg, 0.0, D.d)
-        W[:, j0:j1, c0:c1] = np.where(allowable & (Bg >= -_TOL),
-                                      lens * np.asarray(D(sg)), -math.inf).transpose(0, 2, 1)
+        ok = Bg >= -_TOL
+        ok &= allowable
+        np.copyto(W[:, j0:j1, c0:c1].transpose(0, 2, 1), lens * np.asarray(D(sg)), where=ok)
         clipped.append((c0, j0, sg))
     return W, clipped
 
@@ -470,11 +510,11 @@ def _dp(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray):
     axis, so each row takes the same sums and maxima as a sweep of its own.
     """
     best = np.zeros((len(fs), len(xs)))
-    band = _band(xs, tau)
-    if not len(band[2]):
+    chunks, blocks = _plan(xs, tau, _row_chunk(len(xs) - 1, len(fs)))
+    if not chunks:
         return best, None, []
-    W, clipped = _weights(D, fs, tau, xs, band)
-    for j0, j1, r0, r1 in _column_blocks(band):
+    W, clipped = _weights(D, fs, xs, chunks)
+    for j0, j1, r0, r1 in blocks:
         if r1 > r0:
             # best of each column's own intervals, then the running maximum
             # from the column before the block
@@ -531,7 +571,8 @@ def _pruning_bounds(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray
     Every family with endpoints on the sub-grid is a family on xs, and the
     sub-grid points are the same floats, so each bound holds up to rounding
     in the best slopes (exact on the grid united with f's breakpoints), far
-    below 1e-12.
+    below 1e-12.  Called on xs[::4], it bounds the values on xs[::16], which
+    in turn bound those on xs[::4]; `sigma_tau` screens with both.
     """
     return _dp(D, fs, tau, xs[::4])[0][:, -1]
 
@@ -546,6 +587,9 @@ class SigmaTauResult:
     n_candidates: int
     n_full_evals: int
     decomposition: IntervalDecomposition = field(repr=False, default=None)
+    # candidates pruned by the 1/16 sub-grid bound and by the quarter one
+    n_pruned_coarse: int = field(repr=False, default=0)
+    n_pruned_quarter: int = field(repr=False, default=0)
 
 
 def _default_grid_n(tau: float, n_segments: int) -> int:
@@ -555,6 +599,23 @@ def _default_grid_n(tau: float, n_segments: int) -> int:
     if rem:
         n += n_segments - rem
     return n
+
+
+def _batches(fs, size: int):
+    """Consecutive batches of the iterable fs, of at most `size` items, the
+    last two of them split near-evenly; fs is read one batch ahead."""
+    fs = iter(fs)
+    batch = list(itertools.islice(fs, size))
+    while batch:
+        ahead = list(itertools.islice(fs, size))
+        if len(ahead) < size:
+            rest = batch + ahead
+            m = -(-len(rest) // size)
+            cuts = [len(rest) * i // m for i in range(m + 1)]
+            yield from (rest[a:b] for a, b in zip(cuts, cuts[1:]))
+            return
+        yield batch
+        batch = ahead
 
 
 def _feasible_random_slopes(rng, t, d, levels, n_segments):
@@ -593,18 +654,22 @@ def sigma_tau(
     A candidate is a generated function that lies in L(d, t); every one
     counts toward `budget` and `n_candidates`.  A full evaluation is a
     `sigma_for_f` call on the grid; once a certificate exists, a candidate
-    whose value on the quarter sub-grid (a lower bound for its grid value)
-    already exceeds the best value cannot win and gets none, so
+    whose value on the 1/16 or the quarter sub-grid (lower bounds for its
+    grid value) already exceeds the best value cannot win and gets none, so
     `n_full_evals <= n_candidates` and the result is the same as with a full
-    evaluation of every candidate.
+    evaluation of every candidate.  `n_pruned_coarse` and
+    `n_pruned_quarter` count the candidates each bound pruned.
 
     The sub-grid bounds read nothing of the search, so one DP computes them
-    for up to _BATCH consecutive candidates with the same breakpoints: the
-    two-slope candidates with inner breakpoint x0 (whose class test runs on
-    a row of values before any function is built), or candidates of another
-    phase (a descent sweep builds all its trials from the slopes at its
-    start).  The batch is then walked in generation order, so every output
-    equals that of bounding one candidate at a time.
+    for a near-even batch of at most _BATCH consecutive candidates with the
+    same breakpoints: the two-slope candidates with inner breakpoint x0
+    (whose class test runs on a row of values before any function is
+    built), or candidates of another phase (a descent sweep builds all its
+    trials from the slopes at its start).  A batch is bounded on the 1/16
+    sub-grid, then those whose bound does not exceed the best value at its
+    start on the quarter sub-grid.  The best value only falls and the
+    1/16 bound is the lower, so walking the batch in generation order prunes
+    what bounding one candidate at a time on the quarter sub-grid would.
     """
     d = D.d
     if not (0.0 < t < d):
@@ -613,14 +678,17 @@ def sigma_tau(
         raise ValueError(f"tau must be in (0, 1/2], got {tau}")
     _positive_int("budget", budget)
     _positive_int("n_segments", n_segments)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if slope_levels is None:
         slope_levels = [d * i / 8.0 for i in range(9)]
     try:
-        slope_levels = [float(s) for s in slope_levels]
-    except (TypeError, ValueError):
+        slope_levels = list(slope_levels)
+    except TypeError:
         slope_levels = []
-    if not slope_levels or not all(map(math.isfinite, slope_levels)):
+    if not (slope_levels and all(_is_number(s) and math.isfinite(s) for s in slope_levels)):
         raise ValueError("slope_levels must be a non-empty list of finite numbers")
+    slope_levels = [float(s) for s in slope_levels]
     if grid_n is None:
         grid_n = _default_grid_n(tau, n_segments)
     xs = _grid(grid_n)
@@ -629,15 +697,24 @@ def sigma_tau(
     best_f = linear(t)
     best_val, best_dec = sigma_for_f(D, best_f, tau, grid_n)
     n_eval = n_full = 1
+    n_coarse = n_quarter = 0
 
     def consider(fs):
         """Walk fs, functions in L(d, t) with the same breakpoints, in order."""
-        nonlocal best_val, best_f, best_dec, n_eval, n_full
-        fs = iter(fs)
-        while batch := list(itertools.islice(fs, _BATCH)):
-            for f, bound in zip(batch, _pruning_bounds(D, batch, tau, xs)):
+        nonlocal best_val, best_f, best_dec, n_eval, n_full, n_coarse, n_quarter
+        for batch in _batches(fs, _BATCH):
+            coarse = _pruning_bounds(D, batch, tau, xs[::4])
+            live = np.flatnonzero(coarse <= best_val + 1e-12)
+            quarter = np.full(len(batch), -math.inf)
+            if len(live):
+                quarter[live] = _pruning_bounds(D, [batch[i] for i in live.tolist()], tau, xs)
+            for f, c, q in zip(batch, coarse.tolist(), quarter.tolist()):
                 n_eval += 1
-                if bound > best_val + 1e-12:
+                if c > best_val + 1e-12:
+                    n_coarse += 1
+                    continue
+                if q > best_val + 1e-12:
+                    n_quarter += 1
                     continue
                 val, dec = sigma_for_f(D, f, tau, grid_n)
                 n_full += 1
@@ -697,7 +774,7 @@ def sigma_tau(
                 if best_val >= base - 1e-15:
                     break
 
-    return SigmaTauResult(best_val, best_f, n_eval, n_full, best_dec)
+    return SigmaTauResult(best_val, best_f, n_eval, n_full, best_dec, n_coarse, n_quarter)
 
 
 def lipschitz_scan(D: Profile, t_range, tau: float, **kwargs) -> list[dict]:
@@ -740,6 +817,12 @@ def verify_planar_bound(
     s_max = phi(u) - zeta
     if s_grid is None:
         s_grid = [s_max * k / 6.0 for k in range(1, 7)]
+    try:
+        s_grid = list(s_grid)
+    except TypeError:
+        s_grid = []
+    if not s_grid or not all(map(_is_number, s_grid)):
+        raise ValueError("s_grid must be a non-empty list of numbers")
     rows = []
     for s in s_grid:
         if not (0.0 < s <= s_max + _TOL):

@@ -108,7 +108,11 @@ def test_sigma_inf(capsys):
     assert lines[1].startswith("certificate=")
     assert lines[2].startswith("full_evaluations=")
     full = int(lines[2].partition("=")[2])
-    assert 1 <= full <= int(lines[0].partition(" candidates=")[2])
+    candidates = int(lines[0].partition(" candidates=")[2])
+    assert 1 <= full <= candidates
+    coarse, quarter = lines[3].removeprefix("pruned=coarse:").split(" quarter:")
+    assert full + int(coarse) + int(quarter) == candidates
+    assert len(lines) == 4
 
 
 @pytest.mark.parametrize("name, profile, tau, grid", [

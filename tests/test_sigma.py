@@ -267,6 +267,15 @@ def test_superlinear_decomposition_tiles_and_bounds():
         assert total >= growth - eps * (b - a) - 1e-9
 
 
+@pytest.mark.parametrize("eps, rho, match", [
+    (0, 0.2, "eps"), (-1, 0.2, "eps"), (math.nan, 0.2, "eps"), (True, 0.2, "eps"),
+    (0.4, math.nan, "rho"), (0.4, 0.0, "rho"), (0.4, -0.2, "rho"), (0.4, math.inf, "rho"),
+])
+def test_superlinear_decomposition_rejects_bad_parameters(eps, rho, match):
+    with pytest.raises(ValueError, match=match):
+        superlinear_decomposition(linear(1.0), 0.25, 1.0, eps, rho)
+
+
 def test_decomposition_check_rejects_bad_families():
     f = linear(1.0)
     dec = IntervalDecomposition([(0.2, 0.5, 1.0)], tau=0.1)
@@ -370,9 +379,13 @@ def test_sigma_tau_and_sigma_for_f_reject_bad_input():
     for n_segments in (0, -1, 2.5, 4.0, True, None):
         with pytest.raises(ValueError, match="n_segments"):
             sigma_tau(D, 1.0, 0.1, n_segments=n_segments)
-    for levels in ([], [math.nan, 1.0], [0.5, math.inf], [-math.inf], ["a"], [[1.0]], 3):
+    for levels in ([], [math.nan, 1.0], [0.5, math.inf], [-math.inf], ["a"], [[1.0]], 3,
+                   [True, False, 2], ["0.5"]):
         with pytest.raises(ValueError, match="slope"):
             sigma_tau(D, 1.0, 0.1, slope_levels=levels)
+    for seed in (1.5, -1, True, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            sigma_tau(D, 1.0, 0.1, seed=seed)
 
 
 def _dp_function(rng, d, grid_n, on_grid):
@@ -460,6 +473,42 @@ def test_pruning_bound_is_a_lower_bound():
                 fine, _ = sigma_for_f(D, f, tau, grid_n)
                 [coarse] = sigma._pruning_bounds(D, [f], tau, sigma._grid(grid_n))
                 assert coarse <= fine + 1e-12, (type(D).__name__, grid_n, coarse, fine)
+
+
+def test_coarse_bound_below_quarter_bound_below_grid_value():
+    """The 1/16 sub-grid value (`_pruning_bounds` on xs[::4]) is at most the
+    quarter sub-grid value, which is at most the grid value, each up to
+    1e-12: functions with breakpoints k/16, on or off the sub-grids, and at
+    random points."""
+    rng = np.random.default_rng(19)
+    for grid_n in (80, 96, 101, 400, 800):
+        xs = sigma._grid(grid_n)
+        for D in _all_profiles(rng):
+            tau = float(rng.choice([0.01, 0.02, 0.05, 0.1, 0.2, 0.3]))
+            fs = [_random_in_class(rng, D.d), _dp_function(rng, D.d, grid_n, on_grid=False)]
+            for f in fs:
+                [coarse] = sigma._pruning_bounds(D, [f], tau, xs[::4])
+                [quarter] = sigma._pruning_bounds(D, [f], tau, xs)
+                value = sigma._dp(D, [f], tau, xs)[0][0, -1]
+                case = (grid_n, tau, type(D).__name__, f.xs)
+                assert coarse <= quarter + 1e-12, case
+                assert quarter <= value + 1e-12, case
+
+
+def test_batches_are_near_even_and_read_one_batch_ahead():
+    assert list(sigma._batches(iter([]), 12)) == []
+    for n in range(1, 40):
+        read = []
+        items = (read.append(i) or i for i in range(n))
+        batches = []
+        for batch in sigma._batches(items, 12):
+            # the batch and at most one more have been read
+            assert len(read) <= sum(map(len, batches)) + len(batch) + 12
+            batches.append(batch)
+        assert sum(batches, []) == list(range(n))
+        sizes = list(map(len, batches))
+        assert all(1 <= k <= 12 for k in sizes) and len(sizes) == -(-n // 12)
+        assert sizes[:-2] == [12] * (len(sizes) - 2) and max(sizes[-2:]) - min(sizes[-2:]) <= 1
 
 
 def test_batched_pruning_bounds_equal_grid_dp():
@@ -572,6 +621,54 @@ def test_pruned_sigma_tau_equals_full_evaluation(name, monkeypatch):
         assert phase_calls > 0 and pruned.n_candidates > budget
 
 
+def _set_coarse_stage(monkeypatch, grid_n, tight):
+    """Make the 1/16 sub-grid stage of sigma_tau on the grid {i/grid_n}
+    prune nothing, or with `tight` prune by the quarter sub-grid bound, the
+    tightest bound it may use; the quarter sub-grid stage stays as it is."""
+    real = sigma._pruning_bounds
+    xs = sigma._grid(grid_n)
+
+    def bounds(D, fs, tau, sub):
+        if len(sub) == len(xs):
+            return real(D, fs, tau, sub)
+        return real(D, fs, tau, xs) if tight else np.full(len(fs), -math.inf)
+    monkeypatch.setattr(sigma, "_pruning_bounds", bounds)
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_CONFIGS))
+def test_coarse_stage_changes_no_search(name, monkeypatch):
+    """Screening on the 1/16 sub-grid first prunes no candidate that the
+    quarter sub-grid bound would let through: the result is the same
+    without it, and each candidate is pruned by one stage or fully
+    evaluated."""
+    D, t, tau, kwargs = _SEARCH_CONFIGS[name]
+    grid_n = sigma._default_grid_n(tau, kwargs["n_segments"])
+    both = sigma_tau(D, t, tau, **kwargs)
+    _set_coarse_stage(monkeypatch, grid_n, tight=False)
+    quarter = sigma_tau(D, t, tau, **kwargs)
+    _set_coarse_stage(monkeypatch, grid_n, tight=True)
+    tight = sigma_tau(D, t, tau, **kwargs)
+    for res in (quarter, tight):
+        assert repr(res) == repr(both)
+        assert res.decomposition.entries == both.decomposition.entries
+    for res in (both, quarter, tight):
+        assert res.n_full_evals + res.n_pruned_coarse + res.n_pruned_quarter == res.n_candidates
+    assert quarter.n_pruned_coarse == tight.n_pruned_quarter == 0
+
+
+def test_coarse_stage_keeps_highdim_full_evaluations(monkeypatch):
+    """Acceptance 03's searches make the same full evaluations with and
+    without the 1/16 sub-grid stage, which prunes most of their candidates."""
+    def searches():
+        return [sigma_tau(HighDimProfile(3, s), 1.5, 0.02, budget=2600)
+                for s in (1.05, 1.2, 1.35, 1.45)]
+    both = searches()
+    assert [res.n_full_evals for res in both] == [4, 6, 7, 8]
+    assert all(res.n_pruned_coarse > 0.9 * res.n_candidates for res in both)
+    _set_coarse_stage(monkeypatch, sigma._default_grid_n(0.02, 16), tight=False)
+    assert [res.n_full_evals for res in searches()] == [4, 6, 7, 8]
+
+
 def test_lipschitz_scan_monotone():
     D = KaufmanProfile(0.8)
     rows = lipschitz_scan(D, [0.4, 0.8, 1.2], 0.1, budget=100, n_segments=4,
@@ -587,3 +684,9 @@ def test_verify_planar_bound_smoke():
                               slope_levels=[0.0, 0.5, 1.0, 1.5, 2.0])
     assert {"s", "margin", "certificate", "base_case"} <= set(rep["rows"][0])
     assert rep["rows"][0]["base_case"] is True
+
+
+@pytest.mark.parametrize("s_grid", [[], ["0.1"], [True], [0.1, None], 0.1])
+def test_verify_planar_bound_rejects_bad_s_grid(s_grid):
+    with pytest.raises(ValueError, match="s_grid"):
+        verify_planar_bound(1.0, 0.3, tau=0.05, budget=60, s_grid=s_grid)
