@@ -29,12 +29,14 @@ from .plf import PLFunction, _in_class_rows, from_slopes, linear
 
 _TOL = 1e-9
 # candidates per batched sub-grid bound in sigma_tau; from about 4 a batch
-# costs less per candidate than one at a time, and 12 keeps its weights
-# (12 x 201^2 floats on the quarter grid of 800) under one full-grid
-# evaluation's
+# costs less per candidate than one at a time
 _BATCH = 12
-# most `_plan`s kept at once: a search uses one per grid and chunk size
-_PLANS_KEPT = 16
+# columns per panel of `_dp` for one function; a batch of functions was
+# fastest with 32 on the sub-grids of 400 and 800
+_PANEL = 48
+# most bytes of masks in the `_plan`s kept: a search at grid 3200 uses one
+# of 2.6 MB for the grid and a few of at most 0.2 MB for its sub-grids
+_PLAN_BYTES = 8 << 20
 _PLANS: dict = {}
 
 
@@ -112,7 +114,10 @@ class HighDimProfile(Profile):
         self.s = _finite("s", s)
 
     def _values(self, t):
-        return np.maximum(np.minimum(1.0, self.s + t - (self.d - 1.0)), t / self.d)
+        out = np.add(self.s, t, out=np.empty_like(t))
+        out -= self.d - 1.0
+        np.minimum(out, 1.0, out=out)
+        return np.maximum(out, t / self.d, out=out)
 
 
 class TrivialHalfProfile(Profile):
@@ -155,8 +160,10 @@ class PlanarProfile(Profile):
         self.s_prime = min(2.0, 2.0 * (self.s + self.eta))
 
     def _values(self, t):
-        plateau = self.s + self.eta
-        return np.where(t <= self.s, t, np.where(t <= self.s_prime, plateau, t / 2.0))
+        out = np.divide(t, 2.0, out=np.empty_like(t))
+        np.copyto(out, self.s + self.eta, where=t <= self.s_prime)
+        np.copyto(out, t, where=t <= self.s)
+        return out
 
 
 class CustomProfile(Profile):
@@ -209,31 +216,33 @@ def is_superlinear(f: PLFunction, a: float, b: float, sigma: float, tol: float =
     return best_slope(f, a, b) >= sigma - tol
 
 
-def _slope_rows(G: np.ndarray, fG: np.ndarray, p: np.ndarray, q1: int) -> np.ndarray:
+def _chord_mins(G: np.ndarray, fG: np.ndarray, p: np.ndarray, q0: int, q1: int,
+                carry=None) -> np.ndarray:
     """Best superlinear slopes of f (fG = f(G), or a row f(G) per function
     on a leading axis) from the starts G[p], p increasing, to the ends G[q],
-    p[0] < q <= q1, on the sorted grid G: S[..., r, q - p[0] - 1] =
-    best_slope(f, G[p[r]], G[q]), exact when G contains f's breakpoints
-    (inf for q <= p[r]).  Also the chord lengths dx[r, q - p[0] - 1] =
-    G[q] - G[p[r]]."""
-    ends = slice(p[0] + 1, q1 + 1)
-    dx = G[ends] - G[p, None]
-    S = np.subtract(fG[..., None, ends], fG[..., p, None])
+    q0 <= q < q1, on the sorted grid G, end-major: S[..., q - q0, r] is the
+    least chord slope from G[p[r]] to the G[q'], p[r] < q' <= q, and of
+    carry[..., r] (inf when there are none).  That is best_slope(f, G[p[r]],
+    G[q]) when G contains f's breakpoints and carry holds the least slope to
+    the ends before q0."""
+    dx = G[q0:q1, None] - G[p]
+    S = np.subtract(fG[..., q0:q1, None], fG[..., None, p])
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(S, dx, out=S)
-    # q <= p[r] only happens for q <= p[-1]
-    stair = slice(0, p[-1] - p[0])
-    np.copyto(S[..., stair], np.inf, where=dx[:, stair] <= 0)
-    return np.minimum.accumulate(S, axis=-1, out=S), dx
-
-
-def _row_chunk(n: int, k: int = 1) -> int:
-    """Rows per _slope_rows call on an n-step grid for k functions at once.
-    A chunk spans the union of its rows' bands, so larger chunks waste
-    columns and smaller ones pay more per-call overhead; about 48 rows was
-    fastest for one function and n = 100 to 800, and 16 to 32 rows for two
-    to eight functions on the sub-grids of n = 400 and 800."""
-    return max(16, max(48, n // 16) // k)
+    # q <= p[r] only happens for the starts from q0 on, at q <= p[-1]
+    s = int(np.searchsorted(p, q0))
+    if s < len(p):
+        m = p[-1] + 1 - q0
+        np.copyto(S[..., :m, s:], np.inf, where=dx[:m, s:] <= 0)
+    if carry is not None:
+        np.minimum(S[..., 0, :], carry, out=S[..., 0, :])
+    # a ufunc call per end costs less than accumulate's per-element loop
+    # from a few hundred starts on
+    if S[..., 0, :].size < 256:
+        return np.minimum.accumulate(S, axis=-2, out=S)
+    for q in range(1, S.shape[-2]):
+        np.minimum(S[..., q - 1, :], S[..., q, :], out=S[..., q, :])
+    return S
 
 
 # -- interval decompositions -----------------------------------------------
@@ -355,14 +364,14 @@ def superlinear_decomposition(
     K = len(G)
     fG = np.asarray(f(G))
     # column-major best slopes Bt[j, i] over [G[i], G[j]] for the lengths up
-    # to rho the chain may use; zero elsewhere, where the DP masks them
+    # to rho the chain may use, 48 starts at a time; zero elsewhere, where
+    # the DP masks them
     hi = np.searchsorted(G, G + (rho + 4 * _TOL), side="right") - 1
     Bt = np.zeros((K, K))
-    chunk = _row_chunk(K)
-    for p0 in range(0, K - 1, chunk):
-        p1 = min(p0 + chunk, K - 1)
-        q1 = hi[p1 - 1]
-        Bt[p0 + 1:q1 + 1, p0:p1] = _slope_rows(G, fG, np.arange(p0, p1), q1)[0].T
+    for p0 in range(0, K - 1, 48):
+        p1 = min(p0 + 48, K - 1)
+        q1 = hi[p1 - 1] + 1
+        Bt[p0 + 1:q1, p0:p1] = _chord_mins(G, fG, np.arange(p0, p1), p0 + 1, q1)
 
     NEG = -math.inf
     val = np.full(K, NEG)
@@ -409,59 +418,74 @@ def _grid(grid_n: int) -> np.ndarray:
     return np.arange(_positive_int("grid_n", grid_n) + 1) / grid_n
 
 
-def _band(xs: np.ndarray, tau: float):
-    """The ends lo[i] <= j <= hi[i] of the band per start i on the sorted
-    grid xs, a little wider than the allowable xs[i] + tau <= xs[j] <=
-    2 xs[i], and the starts whose band is not empty."""
-    idx = np.arange(len(xs))
-    lo = np.maximum(np.searchsorted(xs, xs + (tau - 4 * _TOL)), idx + 1)
-    hi = np.searchsorted(xs, 2.0 * xs + 4 * _TOL, side="right") - 1
-    return lo, hi, np.flatnonzero(lo <= hi)
-
-
-def _plan(xs: np.ndarray, tau: float, chunk: int):
-    """What `_dp` needs of the sorted grid xs and tau alone, for row chunks
-    of `chunk` rows: the chunks (c0, c1, j0, j1, allowable), rows [c0, c1)
-    and the union [j0, j1) of their bands with the exact allowability test
-    allowable[i - c0, j - j0], and the sweep's `_column_blocks` (both empty
-    when no interval is allowable).  Index bounds and booleans only, kept
-    for the last _PLANS_KEPT keys."""
-    key = (xs.tobytes(), tau, chunk)
-    plan = _PLANS.get(key)
+def _plan(xs: np.ndarray, tau: float, width: int):
+    """What `_dp` needs of the sorted grid xs and tau alone, for column
+    panels of about `width` columns: per panel (a, r0, r1, e, c0, c1,
+    blocks, blocked).  Start i's band of ends lo[i] <= j <= hi[i] is a
+    little wider than the allowable xs[i] + tau <= xs[j] <= 2 xs[i].  The
+    panel's columns are [c0, c1), the rows whose bands meet them [r0, r1),
+    and blocked[j - c0, i - r0] fails the exact allowability test.  Its
+    chords run from the rows [r0, e), which take in the rows before c1 - 1
+    whose bands start after it, so that every row of the next panel carries
+    in its least slopes to the ends up to c1 - 1, to the ends past a, the
+    column before the panel (the first row, in the first panel).  The
+    sweep's blocks (j0, j1, b0, b1) are k columns [j0, j1) and the rows
+    [b0, b1) whose bands hold one of them; each such row is at most j - k
+    for column j, so a block reads only entries of the DP finished before
+    it.  No panels when no interval is allowable.  Index bounds and
+    booleans only; the plans last used are kept, up to _PLAN_BYTES of
+    masks."""
+    key = (xs.tobytes(), tau, width)
+    plan = _PLANS.pop(key, None)
     if plan is None:
-        band = _band(xs, tau)
-        lo, hi, rows = band
-        chunks, blocks = [], []
+        idx = np.arange(len(xs))
+        lo = np.maximum(np.searchsorted(xs, xs + (tau - 4 * _TOL)), idx + 1)
+        hi = np.searchsorted(xs, 2.0 * xs + 4 * _TOL, side="right") - 1
+        rows = np.flatnonzero(lo <= hi)
+        panels = []
         if len(rows):
-            for c0 in range(rows[0], rows[-1] + 1, chunk):
-                c1 = min(c0 + chunk, rows[-1] + 1)
-                j0, j1 = int(lo[c0]), int(hi[c1 - 1]) + 1
-                if j1 > j0:
-                    lens = xs[j0:j1] - xs[c0:c1, None]
-                    allowable = ((lens >= tau - _TOL) & (lens <= xs[c0:c1, None] + _TOL)
-                                 & (lens > 0))
-                    allowable.setflags(write=False)
-                    chunks.append((c0, c1, j0, j1, allowable))
-            blocks = list(_column_blocks(band))
-        if len(_PLANS) >= _PLANS_KEPT:
+            k = int(np.min(lo[rows] - rows))
+            rstart = np.searchsorted(hi, idx).tolist()
+            rend = np.searchsorted(lo, idx, side="right").tolist()
+            step = k * max(1, round(width / k))
+            for c0 in range(int(lo[rows[0]]), len(xs), step):
+                c1 = min(c0 + step, len(xs))
+                r0, r1 = rstart[c0], rend[c1 - 1]
+                e = max(r1, c1 - 1)
+                a = c0 - 1 if panels else r0
+                lens = xs[c0:c1, None] - xs[r0:r1]
+                blocked = ~((lens >= tau - _TOL) & (lens <= xs[r0:r1] + _TOL) & (lens > 0))
+                blocked.setflags(write=False)
+                blocks = [(j0, min(j0 + k, c1), rstart[j0], rend[min(j0 + k, c1) - 1])
+                          for j0 in range(c0, c1, k)]
+                panels.append((a, r0, r1, e, c0, c1, blocks, blocked))
+        plan = (panels, sum(p[-1].nbytes for p in panels))
+        while _PLANS and plan[1] + sum(v[1] for v in _PLANS.values()) > _PLAN_BYTES:
             del _PLANS[next(iter(_PLANS))]
-        plan = _PLANS[key] = (chunks, blocks)
-    return plan
+    _PLANS[key] = plan
+    return plan[0]
 
 
-def _weights(D: Profile, fs: list[PLFunction], xs: np.ndarray, chunks):
-    """Column-major weights W[r, j, i] of [xs[i], xs[j]] against fs[r], for
-    functions that share their breakpoints: -inf off the band and where no
-    sigma in [0, d] certifies the interval.  Also the clipped slopes per row
-    chunk, (c0, j0, sg) with sg[r, i - c0, j - j0], for the certificate.
+def _dp(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray, record: bool = False):
+    """Weighted interval scheduling over allowable families with endpoints in
+    the sorted grid xs, for functions fs that share their breakpoints.
 
-    Slopes and weights are built only on the chunks of a `_plan`; the exact
-    allowability test then runs on them, so every weight equals the one a
-    full (n+1)^2 matrix would hold.  When the breakpoints lie on xs, the
-    slopes are taken on xs itself, and the chord lengths are the interval
-    lengths.
+    Returns (best, arg, sig): best[r, j] is the value of fs[r] on xs[:j+1].
+    With `record`, arg[j] is the first start i that attains the best
+    best[0, i] + weight of [xs[i], xs[j]] for fs[0], and sig[j] its slope
+    clipped to [0, d].  An interval's weight is its length times D of its
+    best slope, -inf off the band and where no sigma in [0, d] certifies it.
+
+    The weights exist one column panel of a `_plan` at a time: the slopes
+    of its rows come from chords to the ends in the panel, their least
+    slopes to the ends before it carried over from the panel before.  One
+    sweep carries all of fs on a leading axis, so each row takes the same
+    sums and maxima as a sweep of its own.  When the breakpoints lie on xs,
+    the slopes are taken on xs itself.
     """
     n1 = len(xs)
+    best = np.zeros((len(fs), n1))
+    arg, sig = np.zeros(n1, dtype=int), np.zeros(n1)
     bx = np.clip(np.array(fs[0].xs), 0.0, 1.0)
     on_grid = np.array_equal(xs[np.minimum(np.searchsorted(xs, bx), n1 - 1)], bx)
     if on_grid:
@@ -470,60 +494,33 @@ def _weights(D: Profile, fs: list[PLFunction], xs: np.ndarray, chunks):
         G = np.union1d(xs, bx)
         gi = np.searchsorted(G, xs)
     fG = np.array([f(G) for f in fs])
-    W = np.full((len(fs), n1, n1), -math.inf)
-    clipped = []
-    for c0, c1, j0, j1, allowable in chunks:
-        S, dx = _slope_rows(G, fG, gi[c0:c1], gi[j1 - 1])
-        if on_grid:
-            Bg, lens = S[..., j0 - c0 - 1:], dx[:, j0 - c0 - 1:]
-        else:
-            Bg, lens = S[..., gi[j0:j1] - (gi[c0] + 1)], xs[j0:j1] - xs[c0:c1, None]
-        sg = np.clip(Bg, 0.0, D.d)
-        ok = Bg >= -_TOL
-        ok &= allowable
-        np.copyto(W[:, j0:j1, c0:c1].transpose(0, 2, 1), lens * np.asarray(D(sg)), where=ok)
-        clipped.append((c0, j0, sg))
-    return W, clipped
-
-
-def _column_blocks(band):
-    """Blocks [j0, j1) of columns and the rows [r0, r1) whose bands hold a
-    column of the block.  Each such row is at most j - k for column j, so a
-    block of k columns reads only entries of the DP finished before it."""
-    lo, hi, rows = band
-    idx = np.arange(len(lo))
-    k = int(np.min(lo[rows] - rows))
-    rstart = np.searchsorted(hi, idx).tolist()
-    rend = np.searchsorted(lo, idx, side="right").tolist()
-    for j0 in range(int(lo[rows[0]]), len(lo), k):
-        j1 = min(j0 + k, len(lo))
-        yield j0, j1, rstart[j0], rend[j1 - 1]
-
-
-def _dp(D: Profile, fs: list[PLFunction], tau: float, xs: np.ndarray):
-    """Weighted interval scheduling over allowable families with endpoints in
-    the sorted grid xs, for functions fs that share their breakpoints.
-
-    Returns (best, W, clipped): best[r, j] is the value of fs[r] on xs[:j+1],
-    and W, clipped the weights and clipped slopes of `_weights` (None and []
-    when no interval is allowable).  One sweep carries all of fs on a leading
-    axis, so each row takes the same sums and maxima as a sweep of its own.
-    """
-    best = np.zeros((len(fs), len(xs)))
-    chunks, blocks = _plan(xs, tau, _row_chunk(len(xs) - 1, len(fs)))
-    if not chunks:
-        return best, None, []
-    W, clipped = _weights(D, fs, xs, chunks)
-    for j0, j1, r0, r1 in blocks:
-        if r1 > r0:
-            # best of each column's own intervals, then the running maximum
-            # from the column before the block
-            np.maximum.reduce(W[:, j0:j1, r0:r1] + best[:, None, r0:r1], axis=2,
-                              out=best[:, j0:j1])
-            np.maximum.accumulate(best[:, j0 - 1:j1], axis=1, out=best[:, j0 - 1:j1])
-        else:
-            best[:, j0:j1] = best[:, j0 - 1, None]
-    return best, W, clipped
+    carry = np.full((len(fs), n1), np.inf)
+    for a, r0, r1, e, c0, c1, blocks, blocked in _plan(xs, tau, max(32, _PANEL // len(fs))):
+        q0 = gi[a] + 1
+        S = _chord_mins(G, fG, gi[r0:e], q0, gi[c1 - 1] + 1, carry[:, r0:e])
+        carry[:, r0:e] = S[:, -1]
+        B = (S[:, c0 - q0:] if on_grid else S[:, gi[c0:c1] - q0])[..., :r1 - r0]
+        sg = np.clip(B, 0.0, D.d)
+        W = D(sg)
+        W *= xs[c0:c1, None] - xs[r0:r1]
+        bad = B < -_TOL
+        bad |= blocked
+        W[bad] = -math.inf
+        for j0, j1, b0, b1 in blocks:
+            if b1 > b0:
+                # best of each column's own intervals, then the running
+                # maximum from the column before the block
+                np.maximum.reduce(W[:, j0 - c0:j1 - c0, b0 - r0:b1 - r0] + best[:, None, b0:b1],
+                                  axis=2, out=best[:, j0:j1])
+                np.maximum.accumulate(best[:, j0 - 1:j1], axis=1, out=best[:, j0 - 1:j1])
+            else:
+                best[:, j0:j1] = best[:, j0 - 1, None]
+        if record and r1 > r0:
+            W[0] += best[0, r0:r1]
+            i = W[0].argmax(axis=1)
+            arg[c0:c1] = i + r0
+            sig[c0:c1] = sg[0, np.arange(c1 - c0), i]
+    return best, arg, sig
 
 
 def sigma_for_f(
@@ -539,27 +536,25 @@ def sigma_for_f(
     if not (0.0 < tau <= 0.5):
         raise ValueError(f"tau must be in (0, 1/2], got {tau}")
     xs = _grid(grid_n)
-    best, W, clipped = _dp(D, [f], tau, xs)
+    best, arg, sig = _dp(D, [f], tau, xs, record=True)
     value = float(best[0, -1])
-    dec = IntervalDecomposition(_certificate(xs, best[0], W, clipped), tau=tau,
+    dec = IntervalDecomposition(_certificate(xs, best[0], arg, sig), tau=tau,
                                 value_against=(D, value))
     return value, dec
 
 
-def _certificate(xs: np.ndarray, best: np.ndarray, W, clipped) -> list[tuple[float, float, float]]:
+def _certificate(xs: np.ndarray, best: np.ndarray, arg, sig) -> list[tuple[float, float, float]]:
     """The entries (a, b, sigma) of an optimal family for the first function
-    of a `_dp` result with values best, walked back from the right end: a
+    of a recording `_dp` with values best, walked back from the right end: a
     family optimal on xs[:j+1] has an interval ending at xs[j] exactly where
     the value rises, and it starts at the first row that attains the value."""
     rises = (np.flatnonzero(best[1:] > best[:-1]) + 1).tolist()
-    starts = [c0 for c0, _, _ in clipped]
     entries = []
     k = len(rises)
     while k:
         j = rises[k - 1]
-        i = int(np.argmax(W[0, j, :j] + best[:j]))
-        c0, j0, sg = clipped[bisect.bisect_right(starts, i) - 1]
-        entries.append((float(xs[i]), float(xs[j]), float(sg[0, i - c0, j - j0])))
+        i = int(arg[j])
+        entries.append((float(xs[i]), float(xs[j]), float(sig[j])))
         k = bisect.bisect_right(rises, i)
     return entries[::-1]
 

@@ -118,6 +118,7 @@ def test_sigma_inf(capsys):
 @pytest.mark.parametrize("name, profile, tau, grid", [
     ("planar", "planar:s=0.4", "0.01", "800"),
     ("highdim", "highdim:d=3,s=1.2", "0.02", "400"),
+    ("planar_3200", "planar:s=0.4", "0.0025", "3200"),
 ])
 def test_sigma_eval_matches_recorded_output(name, profile, tau, grid, capsys):
     """`sigma eval` prints the recorded value and certificate byte for byte,

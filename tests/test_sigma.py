@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,30 @@ def test_planar_profile_crossover():
     assert float(D(1.5)) == pytest.approx(0.75)
     with pytest.raises(ValueError):
         PlanarProfile(2.5)
+
+
+def test_profile_formulas_keep_their_bits():
+    """The in-place planar and high-dim formulas give the floats of
+    np.where(t <= s, t, np.where(t <= s', s + eta, t / 2)) and
+    np.maximum(np.minimum(1, s + t - (d - 1)), t / d) bit for bit: on a
+    dense t grid holding s and s' and their neighbouring floats, with s'
+    capped at 2 and t beyond it, and for 0-d input."""
+    ts = np.linspace(0.0, 3.5, 35001)
+    for D in (PlanarProfile(0.4), PlanarProfile(0.5713, eta=0.0137), PlanarProfile(1.5, eta=0.6)):
+        marks = np.array([D.s, D.s_prime])
+        t = np.sort(np.concatenate([ts, marks, np.nextafter(marks, 0.0), np.nextafter(marks, 4.0)]))
+        old = np.where(t <= D.s, t, np.where(t <= D.s_prime, D.s + D.eta, t / 2.0))
+        assert D(t).tobytes() == old.tobytes(), D.s
+        for x in (0.0, D.s, D.s_prime, 1.0, 2.0, 3.0):
+            value = D(np.float64(x))
+            assert type(value) is float and value == old[np.searchsorted(t, x)], (D.s, x)
+    assert PlanarProfile(1.5, eta=0.6).s_prime == 2.0
+    for d, s_ in ((2, 0.7), (3, 1.2), (3, 1.45), (5, 3.3)):
+        D = HighDimProfile(d, s_)
+        t = np.linspace(0.0, float(d), 35001)
+        old = np.maximum(np.minimum(1.0, s_ + t - (d - 1.0)), t / d)
+        assert D(t).tobytes() == old.tobytes(), (d, s_)
+        assert D(np.array(0.5)) == float(np.maximum(np.minimum(1.0, s_ + 0.5 - (d - 1.0)), 0.5 / d))
 
 
 def test_custom_profile_validation():
@@ -418,24 +443,106 @@ def test_grid_dp_matches_dense_reference():
             for kind, D in enumerate(_all_profiles(rng)):
                 f = _dp_function(rng, D.d, grid_n, on_grid=kind % 2 == 0)
                 for xs in grids:
-                    best, W, clipped = sigma._dp(D, [f], tau, xs)
-                    entries = sigma._certificate(xs, best[0], W, clipped)
-                    ref_value, ref_take, Bg = grid_dp_dense_reference(D, f, tau, xs)
-                    case = (grid_n, len(xs), tau, type(D).__name__)
-                    assert best[0, -1] == ref_value, case
-                    assert np.array_equal(np.flatnonzero(np.diff(best[0]) > 0) + 1,
-                                          np.flatnonzero(ref_take >= 0)), case
-                    ref_entries = []
-                    j = len(xs) - 1
-                    while j > 0:
-                        i = int(ref_take[j])
-                        if i < 0:
-                            j -= 1
-                            continue
-                        ref_entries.append((float(xs[i]), float(xs[j]),
-                                            float(np.clip(Bg[i, j], 0.0, D.d))))
-                        j = i
-                    assert entries == ref_entries[::-1], case
+                    _assert_dp_matches_dense(D, f, tau, xs, (grid_n, len(xs), tau))
+
+
+def _assert_dp_matches_dense(D, f, tau, xs, case):
+    """sigma._dp's value and rises and sigma._certificate's entries on the
+    grid xs are the dense reference's, bit for bit."""
+    best, arg, sig = sigma._dp(D, [f], tau, xs, record=True)
+    entries = sigma._certificate(xs, best[0], arg, sig)
+    ref_value, ref_take, Bg = grid_dp_dense_reference(D, f, tau, xs)
+    case = (*case, type(D).__name__)
+    assert best[0, -1] == ref_value, case
+    assert np.array_equal(np.flatnonzero(np.diff(best[0]) > 0) + 1,
+                          np.flatnonzero(ref_take >= 0)), case
+    ref_entries = []
+    j = len(xs) - 1
+    while j > 0:
+        i = int(ref_take[j])
+        if i < 0:
+            j -= 1
+            continue
+        ref_entries.append((float(xs[i]), float(xs[j]), float(np.clip(Bg[i, j], 0.0, D.d))))
+        j = i
+    assert entries == ref_entries[::-1], case
+
+
+def test_grid_dp_matches_dense_reference_at_panel_seams():
+    """The DP's chords run panel by panel, each panel's rows carrying their
+    least slopes from the panel before.  With a breakpoint strictly between
+    each pair of neighbouring grid points around the first and the last
+    panel seam, the DP still matches the dense reference bit for bit, on its
+    own and in a batch: on grids of several panels, on a grid narrower than
+    one panel, and on the 1/16 sub-grid of 800, whose sweep blocks are one
+    column wide."""
+    rng = np.random.default_rng(22)
+    grid800 = sigma._grid(800)
+    for xs, tau, n_panels in ((sigma._grid(400), 0.02, None), (sigma._grid(400), 0.05, None),
+                              (sigma._grid(101), 0.125, None), (sigma._grid(24), 0.125, 1),
+                              (grid800[::16], 0.01, None), (grid800[::4], 0.01, None)):
+        # the panel widths of `_dp` for one function and for a batch of three
+        plans = [sigma._plan(xs, tau, w) for w in (sigma._PANEL, max(32, sigma._PANEL // 3))]
+        seams = [[p[4] for p in panels[1:]] for panels in plans]
+        if n_panels is None:
+            assert all(seams), (len(xs), tau)
+            ends = [c for cs in seams for c in (cs[0], cs[-1])]
+            cuts = np.unique(np.clip(np.add.outer(ends, np.arange(-2, 3)), 1, len(xs) - 1))
+        else:
+            assert len(plans[0]) == n_panels, (len(xs), tau)
+            cuts = np.arange(1, len(xs))
+        if len(xs) == 51:
+            assert all(j1 - j0 == 1 for p in plans[0] for j0, j1, _, _ in p[6])
+        bx = np.concatenate([[0.0], (xs[cuts - 1] + xs[cuts]) / 2.0, [1.0]])
+        for D in _all_profiles(rng):
+            fs = []
+            for _ in range(3):
+                low = -D.d / 4.0 if rng.random() < 0.3 else 0.0
+                slopes = rng.uniform(low, D.d, len(bx) - 1)
+                ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(bx))])
+                fs.append(PLFunction(tuple(bx.tolist()), tuple(ys.tolist())))
+                _assert_dp_matches_dense(D, fs[-1], tau, xs, (len(xs), tau))
+            batch = sigma._dp(D, fs, tau, xs)[0][:, -1]
+            assert batch.tolist() == [sigma._dp(D, [f], tau, xs)[0][0, -1] for f in fs]
+
+
+def test_sigma_for_f_memory_at_grid_3200():
+    """A full evaluation at grid 3200 (tau = 0.0025) holds one column
+    panel's slopes and weights at a time: its traced peak, the plan it
+    builds included, stays under 16 MB, where a dense (n+1)^2 weight matrix
+    alone would be 82 MB."""
+    f = PLFunction((0.0, 0.3141, 1.0), (0.0, 0.53397, 0.9455099999999999))
+    sigma._PLANS.clear()
+    tracemalloc.start()
+    try:
+        value, dec = sigma_for_f(PlanarProfile(0.4), f, 0.0025, 3200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert value == 0.5460625000000054 and len(dec.entries) == 224
+
+
+def test_plan_cache_is_bounded_by_bytes(monkeypatch):
+    """The plans kept hold at most _PLAN_BYTES of masks, dropping the least
+    recently used first, but always the plan just asked for."""
+    monkeypatch.setattr(sigma, "_PLANS", {})
+    xs = sigma._grid(3200)
+    taus = [0.0025, 0.003, 0.0035, 0.004]
+    key = lambda tau: (xs.tobytes(), tau, 48)
+    sizes = {tau: sum(p[-1].nbytes for p in sigma._plan(xs, tau, 48)) for tau in taus}
+    kept = lambda: sum(v[1] for v in sigma._PLANS.values())
+    assert sum(sizes.values()) > sigma._PLAN_BYTES >= 3 * max(sizes.values())
+    assert list(sigma._PLANS) == [key(tau) for tau in taus[1:]]
+    assert kept() == sum(sizes[tau] for tau in taus[1:]) <= sigma._PLAN_BYTES
+    # a hit moves the oldest plan to the back, so a miss drops the next one
+    panels = sigma._plan(xs, taus[1], 48)
+    sigma._plan(xs, 0.0045, 48)
+    assert list(sigma._PLANS) == [key(taus[3]), key(taus[1]), key(0.0045)]
+    assert kept() <= sigma._PLAN_BYTES and sigma._plan(xs, taus[1], 48) is panels
+    monkeypatch.setattr(sigma, "_PLAN_BYTES", 1)
+    panels = sigma._plan(xs, 0.01, 48)
+    assert list(sigma._PLANS) == [key(0.01)] and sigma._plan(xs, 0.01, 48) is panels
 
 
 def _all_profiles(rng):
