@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import chain as chain_mod
 from . import experiment as exp_mod
 from . import geometry as geo
-from .dyadic import DyadicMeasure
+from .dyadic import DyadicMeasure, _finite
 from .plf import PLFunction
 from .sigma import (
     CustomProfile,
@@ -166,8 +165,7 @@ def cmd_sigma(args) -> int:
         print("PASS" if rep["passed"] else "FAIL")
         return PASS if rep["passed"] else FAIL
     if args.action == "verify-highdim":
-        if not math.isfinite(args.slack):
-            raise ValueError(f"slack must be finite, got {args.slack}")
+        _finite("slack", args.slack)
         ok = True
         profiles = [HighDimProfile(args.d, s) for s in args.s]
         for s, D in zip(args.s, profiles):

@@ -15,6 +15,7 @@ Entropies are in bits throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -91,6 +92,83 @@ def _find_rows(table: np.ndarray, query: np.ndarray) -> np.ndarray:
     return pos[inv[len(table):]]
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """A `kind` other than a bool (a string is no number, though float() parses it)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _finite(name: str, value) -> float:
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    value = _finite(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _positive_int(name: str, value) -> int:
+    if not _is_number(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def _masses(values, names) -> np.ndarray:
+    """float64 `values`, which must be finite non-negative numbers; an error
+    names the first bad one by its row of `names`."""
+    masses = np.asarray(values)
+    if masses.dtype.kind not in "iuf":
+        raise ValueError(f"masses must be numbers, not {masses.dtype}")
+    bad = np.flatnonzero(~((masses >= 0) & (masses < math.inf)))
+    if len(bad):
+        raise ValueError(f"mass {masses[bad[0]]} at {tuple(names[bad[0]].tolist())} "
+                         "is negative or not finite")
+    return masses.astype(float)
+
+
+def _cell_table(keys, masses, top: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 rows of the (n, k) `keys` in lexicographic order and their
+    float64 `masses`; raises, naming the first bad cell, unless the rows are
+    distinct integers in [0, top) and the masses finite non-negative numbers."""
+    try:
+        keys = np.asarray(keys).reshape(len(masses), k)
+    except ValueError:
+        keys = None
+    if keys is None or keys.dtype.kind not in "iuf":
+        raise ValueError(f"each of the {len(masses)} cells must be {k} integers")
+    masses = _masses(masses, keys)
+    bad = np.flatnonzero(((keys < 0) | (keys >= top) | (keys != np.round(keys))).any(axis=1))
+    if len(bad):
+        raise ValueError(f"cell {tuple(keys[bad[0]].tolist())} is off the grid [0, {top})^{k}")
+    order = np.lexsort(keys.T[::-1])
+    rows = keys.astype(np.int64)[order]
+    dup = order[1:][(rows[1:] == rows[:-1]).all(axis=1)]
+    if len(dup):
+        raise ValueError(f"cell {tuple(keys[dup.min()].tolist())} appears twice")
+    return rows, masses[order]
+
+
+def _read_cells(text: str, header: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The header words, integer cells and float masses of a text table: a
+    line of as many words as `header`, then per cell its integers and mass."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines or len(lines[0]) != len(header.split()):
+        raise ValueError(f"bad header; expected {header!r}")
+    try:
+        table = np.array(lines[1:] or np.empty((0, 1)), dtype=str)
+    except ValueError:
+        raise ValueError("the lines of cells differ in length") from None
+    return lines[0], table[:, :-1].astype(np.int64), table[:, -1].astype(float)
+
+
 def _check_shape(d: int, m: int) -> None:
     if not (1 <= d <= 3):
         raise ValueError(f"ambient dimension must be 1..3, got {d}")
@@ -138,32 +216,14 @@ class DyadicMeasure:
 
     def __init__(self, d: int, m: int, leaf_masses: Mapping[tuple[int, ...], float]):
         _check_shape(d, m)
-        top = 1 << m
-        leaves = {}
-        for coords, mass in leaf_masses.items():
-            if not (0.0 <= mass < math.inf):
-                raise ValueError(f"mass {mass} at {coords} is negative or not finite")
-            if mass == 0.0:
-                continue
-            if len(coords) != d:
-                raise ValueError(f"leaf {coords} has wrong dimension")
-            for c in coords:
-                if not (0 <= c < top):
-                    raise ValueError(f"leaf coordinate {c} out of range at depth {m}")
-                if int(c) != c:
-                    raise ValueError(f"leaf coordinate {c} is not an integer")
-            leaves[tuple(map(int, coords))] = float(mass)
-        coords = np.array(list(leaves), dtype=np.int64).reshape(-1, d)
-        order = np.lexsort(coords.T[::-1])
-        self._set(d, m, coords[order], np.array(list(leaves.values()))[order])
+        self._set(d, m, *_cell_table(list(leaf_masses), list(leaf_masses.values()), 1 << m, d))
 
     @classmethod
     def _from_arrays(cls, d: int, m: int, coords: np.ndarray,
                      masses: np.ndarray) -> "DyadicMeasure":
-        """Measure on leaves already known to be valid: distinct in-range rows
-        of the int64 array `coords` in lexicographic order, with finite
-        non-negative `masses`.  When every mass is positive the arrays are
-        frozen and kept as given, so they must be fresh or already frozen."""
+        """Measure on a valid cell table, as _cell_table returns one (not
+        checked again).  When every mass is positive the arrays are frozen
+        and kept as given, so they must be fresh or already frozen."""
         _check_shape(d, m)
         mu = cls.__new__(cls)
         mu._set(d, m, coords, masses)
@@ -351,23 +411,10 @@ class DyadicMeasure:
 
     @classmethod
     def from_text(cls, text: str) -> "DyadicMeasure":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty measure file")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise ValueError(f"bad header {lines[0]!r}; expected 'd m'")
+        head, keys, masses = _read_cells(text, "d m")
         d, m = int(head[0]), int(head[1])
-        leaves: dict[tuple[int, ...], float] = {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != d + 1:
-                raise ValueError(f"bad leaf line {ln!r}")
-            coords = tuple(int(p) for p in parts[:d])
-            if coords in leaves:
-                raise ValueError(f"duplicate leaf coordinates {coords}")
-            leaves[coords] = float(parts[d])
-        return cls(d, m, leaves)
+        _check_shape(d, m)
+        return cls._from_arrays(d, m, *_cell_table(keys, masses, 1 << m, d))
 
     def __repr__(self):
         tag = "trivial " if self.trivial else ""
@@ -388,15 +435,11 @@ def build_from_atoms(
     pts = list(points)
     if not pts:
         raise ValueError("no atoms given")
-    d = len(pts[0][0])
+    coords, weights = zip(*pts)
+    d = len(coords[0])
     _check_shape(d, depth)
-    if any(len(coords) != d for coords, _ in pts):
-        raise ValueError("inconsistent atom dimensions")
-    xs = np.array([coords for coords, _ in pts], dtype=float).reshape(-1, d)
-    w = np.array([w for _, w in pts], dtype=float)
-    bad = w[~((w >= 0.0) & (w < math.inf))]
-    if len(bad):
-        raise ValueError(f"weight {bad[0]} is negative or not finite")
+    xs = np.array(coords, dtype=float)  # raises unless every atom has d coordinates
+    w = _masses(weights, xs)
     bad = xs[~((xs >= 0.0) & (xs < 1.0))]
     if len(bad):
         raise ValueError(f"coordinate {bad[0]} outside [0,1)")

@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import stat
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, restrict_normalize
+from .dyadic import DyadicMeasure, _is_number, restrict_normalize
 from .generators import (
     gen_cantor_product,
     gen_circle_pair,
@@ -59,19 +60,23 @@ class SceneConfig:
     output: str | None = None
 
     def __post_init__(self):
+        # the scenario names the report's files and fills its first CSV column
+        if not (isinstance(self.scenario, str) and re.fullmatch(r"[\w.-]+", self.scenario)):
+            raise ConfigError(f"scenario must be a plain name, not {self.scenario!r}")
         _check_generator(self.generator, self.depth)
         if self.scale_window is None:
             self.scale_window = (2, self.depth)
-        if len(self.scale_window) != 2 or not all(
-                isinstance(j, int) and not isinstance(j, bool) for j in self.scale_window):
+        if not (isinstance(self.scale_window, (list, tuple)) and len(self.scale_window) == 2
+                and all(_is_number(j, int) for j in self.scale_window)):
             raise ConfigError(f"scale_window must be two integers, not {self.scale_window!r}")
-        lo, hi = self.scale_window
+        self.scale_window = lo, hi = tuple(self.scale_window)
         if not (0 <= lo and hi <= self.depth and hi - lo >= 6):
             raise ConfigError("scale_window must fit the depth and span >= 6 levels")
-        if not (0.0 <= self.zeta < 1.0):
-            raise ConfigError(f"zeta {self.zeta} outside [0, 1)")
+        if not (_is_number(self.zeta) and 0.0 <= self.zeta < 1.0):
+            raise ConfigError(f"zeta must be a number in [0, 1), not {self.zeta!r}")
+        self.zeta = float(self.zeta)
         count = self.pins.get("count", 8) if isinstance(self.pins, dict) else None
-        if isinstance(count, bool) or not (isinstance(count, int) and count >= 1):
+        if not (_is_number(count, int) and count >= 1):
             raise ConfigError(f"pins.count must be an integer >= 1, not {count!r}")
         if not (self.output is None or isinstance(self.output, str)):
             raise ConfigError(f"output must be a directory path, not {self.output!r}")
@@ -84,18 +89,14 @@ class SceneConfig:
             raise ConfigError(f"bad JSON: {e}") from e
         if not isinstance(rec, dict):
             raise ConfigError(f"scene config must be a JSON object, not {type(rec).__name__}")
+        for f in fields(cls):
+            if f.name not in rec and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing config field {f.name!r}")
+        unknown = sorted(set(rec) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config field {unknown[0]!r}")
         try:
-            return cls(
-                scenario=rec["scenario"],
-                generator=rec["generator"],
-                depth=rec["depth"],
-                pins=rec.get("pins", {"count": 8}),
-                scale_window=tuple(rec["scale_window"]) if "scale_window" in rec else None,
-                zeta=float(rec.get("zeta", 0.12)),
-                output=rec.get("output"),
-            )
-        except KeyError as e:
-            raise ConfigError(f"missing config field {e}") from e
+            return cls(**rec)
         except TypeError as e:
             raise ConfigError(f"config field of the wrong type: {e}") from e
 
@@ -119,8 +120,7 @@ def _param(params: dict, key: str, kind: type, default=None):
     """params[key], or `default` if given and the key is absent; raises
     ConfigError unless it is a `kind` (float takes any number, none a bool)."""
     value = params[key] if default is None else params.get(key, default)
-    types = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, types):
+    if not _is_number(value, (int, float) if kind is float else kind):
         raise ConfigError(f"parameter {key!r} must be of type {kind.__name__}, not {value!r}")
     return value
 
@@ -156,7 +156,7 @@ def _check_generator(generator, depth) -> dict:
         raise ConfigError(f"generator params must be an object, not {params!r}")
     d = _param(params, "d", int, 2)
     limit = 20 if d == 2 else 14
-    if isinstance(depth, bool) or not isinstance(depth, int):
+    if not _is_number(depth, int):
         raise ConfigError(f"depth must be an integer, not {depth!r}")
     if not (2 <= depth <= limit):
         raise ConfigError(f"depth {depth} outside [2, {limit}] for d={d}")

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _check_shape, _sum_by_key
+from .dyadic import DyadicMeasure, _check_shape, _finite, _sum_by_key
 
 __all__ = [
     "gen_cantor_product",
@@ -143,13 +143,6 @@ def gen_circle_pair(depth: int, radius: float = 0.25) -> DyadicMeasure:
     return DyadicMeasure._from_arrays(2, depth, *_sum_by_key(keys, np.full(n, 1.0 / n)))
 
 
-def _number(params: dict, key: str, default: float) -> float:
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"parameter {key!r} must be a number, not {value!r}")
-    return value
-
-
 def gen_product_set(A_spec: dict, depth: int) -> DyadicMeasure:
     """Square product A x A of a 1-d generator given as {kind, params}."""
     kind = A_spec.get("kind")
@@ -157,11 +150,11 @@ def gen_product_set(A_spec: dict, depth: int) -> DyadicMeasure:
     if not isinstance(params, dict):
         raise ValueError(f"params of the 1-d generator must be an object, not {params!r}")
     if kind == "cantor":
-        f = _cantor_1d(_dyadic_log(_number(params, "r", 0.25)), depth)
+        f = _cantor_1d(_dyadic_log(_finite("parameter 'r'", params.get("r", 0.25))), depth)
     elif kind == "lebesgue":
         f = _cantor_1d(1, depth)
     elif kind == "point":
-        x = _number(params, "x", 0.0)
+        x = _finite("parameter 'x'", params.get("x", 0.0))
         if not (0.0 <= x <= 1.0):
             raise ValueError(f"point x = {x} outside [0, 1]")
         top = 1 << depth

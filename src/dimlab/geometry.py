@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _check_shape, _entropies, _frozen, _sum_by_key
+from .dyadic import (DyadicMeasure, _cell_table, _check_shape, _entropies, _frozen,
+                     _read_cells, _sum_by_key)
 
 _TOL = 1e-9
 
@@ -62,23 +63,19 @@ class DirectionMeasure:
     read-only arrays of the cells that carry positive mass.
     """
 
-    def __init__(self, d: int, n_cells: int, cells: dict[int, float]):
+    def __init__(self, d: int, n_cells: int, index, masses):
         if d not in (2, 3):
             raise ValueError("direction measures support d = 2 or 3")
         if n_cells < 2:
             raise ValueError("need at least 2 cells")
         self.d = d
         self.n_cells = n_cells
-        for i, m in cells.items():
-            if not (0 <= i < n_cells):
-                raise ValueError(f"cell index {i} out of range")
-            if not (0.0 <= m < math.inf):
-                raise ValueError(f"cell mass {m} is negative or not finite")
-        live = sorted((i, m) for i, m in cells.items() if m > 0)
-        if not live:
+        index, masses = _cell_table(index, masses, n_cells, 1)
+        live = masses > 0.0
+        if not live.any():
             raise ValueError("direction measure has no mass")
-        self.index = _frozen(np.array([i for i, _ in live], dtype=np.int64))
-        self.masses = _frozen(np.array([m for _, m in live], dtype=float))
+        self.index = _frozen(index[live, 0])
+        self.masses = _frozen(masses[live])
 
     @property
     def resolution(self) -> float:
@@ -105,18 +102,10 @@ class DirectionMeasure:
 
     @classmethod
     def from_text(cls, text: str) -> "DirectionMeasure":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split() if lines else []
-        if len(head) != 3 or head[0] != "sphere":
-            raise ValueError("bad direction-measure header; expected 'sphere d n_cells'")
-        d, n = int(head[1]), int(head[2])
-        cells = {}
-        for ln in lines[1:]:
-            i, m = ln.split()
-            if int(i) in cells:
-                raise ValueError(f"duplicate cell {i}")
-            cells[int(i)] = float(m)
-        return cls(d, n, cells)
+        head, index, masses = _read_cells(text, "sphere d n_cells")
+        if head[0] != "sphere":
+            raise ValueError("bad header; expected 'sphere d n_cells'")
+        return cls(int(head[1]), int(head[2]), index, masses)
 
 
 @dataclass
@@ -251,7 +240,7 @@ def project_radial(mu: DyadicMeasure, y, n_cells: int) -> DirectionMeasure:
         idx = np.concatenate([np.argmax(unit[i0 : i0 + _DIRECTION_CHUNK] @ centers, axis=1)
                               for i0 in range(0, len(unit), _DIRECTION_CHUNK)])
     cells, masses = _sum_by_key(idx[:, None], mu.masses)
-    return DirectionMeasure(mu.d, n_cells, dict(zip(cells[:, 0].tolist(), masses.tolist())))
+    return DirectionMeasure(mu.d, n_cells, cells[:, 0], masses)
 
 
 def pinned_distance(mu: DyadicMeasure, y, out_depth: int) -> LineMeasure:

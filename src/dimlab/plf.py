@@ -40,12 +40,12 @@ class PLFunction:
         ys = np.asarray(self.ys)
         return np.diff(ys) / np.diff(xs)
 
-    def is_nondecreasing(self, tol: float = _TOL) -> bool:
-        return bool(np.all(self.slopes() >= -tol))
+    def is_nondecreasing(self) -> bool:
+        return bool(np.all(self.slopes() >= -_TOL))
 
-    def in_class(self, d: float, u: float, tol: float = _TOL) -> bool:
+    def in_class(self, d: float, u: float) -> bool:
         """Membership in L(d,u): d-Lipschitz and above the line u*x."""
-        return bool(_in_class_rows(self.xs, self.ys, d, u, tol))
+        return bool(_in_class_rows(self.xs, self.ys, d, u))
 
     def class_violation(self, d: float, u: float) -> tuple[str, float] | None:
         """First violated L(d,u) condition and its witness x, or None."""
@@ -77,13 +77,13 @@ class PLFunction:
                 f"a PL function needs 'breakpoints' and 'values' lists: {e!r}") from None
 
 
-def _in_class_rows(xs, ys, d: float, u: float, tol: float = _TOL) -> np.ndarray:
+def _in_class_rows(xs, ys, d: float, u: float) -> np.ndarray:
     """Membership in L(d,u) of each PL function with breakpoints xs and
     values ys[..., :] (a row per function)."""
     xs = np.asarray(xs)
     ys = np.asarray(ys)
-    lipschitz = np.all(np.abs(np.diff(ys, axis=-1) / np.diff(xs)) <= d + tol, axis=-1)
-    return lipschitz & np.all(ys >= u * xs - tol, axis=-1)
+    lipschitz = np.all(np.abs(np.diff(ys, axis=-1) / np.diff(xs)) <= d + _TOL, axis=-1)
+    return lipschitz & np.all(ys >= u * xs - _TOL, axis=-1)
 
 
 def linear(slope: float) -> PLFunction:

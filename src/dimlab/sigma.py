@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dyadic import _finite, _is_number, _positive, _positive_int
 from .plf import PLFunction, _in_class_rows, from_slopes, linear
 
 _TOL = 1e-9
@@ -66,28 +67,6 @@ def c_d_table(d_range) -> list[tuple[int, float]]:
 
 
 # -- profile functions ------------------------------------------------------
-
-
-def _is_number(value) -> bool:
-    """A real number other than a bool; a string is none, though float()
-    would parse it."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _finite(name: str, value) -> float:
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _positive(name: str, value) -> float:
-    value = _finite(name, value)
-    if value <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
 
 
 class Profile:
@@ -405,14 +384,6 @@ def superlinear_decomposition(
 # -- exact inner maximization ----------------------------------------------
 
 
-def _positive_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
-
-
 def _grid(grid_n: int) -> np.ndarray:
     """The endpoint grid {i/grid_n : 0 <= i <= grid_n}."""
     return np.arange(_positive_int("grid_n", grid_n) + 1) / grid_n
@@ -673,7 +644,7 @@ def sigma_tau(
         raise ValueError(f"tau must be in (0, 1/2], got {tau}")
     _positive_int("budget", budget)
     _positive_int("n_segments", n_segments)
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (_is_number(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if slope_levels is None:
         slope_levels = [d * i / 8.0 for i in range(9)]

@@ -21,13 +21,13 @@ restricted to a piece's leaves, the tree checks the piece's ratio classes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _group_rows
+from .dyadic import DyadicMeasure, _finite, _group_rows, _is_number, _positive, _positive_int
 from .plf import PLFunction
-from .sigma import _finite, _positive, _positive_int
 
 _TOL = 1e-9
 
@@ -45,8 +45,7 @@ class UniformPiece:
 
     def __post_init__(self) -> None:
         T, mu = self.T, self.measure
-        if not (isinstance(T, (int, np.integer)) and not isinstance(T, bool)
-                and T >= 1 and len(self.beta) * T == mu.m
+        if not (_is_number(T, numbers.Integral) and T >= 1 and len(self.beta) * T == mu.m
                 and all(math.isfinite(b) and b == round(b * T) / T and 0 <= b <= mu.d
                         for b in self.beta)):
             raise ValueError(f"beta {self.beta!r} with T = {T!r} does not give one class "

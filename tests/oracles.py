@@ -396,6 +396,46 @@ def leaf_dict(mu):
     return dict(zip(map(tuple, mu.coords.tolist()), mu.masses.tolist()))
 
 
+def cell_table_reference(d, m, items):
+    """(coords, masses) arrays of the positive leaves of the (cell, mass)
+    pairs `items`, checked leaf by leaf as the per-leaf Mapping constructor
+    of DyadicMeasure did (a zero-mass leaf is skipped unchecked); a repeated
+    cell is rejected, as the per-line text reader did."""
+    top = 1 << m
+    seen, leaves = set(), {}
+    for coords, mass in items:
+        if coords in seen:
+            raise ValueError(f"duplicate leaf coordinates {coords}")
+        seen.add(coords)
+        if not (0.0 <= mass < math.inf):
+            raise ValueError(f"mass {mass} at {coords} is negative or not finite")
+        if mass == 0.0:
+            continue
+        if len(coords) != d:
+            raise ValueError(f"leaf {coords} has wrong dimension")
+        for c in coords:
+            if not (0 <= c < top):
+                raise ValueError(f"leaf coordinate {c} out of range at depth {m}")
+            if int(c) != c:
+                raise ValueError(f"leaf coordinate {c} is not an integer")
+        leaves[tuple(map(int, coords))] = float(mass)
+    coords = np.array(list(leaves), dtype=np.int64).reshape(-1, d)
+    order = np.lexsort(coords.T[::-1])
+    return coords[order], np.array(list(leaves.values()), dtype=float)[order]
+
+
+def cell_text_reference(lines, d, m):
+    """cell_table_reference of text lines of d integers and a mass each,
+    parsed line by line as the text readers did."""
+    items = []
+    for ln in lines:
+        parts = ln.split()
+        if len(parts) != d + 1:
+            raise ValueError(f"bad leaf line {ln!r}")
+        items.append((tuple(int(p) for p in parts[:d]), float(parts[d])))
+    return cell_table_reference(d, m, items)
+
+
 def level_masses_reference(leaves, m, level):
     shift = m - level
     acc = {}

@@ -216,8 +216,7 @@ def test_acceptance_08_projection_entropy_bound():
     for trial in range(20):
         n = 64
         raw = rng.random(n) + 0.05
-        cells = {i: float(v) for i, v in enumerate(raw / raw.sum())}
-        rho = DirectionMeasure(2, n, cells)
+        rho = DirectionMeasure(2, n, np.arange(n), raw / raw.sum())
         if trial % 2 == 0:
             mu = random_measure(rng, d=2, m=m, n_leaves=800)
         else:
@@ -272,7 +271,7 @@ def test_acceptance_10_direction_audit():
     masses = [1.0]
     for _ in range(9):
         masses = [m * w for m in masses for w in (ratio, 1.0 - ratio)]
-    rho = DirectionMeasure(2, n, {i: masses[i] for i in range(n)})
+    rho = DirectionMeasure(2, n, np.arange(n), masses)
     # the cascade is an exponent-0.6 envelope with constant <= 4 on arc blocks
     env_ok = True
     level_masses = masses

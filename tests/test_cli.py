@@ -248,6 +248,8 @@ def _write(path, text):
     "tubes_not_separated", "build_product_set_r_string", "build_product_set_x_string",
     "custom_d_null", "custom_not_object", "chain_M_zero", "profile_unknown_key",
     "profile_duplicate_key", "custom_bool_and_string", "custom_breakpoints_string",
+    "scene_scenario_path", "scene_scenario_comma", "scene_scenario_number",
+    "scene_unknown_key", "scene_zeta_string", "scene_zeta_bool", "scene_missing_depth",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -287,7 +289,8 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     def scene_run(name, **fields):
         rec = {"scenario": name, "generator": {"kind": "cantor_product", "params": {}},
                "depth": 10, **fields}
-        return ["experiment", "run", _write(tmp_path / f"scene_{name}.json", json.dumps(rec))]
+        stem = str(name).replace("/", "_")
+        return ["experiment", "run", _write(tmp_path / f"scene_{stem}.json", json.dumps(rec))]
     argv = {
         "profile_missing_s": ["sigma", "eval", "--profile", "highdim:d=3", "--f", f,
                               "--tau", "0.02"],
@@ -340,6 +343,14 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "scene_window_three": scene_run("w3", scale_window=[2, 8, 10]),
         "scene_zeta_list": scene_run("zl", zeta=[0.1]),
         "scene_output_number": scene_run("on", output=5),
+        "scene_scenario_path": scene_run("../escaped", output=str(tmp_path / "out")),
+        "scene_scenario_comma": scene_run("a,b"),
+        "scene_scenario_number": scene_run(7),
+        "scene_unknown_key": scene_run("uk", scale_windw=[2, 10]),
+        "scene_zeta_string": scene_run("zs", zeta="0.5"),
+        "scene_zeta_bool": scene_run("zb", zeta=False),
+        "scene_missing_depth": ["experiment", "run", _write(tmp_path / "nodepth.json", json.dumps(
+            {"scenario": "nd", "generator": {"kind": "cantor_product", "params": {}}}))],
         "build_params_list": ["measure", "build", "--kind", "cantor_product",
                               "--params", "[1]", "--depth", "6"],
         "dims_window_reversed": ["dims", mu, "--window", "6", "2"],
@@ -428,6 +439,13 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "build_params_list": "params must be an object",
         "scene_depth_fraction": "depth must be an integer",
         "scene_output_number": "output must be a directory path",
+        "scene_scenario_path": "scenario must be a plain name",
+        "scene_scenario_comma": "scenario must be a plain name",
+        "scene_scenario_number": "scenario must be a plain name",
+        "scene_unknown_key": "unknown config field 'scale_windw'",
+        "scene_zeta_string": "zeta must be a number",
+        "scene_zeta_bool": "zeta must be a number",
+        "scene_missing_depth": "missing config field 'depth'",
         "scene_window_float": "scale_window must be two integers",
         "scene_window_three": "scale_window must be two integers",
         "chain_pin_one_coordinate": "coordinates",
@@ -472,3 +490,4 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("escaped_*"))  # nothing written outside the output

@@ -11,10 +11,13 @@ from dimlab.dyadic import (
     restrict_normalize,
 )
 from dimlab.generators import gen_cantor_product
+from dimlab.geometry import DirectionMeasure
 from dimlab.uniformize import decompose_uniform, extract_uniform
 from oracles import (
     build_from_atoms_reference,
     capped_fill_entropy_reference,
+    cell_table_reference,
+    cell_text_reference,
     decompose_uniform_reference,
     exact_split_measure,
     extract_uniform_reference,
@@ -211,6 +214,106 @@ def test_finest_first_cells_equal_direct_grouping():
     assert mu.cells(mu.m)[0] is mu.coords and mu.cells(mu.m)[1] is mu.masses
 
 
+# (d, [(cell, mass), ...]) tables on the depth-4 grid, valid and malformed
+CELL_TABLES = {
+    "valid": (2, [((1, 2), 0.5), ((0, 3), 0.25), ((15, 15), 0.25)]),
+    "valid_1d": (1, [((7,), 0.5), ((2,), 0.25), ((15,), 0.25)]),
+    "integral_floats": (2, [((1.0, np.int64(2)), 1.0), ((3, 0.0), 2)]),
+    "zero_mass": (2, [((1, 2), 0.5), ((3, 3), 0.0), ((0, 0), 0.5)]),
+    "zero_mass_1d": (1, [((4,), 0.0), ((5,), 1.0)]),
+    "all_zero": (1, [((4,), 0.0)]),
+    "empty": (2, []),
+    "nan_mass": (2, [((1, 2), 0.5), ((0, 3), math.nan)]),
+    "inf_mass": (1, [((1,), math.inf)]),
+    "negative_mass": (2, [((1, 2), 0.5), ((0, 3), -0.25)]),
+    "negative_mass_1d": (1, [((1,), -1.0), ((2,), 1.0)]),
+    "string_mass": (2, [((1, 2), "0.5"), ((0, 3), "0.5")]),
+    "word_mass": (1, [((1,), 0.5), ((2,), "x")]),
+    "fractional_cell": (2, [((1.5, 2), 0.5), ((1, 2), 0.5)]),
+    "fractional_cell_1d": (1, [((2.5,), 1.0)]),
+    "out_of_range": (2, [((16, 0), 1.0)]),
+    "out_of_range_1d": (1, [((3,), 0.5), ((16,), 0.5)]),
+    "negative_cell": (2, [((0, -1), 1.0)]),
+    "string_cell": (2, [(("1", 2), 0.5), ((0, 3), 0.5)]),
+    "string_cell_1d": (1, [(("3",), 1.0)]),
+    "short_cell": (2, [((1, 2), 0.5), ((1,), 0.5)]),
+    "long_cell": (2, [((1, 2, 3), 1.0)]),
+    "long_cell_1d": (1, [((1, 2), 1.0)]),
+    "duplicate": (2, [((1, 2), 0.5), ((0, 3), 0.25), ((1, 2), 0.25)]),
+    "duplicate_1d": (1, [((3,), 0.5), ((3,), 0.5)]),
+}
+
+
+def _reference(build, must_carry_mass=False):
+    """The reference's (coords, masses) arrays, or None if it raised (or,
+    with `must_carry_mass`, if they hold no mass)."""
+    try:
+        coords, masses = build()
+    except (ValueError, TypeError):
+        return None
+    return None if must_carry_mass and not len(masses) else (coords, masses)
+
+
+def _arrays(build):
+    """The cell arrays of the measure build() makes, as (n, k) rows and
+    masses, or None if it raised ValueError (any other error fails)."""
+    try:
+        mu = build()
+    except ValueError:
+        return None
+    if isinstance(mu, DirectionMeasure):
+        return mu.index[:, None], mu.masses
+    return mu.coords, mu.masses
+
+
+def _assert_same(got, ref, case):
+    assert (got is None) == (ref is None), case
+    if ref is not None:
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
+
+
+@pytest.mark.parametrize("case", sorted(CELL_TABLES))
+def test_cell_tables_match_the_per_leaf_reference(case):
+    """DyadicMeasure (from a Mapping and from text) and DirectionMeasure
+    accept exactly the tables the per-leaf reference accepts, with the same
+    arrays bit for bit, and reject the others with ValueError."""
+    d, items = CELL_TABLES[case]
+    leaves = dict(items)
+    ref = _reference(lambda: cell_table_reference(d, 4, leaves.items()))
+    _assert_same(_arrays(lambda: DyadicMeasure(d, 4, leaves)), ref, case)
+    if ref is not None:
+        text = DyadicMeasure(d, 4, leaves).to_text()
+        _assert_same(_arrays(lambda: DyadicMeasure.from_text(text)), ref, case)
+    lines = [" ".join(map(str, (*cell, mass))) for cell, mass in items]
+    ref = _reference(lambda: cell_text_reference(lines, d, 4))
+    text = "\n".join([f"{d} 4", *lines])
+    _assert_same(_arrays(lambda: DyadicMeasure.from_text(text)), ref, case)
+    if d == 1:
+        # a direction measure must carry mass
+        ref = _reference(lambda: cell_table_reference(1, 4, items), must_carry_mass=True)
+        index, masses = [cell for cell, _ in items], [m for _, m in items]
+        _assert_same(_arrays(lambda: DirectionMeasure(2, 16, index, masses)), ref, case)
+        ref = _reference(lambda: cell_text_reference(lines, 1, 4), must_carry_mass=True)
+        text = "\n".join(["sphere 2 16", *lines])
+        _assert_same(_arrays(lambda: DirectionMeasure.from_text(text)), ref, case)
+
+
+def test_zero_mass_cell_off_the_grid_is_rejected():
+    """The one table the per-leaf reference accepts and the array rule does
+    not: a zero-mass leaf that is off the grid, which the reference skipped
+    unchecked."""
+    for d, items in ((2, [((16, 0), 0.0), ((1, 1), 1.0)]), (1, [((-1,), 0.0), ((1,), 1.0)])):
+        assert len(cell_table_reference(d, 4, items)[1]) == 1
+        with pytest.raises(ValueError, match="off the grid"):
+            DyadicMeasure(d, 4, dict(items))
+        lines = "".join(f"{' '.join(map(str, c))} {m}\n" for c, m in items)
+        with pytest.raises(ValueError, match="off the grid"):
+            DyadicMeasure.from_text(f"{d} 4\n{lines}")
+    with pytest.raises(ValueError, match="off the grid"):
+        DirectionMeasure(2, 16, [16, 1], [0.0, 1.0])
+
+
 def test_serialization_roundtrip():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -237,6 +340,12 @@ def test_build_from_atoms():
     with pytest.raises(ValueError):
         build_from_atoms([((1.2, 0.0), 1.0)], 3)
     assert build_from_atoms([((0.5,), 0.0)], 3).trivial
+    # weights follow the cell tables' mass rule; a numeric string is no number
+    for bad in (math.nan, math.inf, -1.0, "1.0"):
+        with pytest.raises(ValueError, match="negative or not finite|must be numbers"):
+            build_from_atoms([((0.1, 0.1), 1.0), ((0.9, 0.9), bad)], 3)
+    with pytest.raises(ValueError):
+        build_from_atoms([((0.1, 0.1), 1.0), ((0.9,), 1.0)], 3)  # atoms of two dimensions
 
 
 def test_restrict_normalize_checks_mask():

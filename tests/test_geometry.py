@@ -115,7 +115,7 @@ def test_pin_separation_enforced():
 
 
 def test_sphere_lattice_covers():
-    rho = DirectionMeasure(3, 200, {0: 1.0})
+    rho = DirectionMeasure(3, 200, [0], [1.0])
     pts = rho.cell_centers()
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
     # nearest-neighbor spacing below twice the nominal resolution
@@ -125,25 +125,25 @@ def test_sphere_lattice_covers():
 
 
 def test_direction_measure_roundtrip_and_validation():
-    rho = DirectionMeasure(2, 16, {0: 0.5, 3: 0.5})
+    rho = DirectionMeasure(2, 16, [0, 3], [0.5, 0.5])
     back = DirectionMeasure.from_text(rho.to_text())
     assert back.index.tolist() == rho.index.tolist() and back.n_cells == 16
     assert back.masses.tolist() == rho.masses.tolist()
-    assert DirectionMeasure(2, 16, {3: 0.25, 0: 0.75}).index.tolist() == [0, 3]
+    assert DirectionMeasure(2, 16, [3, 0], [0.25, 0.75]).index.tolist() == [0, 3]
     with pytest.raises(ValueError):
         rho.masses[0] = 1.0  # read-only
-    for empty in ({}, {0: 0.0, 3: 0.0}):
+    for index, masses in (([], []), ([0, 3], [0.0, 0.0])):
         with pytest.raises(ValueError, match="no mass"):
-            DirectionMeasure(2, 16, empty)
+            DirectionMeasure(2, 16, index, masses)
     with pytest.raises(ValueError, match="no mass"):
         DirectionMeasure.from_text("sphere 2 16\n")
     with pytest.raises(ValueError):
         DirectionMeasure.from_text("sphere 2 16\n0 0.5\n0 0.5\n")
     with pytest.raises(ValueError):
-        DirectionMeasure(2, 8, {9: 1.0})
+        DirectionMeasure(2, 8, [9], [1.0])
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            DirectionMeasure(2, 4, {0: bad, 1: 1.0})
+            DirectionMeasure(2, 4, [0, 1], [bad, 1.0])
     for text in ("", "sphere 2\n", "2 16\n0 1.0\n"):
         with pytest.raises(ValueError):
             DirectionMeasure.from_text(text)
@@ -341,7 +341,7 @@ def test_3d_direction_products_in_blocks():
     _, peak = _peak_bytes(project_radial, mu, pin, 4000)
     assert peak < 32e6, peak
 
-    rho = DirectionMeasure(3, 512, dict(enumerate(rng.uniform(0.5, 1.5, 512).tolist())))
+    rho = DirectionMeasure(3, 512, np.arange(512), rng.uniform(0.5, 1.5, 512))
     normals = np.concatenate(list(_hemisphere_blocks(0.2 / 4.0)))
     inner = np.abs(rho.cell_centers()[rho.index] @ normals.T)
     assert hyperplane_concentration(rho, 0.2) == float((rho.masses @ (inner <= 0.2 + 1e-9)).max())
@@ -354,14 +354,14 @@ def test_3d_direction_products_in_blocks():
         blocks = list(_hemisphere_blocks(step))
         assert max(len(b) for b in blocks) == min(n, _DIRECTION_CHUNK)
         assert np.array_equal(np.concatenate(blocks), whole[whole[:, 2] >= 0][:n])
-    rho = DirectionMeasure(3, 512, dict(enumerate(np.linspace(0.5, 1.5, 16).tolist())))
+    rho = DirectionMeasure(3, 512, np.arange(16), np.linspace(0.5, 1.5, 16))
     _, peak = _peak_bytes(hyperplane_concentration, rho, 0.01)
     assert peak < 4e6, peak
 
 
 def test_hyperplane_concentration_uniform_vs_atom():
     n = 256
-    uniform = DirectionMeasure(2, n, {i: 1.0 / n for i in range(n)})
+    uniform = DirectionMeasure(2, n, np.arange(n), np.full(n, 1.0 / n))
     for a in (0.05, 0.1, 0.2, 0.5, 0.9):
         # the a-slab around a line cuts two antipodal arcs of angular width
         # 2 arcsin(a); each holds at most floor(width / spacing) + 1 centers
@@ -369,11 +369,11 @@ def test_hyperplane_concentration_uniform_vs_atom():
         assert abs(hyperplane_concentration(uniform, a) - count / n) <= 1e-12
     # closed slabs: four cells at 45 degrees from the x-axis, all within
     # _TOL of distance a from it
-    four = DirectionMeasure(2, 4, {i: 0.25 for i in range(4)})
+    four = DirectionMeasure(2, 4, np.arange(4), np.full(4, 0.25))
     assert hyperplane_concentration(four, math.sqrt(0.5) - 1e-10) == pytest.approx(1.0)
     # within _TOL of 1 every cell is near every line
     assert hyperplane_concentration(uniform, 1.0 - 1e-10) == pytest.approx(1.0)
-    atom = DirectionMeasure(2, n, {0: 1.0})
+    atom = DirectionMeasure(2, n, [0], [1.0])
     assert hyperplane_concentration(atom, 0.1) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         hyperplane_concentration(uniform, 1.5)
@@ -385,8 +385,7 @@ def test_hyperplane_concentration_sweep_matches_bruteforce_and_bounds_grid():
     for _ in range(160):
         n = int(rng.integers(2, 201))
         live = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        cases.append(DirectionMeasure(2, n, {int(i): float(rng.random()) + 1e-3
-                                             for i in live}))
+        cases.append(DirectionMeasure(2, n, live, rng.random(len(live)) + 1e-3))
     for _ in range(60):
         mu = random_measure(rng, d=2, m=7, n_leaves=int(rng.integers(1, 80)))
         pin = (float(rng.uniform(-1.0, -0.1)), float(rng.uniform(-0.5, 1.5)))
@@ -401,7 +400,7 @@ def test_hyperplane_concentration_sweep_matches_bruteforce_and_bounds_grid():
 def test_adapted_audit_lebesgue_is_clean():
     # uniform directions + Lebesgue square: no failing directions at s = 0.9
     n = 64
-    rho = DirectionMeasure(2, n, {i: 1.0 / n for i in range(n)})
+    rho = DirectionMeasure(2, n, np.arange(n), np.full(n, 1.0 / n))
     mu = DyadicMeasure(
         2, 8, {(i, j): 2.0 ** -16 for i in range(0, 256, 4) for j in range(0, 256, 4)}
     ).normalize()
@@ -411,12 +410,12 @@ def test_adapted_audit_lebesgue_is_clean():
 
 def test_entropy_projection_bound_hypothesis_checked():
     n = 64
-    rho = DirectionMeasure(2, n, {0: 1.0})
+    rho = DirectionMeasure(2, n, [0], [1.0])
     mu = random_measure(np.random.default_rng(4), d=2, m=8, n_leaves=100)
     with pytest.raises(ValueError):
         # a point mass on the sphere concentrates on every hyperplane slab
         entropy_projection_bound(rho, mu, 8, 0.1, 0.05, 4.0)
-    uniform = DirectionMeasure(2, n, {i: 1.0 / n for i in range(n)})
+    uniform = DirectionMeasure(2, n, np.arange(n), np.full(n, 1.0 / n))
     bad, ok = entropy_projection_bound(uniform, mu, 8, 0.2, 0.5, 4.0)
     assert 0.0 <= bad <= 1.0
 
