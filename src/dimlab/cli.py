@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 on pass, 1 when a check ran and failed (a report is printed),
-2 on usage or configuration errors.
+2 on usage or configuration errors, among them inputs too large for memory.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ def cmd_sigma(args) -> int:
         print(f"estimate={res.estimate!r} candidates={res.n_candidates}")
         print(f"certificate={res.certificate.to_json()}")
         print(f"full_evaluations={res.n_full_evals}")
-        print(f"pruned=coarse:{res.n_pruned_coarse} quarter:{res.n_pruned_quarter}")
+        print(f"pruned=coarse:{res.n_pruned_coarse} quarter:{res.n_pruned_quarter} "
+              f"repeated:{res.n_repeated}")
         return PASS
     if args.action == "verify-planar":
         rep = verify_planar_bound(args.u, args.zeta, eta=args.eta,
@@ -347,6 +348,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (exp_mod.ConfigError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return USAGE
+    except MemoryError as e:
+        # e.g. the endpoint grid of 8/tau points a tiny tau asks of sigma inf
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return USAGE
     except exp_mod.StageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -166,7 +166,23 @@ def _read_cells(text: str, header: str) -> tuple[list[str], np.ndarray, np.ndarr
         table = np.array(lines[1:] or np.empty((0, 1)), dtype=str)
     except ValueError:
         raise ValueError("the lines of cells differ in length") from None
-    return lines[0], table[:, :-1].astype(np.int64), table[:, -1].astype(float)
+    try:
+        return lines[0], table[:, :-1].astype(np.int64), table[:, -1].astype(float)
+    except (ValueError, OverflowError):
+        # name the first field that does not convert, by its line of the text
+        cells = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        for n, words in cells[1:]:
+            for k, word in enumerate(words, 1):
+                kind = float if k == len(words) else np.int64
+                where = f"line {n}: field {k} ({word!r})"
+                try:
+                    np.array(word).astype(kind)
+                except ValueError:
+                    what = "a number" if kind is float else "an integer"
+                    raise ValueError(f"{where} is not {what}") from None
+                except OverflowError:
+                    raise ValueError(f"{where} is out of range") from None
+        raise
 
 
 def _check_shape(d: int, m: int) -> None:

@@ -86,6 +86,27 @@ def _in_class_rows(xs, ys, d: float, u: float) -> np.ndarray:
     return lipschitz & np.all(ys >= u * xs - _TOL, axis=-1)
 
 
+def _shape_rows(xs, ys) -> list[bytes]:
+    """The shape of each PL function with breakpoints xs and values ys[r]
+    (a row per function): its breakpoints and values as bytes, less every
+    interior breakpoint where the float slopes on both sides are equal.
+    Functions of equal shape are one function up to rounding in those
+    slopes, whatever breakpoints they were given."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float).reshape(-1, len(xs))
+    slopes = ys[:, 1:] - ys[:, :-1]
+    slopes /= xs[1:] - xs[:-1]
+    keep = np.ones(ys.shape, dtype=bool)
+    np.not_equal(slopes[:, 1:], slopes[:, :-1], out=keep[:, 1:-1])
+    # (x, y) pairs, 16 bytes each, row after row
+    pts = np.empty(ys.shape + (2,))
+    pts[..., 0] = xs
+    pts[..., 1] = ys
+    blob = pts[keep].tobytes()
+    ends = (keep.sum(axis=1).cumsum() * 16).tolist()
+    return [blob[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def linear(slope: float) -> PLFunction:
     return PLFunction((0.0, 1.0), (0.0, slope))
 

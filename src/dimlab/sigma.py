@@ -10,9 +10,10 @@ adversarially over f in the slope-constrained class L(d,t).  An interval
 sigma_j-superlinear on [a_j, b_j].
 
 The inner maximization is solved exactly on an endpoint grid by weighted
-interval scheduling; the outer minimization is a certificate search (the
-returned value is an upper bound on the true infimum, witnessed by the
-minimizing f).
+interval scheduling; the outer minimization is a certificate search.  The
+returned value is an upper bound on the infimum of the grid-restricted
+problem, witnessed by the minimizing f; it bounds no continuum infimum, as a
+grid value only bounds its f's continuum value from below.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import _finite, _is_number, _positive, _positive_int
-from .plf import PLFunction, _in_class_rows, from_slopes, linear
+from .plf import PLFunction, _in_class_rows, _shape_rows, from_slopes, linear
 
 _TOL = 1e-9
 # candidates per batched sub-grid bound in sigma_tau; from about 4 a batch
@@ -556,6 +557,8 @@ class SigmaTauResult:
     # candidates pruned by the 1/16 sub-grid bound and by the quarter one
     n_pruned_coarse: int = field(repr=False, default=0)
     n_pruned_quarter: int = field(repr=False, default=0)
+    # candidates of a shape the search had already seen
+    n_repeated: int = field(repr=False, default=0)
 
 
 def _default_grid_n(tau: float, n_segments: int) -> int:
@@ -623,15 +626,24 @@ def sigma_tau(
     whose value on the 1/16 or the quarter sub-grid (lower bounds for its
     grid value) already exceeds the best value cannot win and gets none, so
     `n_full_evals <= n_candidates` and the result is the same as with a full
-    evaluation of every candidate.  `n_pruned_coarse` and
+    evaluation of every distinct candidate.  `n_pruned_coarse` and
     `n_pruned_quarter` count the candidates each bound pruned.
 
+    Distinct means of a shape (`plf._shape_rows`) not seen before in this
+    call; the line linear(t) is seen first.  A repeat, such as the line
+    linear(s1) that the two-slope phase builds again at every x0, gets no
+    bound and no evaluation and is counted in `n_repeated`.  In exact
+    arithmetic it is the function seen before, which was either evaluated,
+    so the best value is at most its value from then on, or pruned by a
+    bound above the best value, which only falls; either way the repeat
+    cannot be strictly better.  Nothing is kept across calls.
+
     The sub-grid bounds read nothing of the search, so one DP computes them
-    for a near-even batch of at most _BATCH consecutive candidates with the
-    same breakpoints: the two-slope candidates with inner breakpoint x0
-    (whose class test runs on a row of values before any function is
-    built), or candidates of another phase (a descent sweep builds all its
-    trials from the slopes at its start).  A batch is bounded on the 1/16
+    for a near-even batch of at most _BATCH consecutive distinct candidates
+    with the same breakpoints: the two-slope candidates with inner
+    breakpoint x0 (whose class test runs on a row of values before any
+    function is built), or candidates of another phase (a descent sweep
+    builds all its trials from the slopes at its start).  A batch is bounded on the 1/16
     sub-grid, then those whose bound does not exceed the best value at its
     start on the quarter sub-grid.  The best value only falls and the
     1/16 bound is the lower, so walking the batch in generation order prunes
@@ -663,12 +675,23 @@ def sigma_tau(
     best_f = linear(t)
     best_val, best_dec = sigma_for_f(D, best_f, tau, grid_n)
     n_eval = n_full = 1
-    n_coarse = n_quarter = 0
+    n_coarse = n_quarter = n_repeated = 0
+    seen = set(_shape_rows(best_f.xs, [best_f.ys]))
 
     def consider(fs):
         """Walk fs, functions in L(d, t) with the same breakpoints, in order."""
-        nonlocal best_val, best_f, best_dec, n_eval, n_full, n_coarse, n_quarter
-        for batch in _batches(fs, _BATCH):
+        nonlocal best_val, best_f, best_dec, n_eval, n_full, n_coarse, n_quarter, n_repeated
+        fs = list(fs)
+        if not fs:
+            return
+        new = []
+        for f, shape in zip(fs, _shape_rows(fs[0].xs, [f.ys for f in fs])):
+            if shape not in seen:
+                seen.add(shape)
+                new.append(f)
+        n_repeated += len(fs) - len(new)
+        n_eval += len(fs) - len(new)
+        for batch in _batches(new, _BATCH):
             coarse = _pruning_bounds(D, batch, tau, xs[::4])
             live = np.flatnonzero(coarse <= best_val + 1e-12)
             quarter = np.full(len(batch), -math.inf)
@@ -740,7 +763,8 @@ def sigma_tau(
                 if best_val >= base - 1e-15:
                     break
 
-    return SigmaTauResult(best_val, best_f, n_eval, n_full, best_dec, n_coarse, n_quarter)
+    return SigmaTauResult(best_val, best_f, n_eval, n_full, best_dec, n_coarse, n_quarter,
+                          n_repeated)
 
 
 def lipschitz_scan(D: Profile, t_range, tau: float, **kwargs) -> list[dict]:

@@ -110,9 +110,39 @@ def test_sigma_inf(capsys):
     full = int(lines[2].partition("=")[2])
     candidates = int(lines[0].partition(" candidates=")[2])
     assert 1 <= full <= candidates
-    coarse, quarter = lines[3].removeprefix("pruned=coarse:").split(" quarter:")
-    assert full + int(coarse) + int(quarter) == candidates
+    coarse, _, rest = lines[3].removeprefix("pruned=coarse:").partition(" quarter:")
+    quarter, repeated = rest.split(" repeated:")
+    assert full + int(coarse) + int(quarter) + int(repeated) == candidates
     assert len(lines) == 4
+
+
+def test_sigma_inf_reports_an_input_too_large_for_memory(monkeypatch, capsys):
+    """A tau whose endpoint grid does not fit in memory is one error line
+    and exit 2; the grid is never allocated."""
+    from dimlab import sigma
+
+    msg = "Unable to allocate 59.6 GiB for an array with shape (8000000001,)"
+    for exc, err in ((MemoryError(msg), msg), (MemoryError(), "out of memory")):
+        def grid(grid_n, exc=exc):
+            assert grid_n == 8_000_000_000
+            raise exc
+        monkeypatch.setattr(sigma, "_grid", grid)
+        rc = main(["sigma", "inf", "--profile", "planar:s=0.3", "--t", "1.0",
+                   "--tau", "1e-9", "--budget", "2"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("line, err", [
+    ("0 x 1.0", "line 3: field 2 ('x') is not an integer"),
+    ("0 1.5 1.0", "line 3: field 2 ('1.5') is not an integer"),
+    ("0 1 y", "line 3: field 3 ('y') is not a number"),
+    ("0 99999999999999999999 1.0", "line 3: field 2 ('99999999999999999999') is out of range"),
+])
+def test_measure_info_names_the_field_that_is_not_a_number(line, err, tmp_path, capsys):
+    path = _write(tmp_path / "mu.txt", f"2 4\n\n{line}\n0 0 1.0\n")
+    assert main(["measure", "info", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("name, profile, tau, grid", [

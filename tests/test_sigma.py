@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dimlab import sigma
-from dimlab.plf import PLFunction, _in_class_rows, from_slopes, linear
+from dimlab.plf import PLFunction, _in_class_rows, _shape_rows, from_slopes, linear
 from dimlab.sigma import (
     CustomProfile,
     HighDimProfile,
@@ -58,6 +58,24 @@ def test_plfunction_validation():
         with pytest.raises(ValueError, match="breakpoints"):
             from_slopes([1.0, 1.0, 1.0], xs)
     assert from_slopes([1.0, 3.0], [0.0, 0.25, 1.0]).ys == (0.0, 0.25, 2.5)
+
+
+def test_shape_drops_only_exactly_collinear_breakpoints():
+    [line] = _shape_rows((0.0, 1.0), [(0.0, 1.0)])
+    # slopes 1 and 1: the same function as the line
+    assert _shape_rows((0.0, 0.5, 1.0), [(0.0, 0.5, 1.0)]) == [line]
+    assert _shape_rows((0.0, 0.25, 0.5, 1.0), [(0.0, 0.25, 0.5, 1.0)]) == [line]
+    # slopes 1 - 2**-53 and 1, one ulp apart: a kink, kept
+    bent = (0.0, np.nextafter(0.5, 0.0), 1.0)
+    left, right = np.diff(bent) / 0.5
+    assert np.nextafter(left, 2.0) == right
+    shapes = _shape_rows((0.0, 0.5, 1.0), [bent, (0.0, 0.5, 1.0), (0.0, 0.5, 1.5)])
+    assert shapes[1] == line
+    assert len({*shapes, line}) == 3
+    assert shapes[0] == np.array([[0.0, 0.0], [0.5, bent[1]], [1.0, 1.0]]).tobytes()
+    # one row at a time gives the same shapes
+    assert shapes == [_shape_rows((0.0, 0.5, 1.0), [y])[0]
+                      for y in (bent, (0.0, 0.5, 1.0), (0.0, 0.5, 1.5))]
 
 
 def test_plfunction_json_roundtrip():
@@ -716,7 +734,8 @@ def test_pruned_sigma_tau_equals_full_evaluation(name, monkeypatch):
     assert pruned.certificate.ys == full.certificate.ys
     assert pruned.decomposition.entries == full.decomposition.entries
     assert pruned.n_candidates == full.n_candidates
-    assert full.n_full_evals == full.n_candidates
+    assert full.n_full_evals + full.n_repeated == full.n_candidates
+    assert pruned.n_repeated == single.n_repeated == full.n_repeated
     assert 1 <= pruned.n_full_evals < pruned.n_candidates
     budget = kwargs["budget"]
     if name == "exhaustive":
@@ -759,21 +778,52 @@ def test_coarse_stage_changes_no_search(name, monkeypatch):
         assert repr(res) == repr(both)
         assert res.decomposition.entries == both.decomposition.entries
     for res in (both, quarter, tight):
-        assert res.n_full_evals + res.n_pruned_coarse + res.n_pruned_quarter == res.n_candidates
+        assert (res.n_full_evals + res.n_pruned_coarse + res.n_pruned_quarter
+                + res.n_repeated == res.n_candidates)
     assert quarter.n_pruned_coarse == tight.n_pruned_quarter == 0
+
+
+def _acceptance_03_searches():
+    return [sigma_tau(HighDimProfile(3, s), 1.5, 0.02, budget=2600)
+            for s in (1.05, 1.2, 1.35, 1.45)]
 
 
 def test_coarse_stage_keeps_highdim_full_evaluations(monkeypatch):
     """Acceptance 03's searches make the same full evaluations with and
-    without the 1/16 sub-grid stage, which prunes most of their candidates."""
-    def searches():
-        return [sigma_tau(HighDimProfile(3, s), 1.5, 0.02, budget=2600)
-                for s in (1.05, 1.2, 1.35, 1.45)]
-    both = searches()
-    assert [res.n_full_evals for res in both] == [4, 6, 7, 8]
+    without the 1/16 sub-grid stage, which prunes most of their candidates;
+    each skips 127 repeats, the lines linear(s1), s1 >= t, that the
+    two-slope phase builds at each of its 15 breakpoints x0."""
+    both = _acceptance_03_searches()
+    assert [res.n_full_evals for res in both] == [2, 4, 5, 6]
+    assert [res.n_repeated for res in both] == [127] * 4
     assert all(res.n_pruned_coarse > 0.9 * res.n_candidates for res in both)
     _set_coarse_stage(monkeypatch, sigma._default_grid_n(0.02, 16), tight=False)
-    assert [res.n_full_evals for res in searches()] == [4, 6, 7, 8]
+    assert [res.n_full_evals for res in _acceptance_03_searches()] == [2, 4, 5, 6]
+
+
+@pytest.mark.parametrize("name", [*_SEARCH_CONFIGS, "acceptance_03"])
+def test_skipping_repeated_shapes_changes_no_search(name, monkeypatch):
+    """Skipping candidates of a shape already seen gives the same result as
+    bounding or evaluating every candidate: a shape key unique to each
+    candidate makes none of them a repeat."""
+    def searches():
+        if name == "acceptance_03":
+            return _acceptance_03_searches()
+        D, t, tau, kwargs = _SEARCH_CONFIGS[name]
+        return [sigma_tau(D, t, tau, **kwargs)]
+    skipped = searches()
+    monkeypatch.setattr(sigma, "_shape_rows", lambda xs, ys: [object() for _ in ys])
+    every = searches()
+    for a, b in zip(skipped, every):
+        assert a.estimate == b.estimate
+        assert a.certificate == b.certificate
+        assert a.decomposition.entries == b.decomposition.entries
+        assert a.n_candidates == b.n_candidates
+        assert b.n_repeated == 0
+        assert a.n_full_evals <= b.n_full_evals
+    # the two-slope search spends its budget at its first breakpoint x0, where
+    # each line appears once, and t = 0.6 is no slope level
+    assert (sum(res.n_repeated for res in skipped) > 0) == (name != "two_slope")
 
 
 def test_lipschitz_scan_monotone():
