@@ -100,6 +100,8 @@ def cmd_measure(args) -> int:
 def cmd_dims(args) -> int:
     mu = _load_measure(args.file).normalize()
     lo, hi = args.window if args.window else (1, mu.m - 1)
+    if 0 <= lo <= hi <= mu.m:
+        mu._cache_levels(lo, hi)  # one level walk serves the fit and the table
     fit = mu.frostman_fit((lo, hi))
     print(f"frostman_s={fit.s!r} C={fit.C!r} residual={fit.residual!r}")
     for j in range(lo, hi + 1):

@@ -14,6 +14,7 @@ Entropies are in bits throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -56,7 +57,9 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The columns are combined mixed-radix into one int64 code that orders
     like the rows, each with radix its value span.  Where that would
     overflow, the code so far and the column are first replaced by their
-    1-d np.unique ranks, which bounds the radix by n^2.
+    1-d np.unique ranks, which bounds the radix by n^2.  A stable argsort
+    of the codes groups them: each row out is its group's first in input
+    order, as np.unique's return_index picks it.
     """
     code = np.zeros(len(keys), dtype=np.int64)
     radix = 1
@@ -67,9 +70,22 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             vals, col = np.unique(col, return_inverse=True)
             distinct, code = np.unique(code, return_inverse=True)
             span, radix = len(vals), len(distinct)
-        code = code * span + col
+        code *= span
+        code += col
         radix *= span
-    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+        del col
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    new = np.empty(len(code), dtype=bool)  # new[i]: sorted code i starts a group
+    new[:1] = True
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    code[:] = new  # then each sorted code's group number, in place
+    np.cumsum(code, out=code)
+    code -= 1
+    inv = np.empty_like(code)
+    inv[order] = code
+    first = order[new]
+    del order, code
     return keys[first], inv
 
 
@@ -90,6 +106,12 @@ def _find_rows(table: np.ndarray, query: np.ndarray) -> np.ndarray:
     pos = np.full(len(table) + len(query), -1)
     pos[inv[: len(table)]] = np.arange(len(table))
     return pos[inv[len(table):]]
+
+
+def _fsum(a: np.ndarray) -> float:
+    """math.fsum(a.tolist()), correctly rounded, without a list of all of a."""
+    return math.fsum(itertools.chain.from_iterable(
+        a[i : i + 4096].tolist() for i in range(0, len(a), 4096)))
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -156,24 +178,28 @@ def _cell_table(keys, masses, top: int, k: int) -> tuple[np.ndarray, np.ndarray]
     return rows, masses[order]
 
 
-def _read_cells(text: str, header: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The header words, integer cells and float masses of a text table: a
-    line of as many words as `header`, then per cell its integers and mass."""
+def _read_cells(text: str, header: str, tag: str = "") -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The integer header fields, integer cells and float masses of a text
+    table: a line of `tag` (if given) and an integer for each word of
+    `header`, then per cell its integers and mass."""
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines or len(lines[0]) != len(header.split()):
-        raise ValueError(f"bad header; expected {header!r}")
+    spec = [tag] * bool(tag) + header.split()
+    if not lines or len(lines[0]) != len(spec) or lines[0][: bool(tag)] != spec[: bool(tag)]:
+        raise ValueError(f"bad header; expected {' '.join(spec)!r}")
     try:
         table = np.array(lines[1:] or np.empty((0, 1)), dtype=str)
     except ValueError:
         raise ValueError("the lines of cells differ in length") from None
     try:
-        return lines[0], table[:, :-1].astype(np.int64), table[:, -1].astype(float)
+        head = np.array(lines[0][bool(tag):]).astype(np.int64).tolist()
+        return head, table[:, :-1].astype(np.int64), table[:, -1].astype(float)
     except (ValueError, OverflowError):
         # name the first field that does not convert, by its line of the text
         cells = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-        for n, words in cells[1:]:
-            for k, word in enumerate(words, 1):
-                kind = float if k == len(words) else np.int64
+        for i, (n, words) in enumerate(cells):
+            skip = 0 if i else bool(tag)  # the tag, checked above
+            for k, word in enumerate(words[skip:], skip + 1):
+                kind = float if i and k == len(words) else np.int64
                 where = f"line {n}: field {k} ({word!r})"
                 try:
                     np.array(word).astype(kind)
@@ -262,7 +288,7 @@ class DyadicMeasure:
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.masses.tolist())
+        return _fsum(self.masses)
 
     @property
     def normalized(self) -> bool:
@@ -270,8 +296,9 @@ class DyadicMeasure:
 
     def cells(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (coords, masses) arrays of the positive cubes at `level`,
-        rows in lexicographic order (cached).  Each cube's mass is summed
-        over its leaves in leaf order; at level m they are the leaf arrays."""
+        rows in lexicographic order, cached for the measure's life.  Each
+        cube's mass is summed over its leaves in leaf order; at level m they
+        are the leaf arrays."""
         if not (0 <= level <= self.m):
             raise ValueError(f"level {level} outside [0, {self.m}]")
         if level == self.m:
@@ -281,22 +308,32 @@ class DyadicMeasure:
         return self._cells[level]
 
     def _cache_levels(self, lo: int, hi: int) -> None:
-        """Cache cells() at levels hi down to lo, finest first: each level
-        groups the next finer level's rows >> 1, and the leaf -> cube index
-        is composed through that parent map in place (take reads an entry
-        before overwriting it).  The sums stay one bincount over the leaves
-        in leaf order, bit-identical to grouping the leaves at each level."""
+        """Cache cells() at levels hi down to lo with one _walk."""
+        for j, rows, sums in self._walk(lo, hi):
+            if j < self.m:
+                self._cells[j] = (_frozen(rows), _frozen(sums))
+
+    def _walk(self, lo: int, hi: int):
+        """Yield (j, *cells(j)) for j from hi down to lo, caching none: from
+        the cache if all are cached, else each level groups the next finer
+        level's rows >> 1, and the leaf -> cube index is composed through
+        that parent map in place (take reads an entry before overwriting it).
+        The sums stay one bincount over the leaves in leaf order,
+        bit-identical to grouping the leaves at each level."""
+        if all(j == self.m or j in self._cells for j in range(lo, hi + 1)):
+            yield from ((j, *self.cells(j)) for j in range(hi, lo - 1, -1))
+            return
         if hi == self.m:
             rows, idx = self.coords, None  # None: the identity
         else:
             rows, idx = _group_rows(self.coords >> (self.m - hi))
         for j in range(hi, lo - 1, -1):
             if j < hi:
-                rows, parent = _group_rows(rows >> 1)
+                keys, rows = rows >> 1, None  # no finer rows alive while grouping
+                rows, parent = _group_rows(keys)
                 idx = parent if idx is None else np.take(parent, idx, out=idx, mode="clip")
-            if j < self.m and j not in self._cells:
-                sums = np.bincount(idx, weights=self.masses, minlength=len(rows))
-                self._cells[j] = (_frozen(rows), _frozen(sums))
+            yield j, rows, (self.masses if idx is None else
+                            np.bincount(idx, weights=self.masses, minlength=len(rows)))
 
     def level_masses(self, level: int) -> dict[tuple[int, ...], float]:
         """Masses of all positive cubes at the given level, keyed by coordinate tuple."""
@@ -350,6 +387,7 @@ class DyadicMeasure:
         ``scale_range = (j_lo, j_hi)``: a least-squares slope through the
         per-level worst-case masses, capped so that the envelope constant C
         stays below 2^max_log2_C.  Ball-vs-cube constants are absorbed into C.
+        Caches nothing; one _walk holds one level's cells at a time.
         """
         j_lo, j_hi = scale_range
         if self.trivial:
@@ -359,8 +397,8 @@ class DyadicMeasure:
         if not (0 <= j_lo <= j_hi <= self.m):
             raise ValueError("scale_range outside measure depth")
         levels = list(range(j_lo, j_hi + 1))
-        self._cache_levels(j_lo, j_hi)
-        worst = [float(self.cells(j)[1].max()) for j in levels]
+        # map keeps no level alive while the walk makes the next
+        worst = list(map(lambda cells: float(cells[2].max()), self._walk(j_lo, j_hi)))[::-1]
         logm = np.array([math.log2(w) for w in worst])
         js = np.array(levels, dtype=float)
 
@@ -427,8 +465,7 @@ class DyadicMeasure:
 
     @classmethod
     def from_text(cls, text: str) -> "DyadicMeasure":
-        head, keys, masses = _read_cells(text, "d m")
-        d, m = int(head[0]), int(head[1])
+        (d, m), keys, masses = _read_cells(text, "d m")
         _check_shape(d, m)
         return cls._from_arrays(d, m, *_cell_table(keys, masses, 1 << m, d))
 

@@ -189,7 +189,7 @@ def split_separated(mu: DyadicMeasure) -> tuple[DyadicMeasure, DyadicMeasure]:
 
     A natural support gap is used when one exists; otherwise a band of width
     MIN_GAP around the weighted median is discarded to create the gap."""
-    xs = mu.leaf_centers()[:, 0]
+    xs = (mu.coords[:, 0] + 0.5) * 2.0 ** (-mu.m)  # leaf_centers()[:, 0], not cached
     order = np.argsort(xs, kind="stable")
     xs_s = xs[order]
     cum = np.cumsum(mu.masses[order])
@@ -205,6 +205,7 @@ def split_separated(mu: DyadicMeasure) -> tuple[DyadicMeasure, DyadicMeasure]:
         # no natural gap: carve one around the weighted median
         med = float(xs_s[int(np.searchsorted(cum, 0.5 * cum[-1]))])
         lo, hi = med - 0.5 * MIN_GAP - side, med + 0.5 * MIN_GAP + side
+    del order, xs_s, cum, gaps  # before the halves are built
     left = xs < lo
     right = xs > hi
     if not left.any() or not right.any():
@@ -218,9 +219,12 @@ def split_separated(mu: DyadicMeasure) -> tuple[DyadicMeasure, DyadicMeasure]:
 
 
 def _split_gap(mu_half: DyadicMeasure, nu_half: DyadicMeasure) -> float:
-    """Distance along axis 0 between the closest leaf cubes of the halves."""
-    return float(nu_half.leaf_centers()[:, 0].min()
-                 - mu_half.leaf_centers()[:, 0].max()) - 2.0 ** (-mu_half.m)
+    """Distance along axis 0 between the closest leaf cubes of the halves:
+    leaf rows are in lexicographic order, so nu_half's first row and
+    mu_half's last."""
+    side = 2.0 ** (-mu_half.m)
+    return float((nu_half.coords[0, 0] + 0.5) * side
+                 - (mu_half.coords[-1, 0] + 0.5) * side) - side
 
 
 def _distance_curve(nu: DyadicMeasure, pin, levels) -> list[tuple[int, float]]:
@@ -247,6 +251,7 @@ def run_experiment(cfg: SceneConfig) -> ExperimentResult:
     target = phi(t_used) - cfg.zeta
 
     mu_half, nu_half = split_separated(mu_full)
+    del mu_full  # the tubes and curves read only the halves
 
     # tube radii scale with the split gap: 4 * max radius must stay below it
     gap = _split_gap(mu_half, nu_half)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (DyadicMeasure, _cell_table, _check_shape, _entropies, _frozen,
-                     _read_cells, _sum_by_key)
+                     _fsum, _read_cells, _sum_by_key)
 
 _TOL = 1e-9
 
@@ -85,7 +85,7 @@ class DirectionMeasure:
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.masses.tolist())
+        return _fsum(self.masses)
 
     def cell_centers(self) -> np.ndarray:
         """(n_cells, d) unit vectors at the cell centers."""
@@ -102,10 +102,8 @@ class DirectionMeasure:
 
     @classmethod
     def from_text(cls, text: str) -> "DirectionMeasure":
-        head, index, masses = _read_cells(text, "sphere d n_cells")
-        if head[0] != "sphere":
-            raise ValueError("bad header; expected 'sphere d n_cells'")
-        return cls(int(head[1]), int(head[2]), index, masses)
+        (d, n_cells), index, masses = _read_cells(text, "d n_cells", tag="sphere")
+        return cls(d, n_cells, index, masses)
 
 
 @dataclass
@@ -295,6 +293,7 @@ def _pin_tubes(nu: DyadicMeasure, x, rs, min_dist: float) -> list[tuple[float, n
     pts, sq = _pin_offsets(nu, x, min_dist)
     if nu.d == 2:
         ang = np.arctan2(pts[:, 1], pts[:, 0])
+        del pts  # the sweeps read only sq and ang
         return [_tube_mass_sweep(sq, ang, nu.masses, r) for r in rs]
     return [_tube_mass_grid(pts, sq, nu.masses, r, _hemisphere_blocks(r / 4.0)) for r in rs]
 
@@ -352,11 +351,13 @@ def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray) -> tuple[
     s = start[s_order]
     # mass of the starts <= s[k]; mode="clip" writes to out unbuffered
     cover = np.cumsum(np.take(w, s_order, out=start, mode="clip"), out=start)
+    del s_order
     e_order = np.argsort(end, kind="stable")
     e = end[e_order]
     ended = np.empty(len(w) + 1)  # ended[k]: mass of the first k ends
     ended[0] = 0.0
     np.cumsum(np.take(w, e_order, out=end, mode="clip"), out=ended[1:])
+    del e_order
     cover -= np.take(ended, np.searchsorted(e, s), out=end, mode="clip")
     wrapped = np.take(ended, np.searchsorted(e, np.add(s, math.pi, out=end)), out=end,
                       mode="clip")
@@ -429,7 +430,8 @@ def thin_tubes_profile(
         raise ValueError(f"tube radii must be distinct: {rs}")
     for r in rs:
         _check_tube_radius(nu, r)
-    pins = mu.leaf_centers()[_quantile_leaves(mu.masses, n_pins)]
+    # the pins' leaf_centers() rows, without caching every leaf's center
+    pins = (mu.coords[_quantile_leaves(mu.masses, n_pins)] + 0.5) * 2.0 ** (-mu.m)
     out = []
     for pin in pins:
         # the supports must be separated by 4 times the largest radius

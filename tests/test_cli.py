@@ -145,6 +145,21 @@ def test_measure_info_names_the_field_that_is_not_a_number(line, err, tmp_path, 
     assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
+def test_measure_info_names_the_header_field_that_is_not_an_integer(tmp_path, capsys):
+    path = _write(tmp_path / "mu.txt", "x 4\n0 0 1.0\n")
+    assert main(["measure", "info", path]) == 2
+    assert capsys.readouterr() == ("", "error: line 1: field 1 ('x') is not an integer\n")
+
+
+def test_audit_names_the_direction_header_field_that_is_not_an_integer(tmp_path, capsys):
+    mu = _write(tmp_path / "mu.txt", DyadicMeasure(2, 4, {(1, 2): 1.0}).to_text())
+    rho = _write(tmp_path / "rho.txt", "sphere 2 x\n0 1.0\n")
+    rc = main(["audit", "entropy-proj", "--rho", rho, "--mu", mu, "--m", "4",
+               "--a", "0.2", "--b", "1.0"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: line 1: field 3 ('x') is not an integer\n")
+
+
 @pytest.mark.parametrize("name, profile, tau, grid", [
     ("planar", "planar:s=0.4", "0.01", "800"),
     ("highdim", "highdim:d=3,s=1.2", "0.02", "400"),

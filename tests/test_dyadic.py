@@ -6,6 +6,8 @@ import pytest
 from dimlab.dyadic import (
     DyadicMeasure,
     _entropies,
+    _fsum,
+    _group_rows,
     _sum_by_key,
     build_from_atoms,
     restrict_normalize,
@@ -212,6 +214,46 @@ def test_finest_first_cells_equal_direct_grouping():
     # cells at the finest level are the leaf arrays themselves
     mu = cases[-1]
     assert mu.cells(mu.m)[0] is mu.coords and mu.cells(mu.m)[1] is mu.masses
+
+
+def test_group_rows_matches_np_unique():
+    """_group_rows gives np.unique(keys, axis=0)'s rows and inverse, and the
+    rows are the keys' rows at np.unique's return_index (the first of each
+    group in input order): 1-3 columns, duplicates, spans that force the
+    overflow path, one row and no rows."""
+    rng = np.random.default_rng(23)
+    cases = [rng.integers(0, hi, size=(n, k)) for k in (1, 2, 3)
+             for n, hi in ((1, 5), (40, 3), (300, 50), (500, 1 << 20))]
+    cases += [np.concatenate([c, c[::-1], c[:7]]) for c in cases[:6]]  # repeated rows
+    cases += [np.zeros((0, k), dtype=np.int64) for k in (1, 2, 3)]
+    # spans near 2^62 and beyond: the ranked (overflow) path
+    big = [rng.integers(-(1 << 62), 1 << 62, size=(200, k)) for k in (1, 2, 3)]
+    cases += big + [np.concatenate([b, b[::3]]) for b in big]
+    cases += [np.array([[0, (1 << 62) - 1], [0, 0], [1, 5], [0, 0]])]
+    for keys in cases:
+        rows, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        got_rows, got_inv = _group_rows(keys)
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_rows, keys[first])
+        assert got_rows.shape == (len(rows), keys.shape[1])
+        assert np.array_equal(got_inv, inv.ravel()) and got_inv.dtype == np.int64
+
+
+def test_total_mass_is_fsum_bit_for_bit():
+    """_fsum reads an array a slice at a time and still equals math.fsum over
+    its list exactly: on cancellation-heavy signed arrays, and as the
+    total_mass of measures and direction measures past 100K masses."""
+    rng = np.random.default_rng(29)
+    n = 150_001
+    big = rng.random(n) * 2.0 ** rng.integers(-60, 60, size=n)
+    for a in (np.concatenate([big, -big[::-1], rng.random(7) * 1e-30]),
+              rng.permutation(np.concatenate([big, -big, [1e-300, 3.0]])),
+              np.array([1e300, 1.0, -1e300, 1e-300]), np.empty(0)):
+        assert _fsum(a).hex() == math.fsum(a.tolist()).hex()
+    for w in (big, np.concatenate([[1e16], np.full(n, 1.0), [1e16]]), np.array([0.5])):
+        mu = DyadicMeasure._from_arrays(1, 20, np.arange(len(w)).reshape(-1, 1), w)
+        assert mu.total_mass.hex() == math.fsum(w.tolist()).hex()
+        rho = DirectionMeasure(2, max(2, len(w)), np.arange(len(w)), w)
+        assert rho.total_mass.hex() == math.fsum(w.tolist()).hex()
 
 
 # (d, [(cell, mass), ...]) tables on the depth-4 grid, valid and malformed
