@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _entropies, _find_rows, _group_rows
+from .dyadic import DyadicMeasure, _centers, _entropies, _find_rows, _group_rows
 from .geometry import _pin_offsets, _quantile_leaves, value_entropy
 from .sigma import IntervalDecomposition
 
@@ -135,7 +135,7 @@ def _rhs_sum(mu: DyadicMeasure, map_kind: str, y: np.ndarray, schedule: ScaleSch
     their block entropy sums, capped at `cap` if given.  Per interval and
     level-A ancestor, one matmul projects the ancestor's local leaf centers on
     its base points' directions, and one bincount bins all their rows."""
-    dirs = linearization_direction(map_kind, (base + 0.5) * 2.0 ** (-mu.m), y)
+    dirs = linearization_direction(map_kind, _centers(base, mu.m), y)
     n = len(mu.coords)
     rhs = 0.0
     for A, B in schedule.intervals:
@@ -144,7 +144,7 @@ def _rhs_sum(mu: DyadicMeasure, map_kind: str, y: np.ndarray, schedule: ScaleSch
         order = np.argsort(group, kind="stable")  # per group: its leaves, then its base points
         at = np.concatenate(([0], np.cumsum(np.bincount(group))))
         # leaf centers relative to their level-A ancestor, in level-B cell widths
-        centers = ((mu.coords & ((1 << shift) - 1)) + 0.5) * 2.0 ** (B - mu.m)
+        centers = _centers(mu.coords & ((1 << shift) - 1), mu.m - B)
         # a row's values span at most the cube's diameter sqrt(d)
         width = int(math.sqrt(mu.d) * 2 ** (B - A)) + 2
         for g in np.flatnonzero(np.bincount(group[n:], minlength=len(ancestors))):

@@ -14,7 +14,7 @@ import sys
 from . import chain as chain_mod
 from . import experiment as exp_mod
 from . import geometry as geo
-from .dyadic import DyadicMeasure, _finite
+from .dyadic import DyadicMeasure, _entropies, _finite
 from .plf import PLFunction
 from .sigma import (
     CustomProfile,
@@ -100,12 +100,12 @@ def cmd_measure(args) -> int:
 def cmd_dims(args) -> int:
     mu = _load_measure(args.file).normalize()
     lo, hi = args.window if args.window else (1, mu.m - 1)
-    if 0 <= lo <= hi <= mu.m:
-        mu._cache_levels(lo, hi)  # one level walk serves the fit and the table
-    fit = mu.frostman_fit((lo, hi))
+    fit = mu.frostman_fit((lo, hi))  # rejects a bad window before any grouping
     print(f"frostman_s={fit.s!r} C={fit.C!r} residual={fit.residual!r}")
-    for j in range(lo, hi + 1):
-        print(f"level={j} boxes={mu.box_count(j)} entropy={mu.entropy(j)!r}")
+    # box_count(j) and entropy(j) of every level, from one walk
+    table = [(j, len(sums), float(_entropies(sums[None])[0])) for j, _, sums in mu._walk(lo, hi)]
+    for j, boxes, h in table[::-1]:
+        print(f"level={j} boxes={boxes} entropy={h!r}")
     return PASS
 
 

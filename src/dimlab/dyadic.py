@@ -5,9 +5,10 @@ leaves at the finest level m that carry positive mass, rows in
 lexicographic order, and ``masses``, their float64 masses.  Masses of
 coarser cubes are summed by np.bincount in that leaf order, so
 cube/children consistency is bit-exact and runs are reproducible.  All
-instances are immutable (their arrays reject writes); every operation
-returns a new object.  Other modules read and build measures only through
-these arrays and the helpers here, never a per-leaf Python loop.
+instances are immutable (their arrays reject writes) and hold nothing
+derived from their arrays; every operation returns a new object.  Other
+modules read and build measures only through these arrays and the helpers
+here, never a per-leaf Python loop.
 
 Entropies are in bits throughout.
 """
@@ -223,6 +224,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _centers(coords: np.ndarray, m: int) -> np.ndarray:
+    """Centers (c + 1/2) * 2^-m of the level-m dyadic cubes at the integer
+    coordinates `coords`, as one new float64 array."""
+    out = coords + 0.5
+    out *= 2.0 ** -m
+    return out
+
+
 @dataclass(frozen=True)
 class FrostmanFit:
     """Power-law envelope mu(Q) <= C * side(Q)^s over a dyadic scale range.
@@ -281,8 +290,6 @@ class DyadicMeasure:
         self.coords = _frozen(coords.reshape(-1, d))
         self.masses = _frozen(masses)
         self.trivial = not len(self.masses)
-        self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._centers: np.ndarray | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -296,33 +303,19 @@ class DyadicMeasure:
 
     def cells(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (coords, masses) arrays of the positive cubes at `level`,
-        rows in lexicographic order, cached for the measure's life.  Each
-        cube's mass is summed over its leaves in leaf order; at level m they
-        are the leaf arrays."""
+        rows in lexicographic order.  Each cube's mass is summed over its
+        leaves in leaf order; at level m they are the leaf arrays."""
         if not (0 <= level <= self.m):
             raise ValueError(f"level {level} outside [0, {self.m}]")
-        if level == self.m:
-            return self.coords, self.masses
-        if level not in self._cells:
-            self._cache_levels(level, level)
-        return self._cells[level]
-
-    def _cache_levels(self, lo: int, hi: int) -> None:
-        """Cache cells() at levels hi down to lo with one _walk."""
-        for j, rows, sums in self._walk(lo, hi):
-            if j < self.m:
-                self._cells[j] = (_frozen(rows), _frozen(sums))
+        _, rows, sums = next(self._walk(level, level))
+        return _frozen(rows), _frozen(sums)
 
     def _walk(self, lo: int, hi: int):
-        """Yield (j, *cells(j)) for j from hi down to lo, caching none: from
-        the cache if all are cached, else each level groups the next finer
-        level's rows >> 1, and the leaf -> cube index is composed through
-        that parent map in place (take reads an entry before overwriting it).
-        The sums stay one bincount over the leaves in leaf order,
-        bit-identical to grouping the leaves at each level."""
-        if all(j == self.m or j in self._cells for j in range(lo, hi + 1)):
-            yield from ((j, *self.cells(j)) for j in range(hi, lo - 1, -1))
-            return
+        """Yield (j, *cells(j)) for j from hi down to lo: each level groups
+        the next finer level's rows >> 1, and the leaf -> cube index is
+        composed through that parent map in place (take reads an entry
+        before overwriting it).  The sums stay one bincount over the leaves
+        in leaf order, bit-identical to grouping the leaves at each level."""
         if hi == self.m:
             rows, idx = self.coords, None  # None: the identity
         else:
@@ -342,9 +335,7 @@ class DyadicMeasure:
 
     def leaf_centers(self) -> np.ndarray:
         """Read-only (n, d) array of leaf-cube centers, rows in leaf order."""
-        if self._centers is None:
-            self._centers = _frozen((self.coords + 0.5) * 2.0 ** (-self.m))
-        return self._centers
+        return _frozen(_centers(self.coords, self.m))
 
     def normalize(self) -> "DyadicMeasure":
         return self._from_arrays(self.d, self.m, self.coords, self.masses / self.total_mass)
@@ -387,7 +378,7 @@ class DyadicMeasure:
         ``scale_range = (j_lo, j_hi)``: a least-squares slope through the
         per-level worst-case masses, capped so that the envelope constant C
         stays below 2^max_log2_C.  Ball-vs-cube constants are absorbed into C.
-        Caches nothing; one _walk holds one level's cells at a time.
+        One _walk holds one level's cells at a time.
         """
         j_lo, j_hi = scale_range
         if self.trivial:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dyadic import DyadicMeasure, _is_number, restrict_normalize
+from .dyadic import DyadicMeasure, _centers, _is_number, restrict_normalize
 from .generators import (
     gen_cantor_product,
     gen_circle_pair,
@@ -75,6 +75,7 @@ class SceneConfig:
         if not (_is_number(self.zeta) and 0.0 <= self.zeta < 1.0):
             raise ConfigError(f"zeta must be a number in [0, 1), not {self.zeta!r}")
         self.zeta = float(self.zeta)
+        _check_keys(self.pins, "pins")
         count = self.pins.get("count", 8) if isinstance(self.pins, dict) else None
         if not (_is_number(count, int) and count >= 1):
             raise ConfigError(f"pins.count must be an integer >= 1, not {count!r}")
@@ -141,19 +142,40 @@ _BUILDERS = {
         Path(_param(p, "path", str)).read_text()),
 }
 
+# the keys each object of a scene may hold: the generator, each kind's params,
+# product_set's 1-d generator A and each of its kinds' params, and the pins
+_KEYS = {"generator": {"kind", "params"}, "pins": {"count"},
+         "cantor_product": {"r", "d"}, "lattice_falconer": {"q", "d"},
+         "train_track": {"delta_level"}, "circle_pair": {"radius"},
+         "product_set": {"A"}, "from_file": {"path"}, "A": {"kind", "params"},
+         "cantor": {"r"}, "lebesgue": set(), "point": {"x"}}
+
+
+def _check_keys(obj, name: str, what: str | None = None) -> None:
+    """Raise ConfigError naming the first key of `obj`, if a dict, not in _KEYS[name]."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in _KEYS[name]:
+            raise ConfigError(f"{what or name} takes no key {key!r}")
+
 
 def _check_generator(generator, depth) -> dict:
     """The params of generator = {"kind", "params"}, after checking that the
-    kind is known and that depth is an integer in [2, 20] for d = 2 (the
-    default) and in [2, 14] otherwise; raises ConfigError."""
+    kind is known, each object holds only its _KEYS and depth is an integer
+    in [2, 20] for d = 2 (the default), [2, 14] otherwise; raises ConfigError."""
     if not isinstance(generator, dict):
         raise ConfigError(f"generator must be an object, not {generator!r}")
+    _check_keys(generator, "generator")
     kind = generator.get("kind")
     if kind not in _BUILDERS:
         raise ConfigError(f"unknown generator kind {kind!r}")
     params = generator.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"generator params must be an object, not {params!r}")
+    _check_keys(params, kind, f"generator {kind!r}")
+    A = params.get("A") if kind == "product_set" else None
+    _check_keys(A, "A", "product_set's A")
+    if isinstance(A, dict) and A.get("kind") in ("cantor", "lebesgue", "point"):
+        _check_keys(A.get("params"), A["kind"], f"1-d generator {A['kind']!r}")
     d = _param(params, "d", int, 2)
     limit = 20 if d == 2 else 14
     if not _is_number(depth, int):
@@ -189,7 +211,7 @@ def split_separated(mu: DyadicMeasure) -> tuple[DyadicMeasure, DyadicMeasure]:
 
     A natural support gap is used when one exists; otherwise a band of width
     MIN_GAP around the weighted median is discarded to create the gap."""
-    xs = (mu.coords[:, 0] + 0.5) * 2.0 ** (-mu.m)  # leaf_centers()[:, 0], not cached
+    xs = _centers(mu.coords[:, 0], mu.m)
     order = np.argsort(xs, kind="stable")
     xs_s = xs[order]
     cum = np.cumsum(mu.masses[order])
@@ -222,9 +244,8 @@ def _split_gap(mu_half: DyadicMeasure, nu_half: DyadicMeasure) -> float:
     """Distance along axis 0 between the closest leaf cubes of the halves:
     leaf rows are in lexicographic order, so nu_half's first row and
     mu_half's last."""
-    side = 2.0 ** (-mu_half.m)
-    return float((nu_half.coords[0, 0] + 0.5) * side
-                 - (mu_half.coords[-1, 0] + 0.5) * side) - side
+    lo, hi = _centers(np.array([mu_half.coords[-1, 0], nu_half.coords[0, 0]]), mu_half.m)
+    return float(hi - lo) - 2.0 ** (-mu_half.m)
 
 
 def _distance_curve(nu: DyadicMeasure, pin, levels) -> list[tuple[int, float]]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (DyadicMeasure, _cell_table, _check_shape, _entropies, _frozen,
-                     _fsum, _read_cells, _sum_by_key)
+from .dyadic import (DyadicMeasure, _cell_table, _centers, _check_shape, _entropies,
+                     _frozen, _fsum, _read_cells, _sum_by_key)
 
 _TOL = 1e-9
 
@@ -214,7 +214,8 @@ def _pin_offsets(mu: DyadicMeasure, y, min_dist: float) -> tuple[np.ndarray, np.
     y = np.asarray(y, dtype=float)
     if y.shape != (mu.d,):
         raise ValueError(f"pin has {y.size} coordinates; the measure has d = {mu.d}")
-    diff = mu.leaf_centers() - y
+    diff = _centers(mu.coords, mu.m)
+    diff -= y
     sq = _sq_norms(diff)
     dmin = math.sqrt(float(sq.min(initial=math.inf)))
     if dmin < min_dist:
@@ -430,8 +431,7 @@ def thin_tubes_profile(
         raise ValueError(f"tube radii must be distinct: {rs}")
     for r in rs:
         _check_tube_radius(nu, r)
-    # the pins' leaf_centers() rows, without caching every leaf's center
-    pins = (mu.coords[_quantile_leaves(mu.masses, n_pins)] + 0.5) * 2.0 ** (-mu.m)
+    pins = _centers(mu.coords[_quantile_leaves(mu.masses, n_pins)], mu.m)
     out = []
     for pin in pins:
         # the supports must be separated by 4 times the largest radius

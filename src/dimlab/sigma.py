@@ -570,23 +570,6 @@ def _default_grid_n(tau: float, n_segments: int) -> int:
     return n
 
 
-def _batches(fs, size: int):
-    """Consecutive batches of the iterable fs, of at most `size` items, the
-    last two of them split near-evenly; fs is read one batch ahead."""
-    fs = iter(fs)
-    batch = list(itertools.islice(fs, size))
-    while batch:
-        ahead = list(itertools.islice(fs, size))
-        if len(ahead) < size:
-            rest = batch + ahead
-            m = -(-len(rest) // size)
-            cuts = [len(rest) * i // m for i in range(m + 1)]
-            yield from (rest[a:b] for a, b in zip(cuts, cuts[1:]))
-            return
-        yield batch
-        batch = ahead
-
-
 def _feasible_random_slopes(rng, t, d, levels, n_segments):
     """Sample a slope vector keeping the partial sums above the line t*x."""
     out = []
@@ -691,7 +674,9 @@ def sigma_tau(
                 new.append(f)
         n_repeated += len(fs) - len(new)
         n_eval += len(fs) - len(new)
-        for batch in _batches(new, _BATCH):
+        n_batches = -(-len(new) // _BATCH)  # near-even, of at most _BATCH
+        for i in range(n_batches):
+            batch = new[len(new) * i // n_batches : len(new) * (i + 1) // n_batches]
             coarse = _pruning_bounds(D, batch, tau, xs[::4])
             live = np.flatnonzero(coarse <= best_val + 1e-12)
             quarter = np.full(len(batch), -math.inf)

@@ -2,10 +2,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dimlab.cli import main
 from dimlab.dyadic import DyadicMeasure
+from oracles import random_measure
 
 
 def test_measure_build_and_info(tmp_path, capsys):
@@ -37,6 +39,26 @@ def test_dims_command(tmp_path, capsys):
     rc = main(["dims", out, "--window", "2", "6"])
     assert rc == 0
     assert "frostman_s=" in capsys.readouterr().out
+
+
+def test_dims_table_equals_box_count_and_entropy(tmp_path, capsys):
+    """dims reads its table off one level walk; each line holds the bits
+    box_count(j) and entropy(j) give, and the first line the fit's."""
+    rng = np.random.default_rng(25)
+    for i in range(12):
+        d, m = (1, 12) if i % 3 == 0 else (2, 9) if i % 3 == 1 else (3, 6)
+        mu = random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(1, 300)))
+        path = tmp_path / f"mu{i}.txt"
+        path.write_text(mu.to_text())
+        lo = int(rng.integers(0, m - 1))
+        hi = int(rng.integers(lo + 2, m + 1))
+        assert main(["dims", str(path), "--window", str(lo), str(hi)]) == 0
+        mu = DyadicMeasure.from_text(path.read_text()).normalize()
+        fit = mu.frostman_fit((lo, hi))
+        assert capsys.readouterr().out.splitlines() == [
+            f"frostman_s={fit.s!r} C={fit.C!r} residual={fit.residual!r}"] + [
+            f"level={j} boxes={mu.box_count(j)} entropy={mu.entropy(j)!r}"
+            for j in range(lo, hi + 1)]
 
 
 def test_distance_and_radial(tmp_path):
@@ -295,6 +317,9 @@ def _write(path, text):
     "profile_duplicate_key", "custom_bool_and_string", "custom_breakpoints_string",
     "scene_scenario_path", "scene_scenario_comma", "scene_scenario_number",
     "scene_unknown_key", "scene_zeta_string", "scene_zeta_bool", "scene_missing_depth",
+    "scene_generator_unknown_key", "scene_params_unknown_key", "scene_pins_unknown_key",
+    "build_params_unknown_key", "build_d_not_taken", "build_product_set_A_unknown_key",
+    "build_product_set_A_params_unknown_key",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -396,6 +421,17 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "scene_zeta_bool": scene_run("zb", zeta=False),
         "scene_missing_depth": ["experiment", "run", _write(tmp_path / "nodepth.json", json.dumps(
             {"scenario": "nd", "generator": {"kind": "cantor_product", "params": {}}}))],
+        "scene_generator_unknown_key": scene_run(
+            "gk", generator={"kind": "cantor_product", "param": {"r": 0.125}}),
+        "scene_params_unknown_key": scene_run(
+            "pk", generator={"kind": "cantor_product", "params": {"r": 0.25, "radius": 3}}),
+        "scene_pins_unknown_key": scene_run("nk", pins={"cnt": 2}),
+        "build_params_unknown_key": build("cantor_product", {"rr": 0.125}),
+        "build_d_not_taken": build("circle_pair", {"d": 3}),
+        "build_product_set_A_unknown_key": build(
+            "product_set", {"A": {"kind": "lebesgue", "parms": {}}}),
+        "build_product_set_A_params_unknown_key": build(
+            "product_set", {"A": {"kind": "cantor", "params": {"rr": 0.125}}}),
         "build_params_list": ["measure", "build", "--kind", "cantor_product",
                               "--params", "[1]", "--depth", "6"],
         "dims_window_reversed": ["dims", mu, "--window", "6", "2"],
@@ -491,6 +527,13 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "scene_zeta_string": "zeta must be a number",
         "scene_zeta_bool": "zeta must be a number",
         "scene_missing_depth": "missing config field 'depth'",
+        "scene_generator_unknown_key": "generator takes no key 'param'",
+        "scene_params_unknown_key": "generator 'cantor_product' takes no key 'radius'",
+        "scene_pins_unknown_key": "pins takes no key 'cnt'",
+        "build_params_unknown_key": "generator 'cantor_product' takes no key 'rr'",
+        "build_d_not_taken": "generator 'circle_pair' takes no key 'd'",
+        "build_product_set_A_unknown_key": "product_set's A takes no key 'parms'",
+        "build_product_set_A_params_unknown_key": "1-d generator 'cantor' takes no key 'rr'",
         "scene_window_float": "scale_window must be two integers",
         "scene_window_three": "scale_window must be two integers",
         "chain_pin_one_coordinate": "coordinates",

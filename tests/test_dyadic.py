@@ -204,13 +204,13 @@ def test_finest_first_cells_equal_direct_grouping():
               gen_cantor_product(0.25, 2, 16)]
     for mu in cases:
         for lo, hi in ((0, mu.m), (0, mu.m - 1), (mu.m // 2, mu.m - 1)):
-            fresh = DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords, mu.masses)
-            fresh._cache_levels(lo, hi)
-            assert sorted(fresh._cells) == list(range(lo, min(hi, mu.m - 1) + 1))
-            for j in range(lo, hi + 1):
+            walked = list(mu._walk(lo, hi))
+            assert [j for j, _, _ in walked] == list(range(hi, lo - 1, -1))
+            for j, walk_rows, walk_sums in walked:
                 rows, sums = _sum_by_key(mu.coords >> (mu.m - j), mu.masses)
-                assert np.array_equal(fresh.cells(j)[0], rows)
-                assert fresh.cells(j)[1].tobytes() == sums.tobytes()
+                for got_rows, got_sums in ((walk_rows, walk_sums), mu.cells(j)):
+                    assert np.array_equal(got_rows, rows)
+                    assert got_sums.tobytes() == sums.tobytes()
     # cells at the finest level are the leaf arrays themselves
     mu = cases[-1]
     assert mu.cells(mu.m)[0] is mu.coords and mu.cells(mu.m)[1] is mu.masses
@@ -468,6 +468,17 @@ def test_decomposition_matches_dict_loops_at_benchmark_size():
     for mu in cases:
         assert _pieces(decompose_uniform(mu, 2, 0.2)) == \
             decompose_uniform_reference(leaf_dict(mu), mu.m, mu.d, 2, 0.2)
+
+
+def test_measure_holds_only_its_arrays():
+    """No query leaves anything on the measure: it keeps d, m, its two
+    arrays and the trivial flag, and nothing derived from them."""
+    mu = gen_cantor_product(0.25, 2, 8).normalize()
+    attrs = {"d", "m", "coords", "masses", "trivial"}
+    assert set(vars(mu)) == attrs
+    mu.cells(3), mu.cells(mu.m), mu.leaf_centers(), mu.frostman_fit((1, 7))
+    mu.entropy(4), mu.robust_entropy(4, 2.0), mu.box_count(5), mu.robustness_check(4, 0.5, 0.5)
+    assert set(vars(mu)) == attrs
 
 
 def test_measure_arrays_reject_writes():

@@ -73,8 +73,8 @@ def test_split_separated_gap_contract():
 
 def test_run_experiment_peak_memory_per_leaf():
     """run_experiment holds only the leaf-length arrays its current stage
-    needs (the fit caches no level tables, the split no leaf centers, and
-    the whole measure goes after the split): under tracemalloc a depth-12
+    needs (a measure holds only its own two, and the whole measure goes
+    after the split): under tracemalloc a depth-12
     cantor scene (4,096 leaves) peaks below 96 bytes a leaf (it reads
     about 76)."""
     run_experiment(_cfg(depth=8))  # first-call imports and caches are not the scene's

@@ -620,22 +620,6 @@ def test_coarse_bound_below_quarter_bound_below_grid_value():
                 assert quarter <= value + 1e-12, case
 
 
-def test_batches_are_near_even_and_read_one_batch_ahead():
-    assert list(sigma._batches(iter([]), 12)) == []
-    for n in range(1, 40):
-        read = []
-        items = (read.append(i) or i for i in range(n))
-        batches = []
-        for batch in sigma._batches(items, 12):
-            # the batch and at most one more have been read
-            assert len(read) <= sum(map(len, batches)) + len(batch) + 12
-            batches.append(batch)
-        assert sum(batches, []) == list(range(n))
-        sizes = list(map(len, batches))
-        assert all(1 <= k <= 12 for k in sizes) and len(sizes) == -(-n // 12)
-        assert sizes[:-2] == [12] * (len(sizes) - 2) and max(sizes[-2:]) - min(sizes[-2:]) <= 1
-
-
 def test_batched_pruning_bounds_equal_grid_dp():
     """One DP over a batch of functions with the same breakpoints gives each
     one's value from a DP of its own on the quarter sub-grid, and the dense
