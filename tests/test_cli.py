@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,58 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["experiment", "run", str(bad)]) == 2
+    capsys.readouterr()
+    # the search takes no seed: argparse rejects the flag with its usage line
+    with pytest.raises(SystemExit) as exc:
+        main(["sigma", "inf", "--profile", "trivial", "--t", "1.0", "--tau", "0.1",
+              "--seed", "0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: dimlab ")
+    assert err.endswith("dimlab: error: unrecognized arguments: --seed 0\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, params, depth", [
+    ("cantor_product", {"r": 0.25}, 16),
+    ("lattice_falconer", {"q": 4}, 16),
+    ("lattice_falconer", {"q": 2}, 8),
+    ("train_track", {"delta_level": 12}, 20),
+    ("product_set", {"A": {"kind": "cantor", "params": {"r": 0.25}}}, 16),
+    ("product_set", {"A": {"kind": "lebesgue"}}, 8),
+], ids=["cantor_product", "lattice_falconer", "lattice_falconer_q2", "train_track",
+        "product_set_cantor", "product_set_lebesgue"])
+def test_measure_build_keeps_to_the_leaf_budget(kind, params, depth, tmp_path, monkeypatch,
+                                                capsys):
+    """Every generator that builds a product of 65,536 leaves rejects it
+    with one error line naming the count and the budget, exit 2, before its
+    coordinates exist, when the budget is one leaf lower; at the budget it
+    builds the measure."""
+    from dimlab import generators
+
+    leaves = 65_536
+    out = tmp_path / "mu.txt"
+    argv = ["measure", "build", "--kind", kind, "--params", json.dumps(params),
+            "--depth", str(depth), "--out", str(out)]
+    assert main(["sigma", "phi", "--u", "1.0"]) == 0  # the parser exists
+    capsys.readouterr()
+    monkeypatch.setattr(generators, "_LEAF_BUDGET", leaves - 1)
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: generator {kind!r}: the product has 65,536 "
+                                       "leaves, more than the leaf budget of 65,535\n")
+    # the coordinates alone would take 16 bytes a leaf
+    assert peak < 4 * leaves
+    assert not out.exists()
+    monkeypatch.setattr(generators, "_LEAF_BUDGET", leaves)
+    assert main(argv) == 0
+    assert len(DyadicMeasure.from_text(out.read_text()).masses) == leaves
 
 
 def test_chain_run(tmp_path, capsys):
