@@ -14,8 +14,10 @@ tree per measure, in one index space: each leaf is labelled with its cube at
 every level, and each cube points to its parent.  A pass sums every cube's
 mass with one bincount over the survivors' labels, classes every ratio at
 once, and chooses each level's class on the cube arrays alone.  The
-decomposition builds the input measure's tree once for all its extractions;
-restricted to a piece's leaves, the tree checks the piece's ratio classes.
+decomposition builds the input measure's tree once for all its extractions
+and, once they are done, checks the ratio classes of all its pieces in one
+pass: each (piece, cube) pair holding a leaf is grouped once, and every
+pair's ratio to its parent is tested at once.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class UniformPiece:
     def check_invariant(self) -> None:
         """Verify the two-sided ratio inequality exactly at every block level,
         grouping the piece's own leaves (independently of the pruning)."""
-        _check_classes(self, *_block_labels(self.measure, self.T, self.ell))
+        leaves = np.arange(len(self.measure.masses))
+        _check_pieces([self], [leaves], *_block_labels(self.measure, self.T, self.ell))
 
     def to_text(self) -> str:
         head = f"beta {' '.join(repr(b) for b in self.beta)}\n"
@@ -72,18 +75,26 @@ def _block_labels(mu: DyadicMeasure, T: int, ell: int):
     Cubes are numbered coarsest level first, lexicographically within a
     level: level j holds cubes off[j] to off[j + 1] - 1, and cube 0 is the
     unit cube.  L[j, i] is leaf i's level-j cube and up[c] is cube c's parent
-    (up[0] = 0).  One _group_rows call per block level.
+    (up[0] = 0).  L is the transpose of a leaf-major table: L.T[idx] gathers
+    the labels of leaves idx as contiguous rows.  One _group_rows call per
+    block level.
     """
-    L = np.zeros((ell + 1, len(mu.masses)), dtype=np.intp)
+    rows = np.zeros((len(mu.masses), ell + 1), dtype=np.intp)
     up, off = [np.zeros(1, dtype=np.intp)], [0, 1]
     for j in range(1, ell + 1):
-        rows, label = _group_rows(mu.coords >> (mu.m - j * T))
-        L[j] = label + off[j]
-        parent = np.empty(len(rows), dtype=np.intp)
-        parent[label] = L[j - 1]
+        cubes, label = _group_rows(mu.coords >> (mu.m - j * T))
+        rows[:, j] = label + off[j]
+        parent = np.empty(len(cubes), dtype=np.intp)
+        parent[label] = rows[:, j - 1]
         up.append(parent)
-        off.append(off[j] + len(rows))
-    return L, np.concatenate(up), tuple(off)
+        off.append(off[j] + len(cubes))
+    return rows.T, np.concatenate(up), tuple(off)
+
+
+def _levels(up: np.ndarray, off: tuple[int, ...]) -> list[tuple[int, int, np.ndarray]]:
+    """(lo, hi, up[lo:hi]) for each block level j >= 1 of the cube tree:
+    the range of its cubes and their parents."""
+    return [(lo, hi, up[lo:hi]) for lo, hi in zip(off[1:], off[2:])]
 
 
 def _cube_masses(L: np.ndarray, w: np.ndarray, n_cubes: int) -> np.ndarray:
@@ -92,72 +103,86 @@ def _cube_masses(L: np.ndarray, w: np.ndarray, n_cubes: int) -> np.ndarray:
     return np.bincount(L.ravel(), weights=np.concatenate([w] * len(L)), minlength=n_cubes)
 
 
-def _check_classes(piece: UniformPiece, L: np.ndarray, up: np.ndarray,
-                   off: tuple[int, ...]) -> None:
-    """Raise unless, at every block level j, each cube's mass ratio to its
-    parent lies in [2^{-k-1}, 2^{-k}] up to _TOL, k = beta_j T.
+def _check_pieces(pieces: list[UniformPiece], leaves: list[np.ndarray], L: np.ndarray,
+                  up: np.ndarray, off: tuple[int, ...]) -> None:
+    """Raise unless, for every piece and at every block level j, each cube's
+    mass ratio to its parent lies in [2^{-k-1}, 2^{-k}] up to _TOL, k = beta_j T.
 
-    L labels the leaves of piece.measure in the cube tree (up, off) of
-    _block_labels.  All cubes holding a leaf are tested at once; the first
-    failure, level first and then lexicographically, is reported.
+    The pieces share T, and leaves[p] lists piece p's leaves, in its leaf
+    order, among the leaves that L labels in the cube tree (up, off) of
+    _block_labels.  The (piece, cube) pairs holding a leaf are grouped once,
+    each pair's mass summed over its leaves in leaf order, and all pairs are
+    tested at once; the first failure, by piece, then level, then
+    lexicographically, is reported.
     """
-    mu = piece.measure
-    mass = _cube_masses(L, mu.masses, len(up))
-    pm = mass[up]
-    ks = [0] + [round(b * piece.T) for b in piece.beta]  # the unit cube passes as k = 0
-    bound = 2.0 ** -np.repeat(ks, np.diff(off))
+    n_cubes = len(up)
+    base = np.repeat(np.arange(len(pieces)) * n_cubes, [len(idx) for idx in leaves])
+    code = L[:, np.concatenate(leaves)] + base  # piece p's cube c is p n_cubes + c
+    pairs, inv = np.unique(code.ravel(), return_inverse=True)
+    mass = _cube_masses(inv.reshape(code.shape),
+                        np.concatenate([p.measure.masses for p in pieces]), len(pairs))
+    owner, cube = np.divmod(pairs, n_cubes)
+    pm = mass[pairs.searchsorted(owner * n_cubes + up[cube])]
+    # the unit cube passes as k = 0
+    ks = np.array([[0] + [round(b * p.T) for b in p.beta] for p in pieces])
+    level = np.searchsorted(off, cube, side="right") - 1
+    bound = 2.0 ** -ks[owner, level]
     ok = (mass <= bound * pm + _TOL * pm) & (bound * pm <= 2.0 * mass + _TOL * pm)
-    ok |= mass == 0.0  # cubes holding no leaf
     if not ok.all():
-        c = int(np.argmin(ok))
-        j = int(np.searchsorted(off, c, side="right")) - 1
-        row = mu.coords[np.argmax(L[j] == c)] >> (mu.m - j * piece.T)
+        i = int(np.argmin(ok))
+        p, c, j = int(owner[i]), int(cube[i]), int(level[i])
+        mu, T, k = pieces[p].measure, pieces[p].T, int(ks[p, j])
+        row = mu.coords[np.argmax(L[j, leaves[p]] == c)] >> (mu.m - j * T)
         raise ValueError(
-            f"uniformity violated at level {j * piece.T}, cube {tuple(row.tolist())}: "
-            f"ratio {mass[c] / pm[c]} outside [2^-{ks[j] + 1}, 2^-{ks[j]}]"
+            f"uniformity violated at level {j * T}, cube {tuple(row.tolist())}: "
+            f"ratio {mass[i] / pm[i]} outside [2^-{k + 1}, 2^-{k}]"
         )
 
 
-def _prune_pass(w: np.ndarray, idx: np.ndarray, L: np.ndarray, up: np.ndarray,
-                off: tuple[int, ...], asc: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _prune_pass(w: np.ndarray, idx: np.ndarray, rows: np.ndarray, up: np.ndarray,
+                levels: list, asc: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """One top-down sweep: per block level, keep the heaviest ratio class.
 
-    idx lists the surviving leaves, w weighs them, and (L, up, off) is the
-    cube tree.  A ratio is in class k when it lies in (2^{-k-1}, 2^{-k}]: k
-    counts the bounds `asc` (2^{-max_k-1}, ..., 2^{-1}) at or above it, and
-    k = max_k + 1 is overflow.  Pruning drops whole cubes, so the masses of
-    one bincount at the start serve every level.  A cube is live when it
-    holds a survivor and its parent is kept; dead cubes weigh an exact zero.
-    Returns the leaves in kept finest cubes and the classes.
+    idx lists the surviving leaves, w weighs them, and rows (the leaf-major
+    labels L.T), up and levels (of _levels) are the cube tree.  A ratio is
+    in class k when it lies in (2^{-k-1}, 2^{-k}]: k counts the bounds `asc`
+    (2^{-max_k-1}, ..., 2^{-1}) at or above it, and k = max_k + 1 is
+    overflow.  Pruning drops whole cubes, so the masses of one bincount at
+    the start, each cube's summed over its leaves in leaf order, serve every
+    level.  A cube is live when it holds a survivor and its parent is kept;
+    dead cubes weigh an exact zero.  Returns the leaves in kept finest cubes
+    and the classes.
     """
     n_k = len(asc)
-    mass = _cube_masses(L[:, idx], w[idx], len(up))
+    labels = rows[idx]
+    mass = np.bincount(labels.ravel(), weights=np.repeat(w[idx], labels.shape[1]),
+                       minlength=len(up))
     keep = mass > 0.0
     ratio = np.divide(mass, mass[up], out=np.zeros(len(up)), where=keep)
     cls = n_k - asc.searchsorted(ratio)
     classes = []
-    for lo, hi in zip(off[1:], off[2:]):
+    for lo, hi, parent in levels:
         live = keep[lo:hi]  # a view: this level's keep is set in place
-        live &= keep[up[lo:hi]]
+        live &= keep[parent]
         weight = np.bincount(cls[lo:hi], weights=mass[lo:hi] * live, minlength=n_k + 1)
         best = int(weight[:n_k].argmax())  # smallest k wins ties
         if weight[best] == 0.0:  # every live ratio overflows
             raise ValueError("pruning emptied the measure")
         classes.append(best)
         live &= cls[lo:hi] == best
-    return idx[keep[L[-1, idx]]], classes
+    return idx[keep[labels[:, -1]]], classes
 
 
-def _extract(mu: DyadicMeasure, w: np.ndarray, alive: np.ndarray, L: np.ndarray,
-             up: np.ndarray, off: tuple[int, ...], T: int) -> tuple[UniformPiece, np.ndarray]:
+def _extract(mu: DyadicMeasure, w: np.ndarray, alive: np.ndarray, rows: np.ndarray,
+             up: np.ndarray, levels: list, T: int) -> tuple[UniformPiece, np.ndarray]:
     """Prune the leaves of mu masked by `alive`, weighed by `w`, to a fixed
-    point, and check the piece against the cube tree (L, up, off) restricted
-    to its leaves.  Returns the piece, with mass_retained the w-mass kept,
-    and the mask of its leaves."""
+    point in the cube tree (rows, up, levels) of _prune_pass.  Returns the
+    piece, with mass_retained the w-mass kept, and the indices of its leaves;
+    the caller checks the piece."""
     asc = 2.0 ** np.arange(-mu.d * T - 1.0, 0.0)
     idx = np.flatnonzero(alive)
     for _ in range(len(idx) + 2):  # each changed pass prunes >= 1 leaf
-        survivors, classes = _prune_pass(w, idx, L, up, off, asc)
+        survivors, classes = _prune_pass(w, idx, rows, up, levels, asc)
         if len(survivors) == len(idx):
             break
         idx = survivors
@@ -171,10 +196,7 @@ def _extract(mu: DyadicMeasure, w: np.ndarray, alive: np.ndarray, L: np.ndarray,
         mass_retained=retained,
         measure=DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords[idx], kept / retained),
     )
-    _check_classes(piece, L[:, idx], up, off)
-    taken = np.zeros_like(alive)
-    taken[idx] = True
-    return piece, taken
+    return piece, idx
 
 
 def _block_count(mu: DyadicMeasure, T) -> int:
@@ -199,9 +221,11 @@ def extract_uniform(mu: DyadicMeasure, T: int) -> UniformPiece:
     until every surviving ratio sits in its level's chosen class, so the
     final restricted measure satisfies the uniformity inequality exactly.
     """
-    tree = _block_labels(mu, T, _block_count(mu, T))
+    L, up, off = _block_labels(mu, T, _block_count(mu, T))
     alive = np.ones(len(mu.masses), dtype=bool)
-    return _extract(mu, mu.masses, alive, *tree, T)[0]
+    piece, idx = _extract(mu, mu.masses, alive, L.T, up, _levels(up, off), T)
+    _check_pieces([piece], [idx], L, up, off)
+    return piece
 
 
 def decompose_uniform(mu: DyadicMeasure, T: int, eps: float) -> list[UniformPiece]:
@@ -209,21 +233,26 @@ def decompose_uniform(mu: DyadicMeasure, T: int, eps: float) -> list[UniformPiec
     2^{-eps m}; pieces are pairwise disjoint at the leaf level.
 
     mass_retained of each piece is recorded against the original measure.
+    Every piece is checked once the extraction loop ends.
     """
     eps = _positive("eps", eps)
-    tree = _block_labels(mu, T, _block_count(mu, T))
+    L, up, off = _block_labels(mu, T, _block_count(mu, T))
+    rows, levels = L.T, _levels(up, off)
     cutoff = 2.0 ** (-eps * mu.m)
     pieces: list[UniformPiece] = []
+    leaves: list[np.ndarray] = []
     remaining = np.ones(len(mu.masses), dtype=bool)
     residual_mass, total = 1.0, mu.total_mass
     while residual_mass >= cutoff and remaining.any():
         # the residual measure's normalized masses, leaf for leaf
-        piece, taken = _extract(mu, mu.masses / total, remaining, *tree, T)
+        piece, idx = _extract(mu, mu.masses / total, remaining, rows, up, levels, T)
         # express retained mass relative to the original measure
         piece.mass_retained *= residual_mass
         pieces.append(piece)
-        remaining &= ~taken
+        leaves.append(idx)
+        remaining[idx] = False
         residual_mass = total = math.fsum(mu.masses[remaining].tolist())
+    _check_pieces(pieces, leaves, L, up, off)
     return pieces
 
 

@@ -458,13 +458,19 @@ def test_array_core_matches_dict_loops():
 def test_decomposition_matches_dict_loops_at_benchmark_size():
     """decompose_uniform against the dict-loop oracle on measures as large as
     the uniform_profile workload's (50-400 leaves), piece by piece: beta, the
-    renormalized leaves bit for bit, and mass_retained."""
+    renormalized leaves bit for bit, and mass_retained.  Besides random
+    masses and exact splits, equal masses on random supports, as every
+    shipped scene generator but circle_pair gives them."""
     rng = np.random.default_rng(21)
     cases = [random_measure(rng, d=2, m=8, n_leaves=int(rng.integers(50, 401)))
              for _ in range(10)]
     cases += [random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(50, 401)))
               for d, m in ((1, 8), (3, 6)) for _ in range(3)]
     cases += [exact_split_measure(rng, d, m) for d, m in ((1, 12), (2, 6), (3, 6)) * 2]
+    supports = [random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(50, 401)))
+                for d, m in ((2, 8),) * 6 + ((1, 8), (3, 6)) * 2]
+    cases += [DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords, np.ones(len(mu.masses))).normalize()
+              for mu in supports]
     for mu in cases:
         assert _pieces(decompose_uniform(mu, 2, 0.2)) == \
             decompose_uniform_reference(leaf_dict(mu), mu.m, mu.d, 2, 0.2)

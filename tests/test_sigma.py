@@ -686,12 +686,11 @@ _SEARCH_CONFIGS = {
     # 9**4 > budget; the two-slope phase alone uses up the budget
     "two_slope": (KaufmanProfile(0.8), 0.6, 0.1, dict(budget=120, n_segments=4)),
     # 117 two-slope functions at x0 = k/4 lie in the class (t = 3/4 d): the
-    # ladder runs out below the budget.  The keys keep their test ids, named
-    # for the random and descent phases that once spent the rest of it.
-    "random_descent": (HighDimProfile(3, 1.2), 2.25, 0.125,
-                       dict(budget=148, n_segments=4)),
-    "random_descent_planar": (PlanarProfile(0.6), 1.5, 0.125,
-                              dict(budget=148, n_segments=4)),
+    # ladder runs out below the budget
+    "ladder_below_budget": (HighDimProfile(3, 1.2), 2.25, 0.125,
+                            dict(budget=148, n_segments=4)),
+    "ladder_below_budget_planar": (PlanarProfile(0.6), 1.5, 0.125,
+                                   dict(budget=148, n_segments=4)),
 }
 
 

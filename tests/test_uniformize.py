@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,11 +138,22 @@ def _corruptions(piece, rng):
                        DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords, masses))
 
 
+def _swap_in(*bad):
+    """A stand-in for the UniformPiece constructor: where one of `bad` has
+    the leaves of the piece being built, a copy of it comes out instead."""
+    def build(**fields):
+        for piece in bad:
+            if np.array_equal(piece.measure.coords, fields["measure"].coords):
+                return dataclasses.replace(piece)
+        return UniformPiece(**fields)
+    return build
+
+
 def test_piece_checks_match_the_cells_oracle(monkeypatch):
-    """On extracted pieces and corrupted copies, the label check in _extract
-    and the public check_invariant give the cells form's verdict and
-    message.  Equal leaf masses put ratios on the class boundaries, where
-    only the _TOL slack decides."""
+    """On extracted pieces and corrupted copies, the checks in
+    extract_uniform and decompose_uniform and the public check_invariant give
+    the cells form's verdict and message.  Equal leaf masses put ratios on
+    the class boundaries, where only the _TOL slack decides."""
     rng = np.random.default_rng(8)
     verdicts = []
     for d, m, T in ((1, 8, 1), (1, 8, 2), (2, 8, 2), (3, 6, 1), (3, 6, 2)):
@@ -148,23 +161,74 @@ def test_piece_checks_match_the_cells_oracle(monkeypatch):
             mu = random_measure(rng, d=d, m=m, n_leaves=int(rng.integers(20, 120)))
             if equal:
                 mu = DyadicMeasure._from_arrays(d, m, mu.coords, np.ones(len(mu.masses))).normalize()
-            labels = uniformize._block_labels(mu, T, m // T)
+            L, up, off = uniformize._block_labels(mu, T, m // T)
             remaining = np.ones(len(mu.masses), dtype=bool)
             for _ in range(2):  # the first piece and one from the residual
                 w = mu.masses / math.fsum(mu.masses[remaining].tolist())
-                piece, alive = uniformize._extract(mu, w, remaining, *labels, T)
+                piece, idx = uniformize._extract(mu, w, remaining, L.T, up,
+                                                 uniformize._levels(up, off), T)
                 check_invariant_reference(piece)
                 for bad in [piece, *_corruptions(piece, rng)]:
                     want = _raised(check_invariant_reference, bad)
                     assert _raised(bad.check_invariant) == want
-                    # _extract builds `bad` in place of its piece and checks it
-                    monkeypatch.setattr(uniformize, "UniformPiece", lambda **kw: bad)
-                    assert _raised(uniformize._extract, mu, w, remaining, *labels, T) == want
+                    # extract_uniform (first piece) and decompose_uniform
+                    # build `bad` in place of its piece and check it
+                    monkeypatch.setattr(uniformize, "UniformPiece", _swap_in(bad))
+                    if remaining.all():
+                        assert _raised(extract_uniform, mu, T) == want
+                    assert _raised(decompose_uniform, mu, T, 100.0) == want
                     monkeypatch.undo()
                     verdicts.append(want is None)
-                remaining &= ~alive
+                remaining[idx] = False
     # 20 pieces and 138 corrupted copies, 120 of them violations
     assert verdicts.count(True) > 30 and verdicts.count(False) > 100
+
+
+def test_decomposition_reports_the_earlier_corrupt_piece(monkeypatch):
+    """With two corrupt pieces in one decomposition, decompose_uniform
+    raises the earlier piece's message as the cells oracle gives it, though
+    the later piece fails at a coarser level."""
+    rng = np.random.default_rng(11)
+    mu = random_measure(rng, d=2, m=8, n_leaves=300)
+    pieces = decompose_uniform(mu, 2, 0.2)
+    assert len(pieces) > 2
+
+    def violation(piece, pick):
+        """The corrupted copy of piece whose first violated level is the
+        finest (pick = max) or the coarsest (pick = min), and its message."""
+        found = [(bad, _raised(check_invariant_reference, bad))
+                 for bad in _corruptions(piece, rng)]
+        found = [(int(msg.split()[4][:-1]), bad, msg) for bad, msg in found if msg]
+        return pick(found, key=lambda item: item[0])
+
+    fine_level, early, want = violation(pieces[1], max)
+    coarse_level, late, _ = violation(pieces[2], min)
+    assert coarse_level < fine_level
+    monkeypatch.setattr(uniformize, "UniformPiece", _swap_in(early, late))
+    assert _raised(decompose_uniform, mu, 2, 0.2) == want
+
+
+def test_decomposition_peak_memory_per_leaf():
+    """The pieces of a decomposition are checked in memory linear in the
+    leaves: under tracemalloc, decomposing 991 leaves into 284 pieces peaks
+    below 1,024 bytes a leaf (it reads about 690, pieces included).  One
+    float64 per piece and cube of the measure's tree would be 8 * 284 bytes
+    for each of the tree's 2,000-odd cubes, above 4,000 bytes a leaf."""
+    mu = random_measure(np.random.default_rng(16), d=2, m=8, n_leaves=1000)
+    decompose_uniform(mu, 2, 0.2)  # first-call imports and caches are not the decomposition's
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        pieces = decompose_uniform(mu, 2, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(mu.masses) == 991 and len(pieces) == 284
+    assert peak / 991 < 1024, f"{peak / 991:.1f} bytes a leaf"
 
 
 @pytest.mark.parametrize("change", [
