@@ -114,7 +114,7 @@ def gen_lattice_falconer(q: int, d: int, depth: int) -> DyadicMeasure:
     return _product([_lattice_1d(p, depth)] * d, depth)
 
 
-def gen_train_track(delta_level: int, depth: int, n_tracks: int | None = None) -> DyadicMeasure:
+def gen_train_track(delta_level: int, depth: int) -> DyadicMeasure:
     """Parallel horizontal tracks: about 2^{delta_level/2} rows spaced
     2^{-delta_level} apart (a band of height ~ 2^{-delta_level/2}), each
     carrying the 1/4-Cantor measure along x.
@@ -126,10 +126,7 @@ def gen_train_track(delta_level: int, depth: int, n_tracks: int | None = None) -
         raise ValueError("delta_level must be even")
     if not (0 < delta_level < depth):
         raise ValueError("need 0 < delta_level < depth")
-    if n_tracks is None:
-        n_tracks = 1 << (delta_level // 2)
-    if not (0 <= n_tracks <= 1 << delta_level):
-        raise ValueError(f"n_tracks must be in 0..2^{delta_level}, got {n_tracks}")
+    n_tracks = 1 << (delta_level // 2)
     rows = np.arange(n_tracks, dtype=np.int64) << (depth - delta_level)
     return _product([_cantor_1d(2, depth), (rows, np.full(n_tracks, 1.0) / n_tracks)], depth)
 

@@ -160,13 +160,17 @@ def value_entropy(values, weights, level: int) -> float:
 
 def value_box_counts(values, levels) -> list[int]:
     """Occupied absolute dyadic cells of `values` at each level in `levels`
-    (0 for no values).  floor(v * 2^level) keeps the order of v, so one sort
-    serves every level: a count is 1 + the number of steps in the sorted
-    cell indices."""
-    v = np.sort(np.asarray(values, dtype=float), axis=None)
-    if not v.size:
+    (0 for no values).  The values are binned once, at the finest level J:
+    floor(v * 2^j) is floor(v * 2^J) >> (J - j), and the shift keeps the
+    order of the sorted cell indices, so a count is 1 + the number of steps
+    in them."""
+    if not levels:
+        return []
+    top = max(levels)
+    idx = np.sort(value_bins(np.asarray(values, dtype=float), top), axis=None)
+    if not idx.size:
         return [0 for _ in levels]
-    return [1 + int(np.count_nonzero(np.diff(value_bins(v, j)))) for j in levels]
+    return [1 + int(np.count_nonzero(np.diff(idx >> (top - j)))) for j in levels]
 
 
 def value_box_count(values, level: int) -> int:

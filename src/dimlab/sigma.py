@@ -19,16 +19,17 @@ grid value only bounds its f's continuum value from below.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dyadic import _finite, _is_number, _positive, _positive_int
-from .plf import PLFunction, _in_class_rows, _shape_rows, from_slopes, linear
+from .plf import PLFunction, _in_class_rows, _shape_rows, linear
 
 _TOL = 1e-9
+# the two-slope ladder: inner breakpoints k/_LADDER, slopes d i/_LADDER
+_LADDER = 16
 # candidates per batched sub-grid bound in sigma_tau; from about 4 a batch
 # costs less per candidate than one at a time
 _BATCH = 12
@@ -560,61 +561,49 @@ class SigmaTauResult:
     n_repeated: int = field(repr=False, default=0)
 
 
-def _default_grid_n(tau: float, n_segments: int) -> int:
+def _default_grid_n(tau: float) -> int:
     n = int(math.ceil(8.0 / tau))
-    # keep candidate breakpoints on the fine grid
-    rem = n % n_segments
-    if rem:
-        n += n_segments - rem
-    return n
+    # keep the ladder's breakpoints on the fine grid
+    return -(-n // _LADDER) * _LADDER
 
 
-def sigma_tau(
-    D: Profile,
-    t: float,
-    tau: float,
-    budget: int = 10000,
-    n_segments: int = 16,
-    slope_levels=None,
-    grid_n: int | None = None,
-) -> SigmaTauResult:
+def sigma_tau(D: Profile, t: float, tau: float, budget: int = 10000) -> SigmaTauResult:
     """Upper-bound the infimum of sigma_for_f over f in L(d, t).
 
-    Candidates are piecewise-linear functions with breakpoints on the coarse
-    grid {k/n_segments}, tried after the boundary line linear(t).  When every
-    vector of n_segments slopes from `slope_levels` fits the budget, the
-    search enumerates them; otherwise it walks the two-slope ladder (slope s1
-    up to x0 = k/n_segments, then s2; s1, s2 in {d i/16}) until the budget
-    or the ladder runs out.  Every reported value is certified by the
-    minimizing candidate.
+    The search tries the boundary line linear(t), then walks the two-slope
+    ladder: slope s1 up to x0 = k/16, then s2, with s1, s2 in {d i/16}, a row
+    of s2 per s1, until the budget or the ladder runs out.  The grid is
+    {i/n}, n the least multiple of 16 with n >= 8/tau.  Every reported value
+    is certified by the minimizing candidate.
 
     A candidate is a generated function that lies in L(d, t); every one
-    counts toward `budget` and `n_candidates`.  A full evaluation is a
-    `sigma_for_f` call on the grid; once a certificate exists, a candidate
-    whose value on the 1/16 or the quarter sub-grid (lower bounds for its
-    grid value) already exceeds the best value cannot win and gets none, so
-    `n_full_evals <= n_candidates` and the result is the same as with a full
-    evaluation of every distinct candidate.  `n_pruned_coarse` and
-    `n_pruned_quarter` count the candidates each bound pruned.
+    counts toward `budget` and `n_candidates`, so a search makes at most
+    1 + (the ladder's class members) of them whatever the budget.  A full
+    evaluation is a `sigma_for_f` call on the grid; once a certificate
+    exists, a candidate whose value on the 1/16 or the quarter sub-grid
+    (lower bounds for its grid value) already exceeds the best value cannot
+    win and gets none, so `n_full_evals <= n_candidates` and the result is
+    the same as with a full evaluation of every distinct candidate.
+    `n_pruned_coarse` and `n_pruned_quarter` count the candidates each bound
+    pruned.
 
     Distinct means of a shape (`plf._shape_rows`) not seen before in this
     call; the line linear(t) is seen first.  A repeat, such as the line
-    linear(s1) that the two-slope phase builds again at every x0, gets no
-    bound and no evaluation and is counted in `n_repeated`.  In exact
-    arithmetic it is the function seen before, which was either evaluated,
-    so the best value is at most its value from then on, or pruned by a
-    bound above the best value, which only falls; either way the repeat
-    cannot be strictly better.  Nothing is kept across calls.
+    linear(s1) that the ladder builds again at every x0, gets no bound and
+    no evaluation and is counted in `n_repeated`.  In exact arithmetic it is
+    the function seen before, which was either evaluated, so the best value
+    is at most its value from then on, or pruned by a bound above the best
+    value, which only falls; either way the repeat cannot be strictly
+    better.  Nothing is kept across calls.
 
     The sub-grid bounds read nothing of the search, so one DP computes them
     for a near-even batch of at most _BATCH consecutive distinct candidates
-    with the same breakpoints: the two-slope candidates with inner
-    breakpoint x0 (whose class test runs on a row of values before any
-    function is built), or the enumerated ones.  A batch is bounded on the
-    1/16 sub-grid, then those whose bound does not exceed the best value at
-    its start on the quarter sub-grid.  The best value only falls and the
-    1/16 bound is the lower, so walking the batch in generation order prunes
-    what bounding one candidate at a time on the quarter sub-grid would.
+    with the same inner breakpoint x0 (whose class test runs on a row of
+    values before any function is built).  A batch is bounded on the 1/16
+    sub-grid, then those whose bound does not exceed the best value at its
+    start on the quarter sub-grid.  The best value only falls and the 1/16
+    bound is the lower, so walking the batch in generation order prunes what
+    bounding one candidate at a time on the quarter sub-grid would.
     """
     d = D.d
     if not (0.0 < t < d):
@@ -622,18 +611,7 @@ def sigma_tau(
     if not (0.0 < tau <= 0.5):
         raise ValueError(f"tau must be in (0, 1/2], got {tau}")
     _positive_int("budget", budget)
-    _positive_int("n_segments", n_segments)
-    if slope_levels is None:
-        slope_levels = [d * i / 8.0 for i in range(9)]
-    try:
-        slope_levels = list(slope_levels)
-    except TypeError:
-        slope_levels = []
-    if not (slope_levels and all(_is_number(s) and math.isfinite(s) for s in slope_levels)):
-        raise ValueError("slope_levels must be a non-empty list of finite numbers")
-    slope_levels = [float(s) for s in slope_levels]
-    if grid_n is None:
-        grid_n = _default_grid_n(tau, n_segments)
+    grid_n = _default_grid_n(tau)
     xs = _grid(grid_n)
 
     # explicit feasible point: the boundary line of the class
@@ -676,32 +654,28 @@ def sigma_tau(
                 if val < best_val:
                     best_val, best_f, best_dec = val, f, dec
 
-    if len(slope_levels) ** n_segments <= budget:
-        fs = map(from_slopes, itertools.product(slope_levels, repeat=n_segments))
-        consider([f for f in fs if f.in_class(d, t)])
-    else:
-        # structured two-slope candidates: a row of s2 per s1 until the
-        # budget is reached, all rows with breakpoint x0 walked together
-        fine = np.array([d * i / 16.0 for i in range(17)])
-        ys = np.zeros((len(fine), 3))
-        for k in range(1, n_segments):
-            x0 = k / n_segments
-            bx = (0.0, x0, 1.0)
-            fs = []
-            for s1 in fine.tolist():
-                if n_eval + len(fs) >= budget:
-                    break
-                ys[:, 1] = s1 * x0
-                ys[:, 2] = s1 * x0 + fine * (1.0 - x0)
-                rows = ys[_in_class_rows(bx, ys, d, t)].tolist()
-                fs += [PLFunction(bx, tuple(row)) for row in rows]
-            consider(fs)
+    # a row of s2 per s1 until the budget is reached, all rows with
+    # breakpoint x0 walked together
+    fine = np.array([d * i / _LADDER for i in range(_LADDER + 1)])
+    ys = np.zeros((len(fine), 3))
+    for k in range(1, _LADDER):
+        x0 = k / _LADDER
+        bx = (0.0, x0, 1.0)
+        fs = []
+        for s1 in fine.tolist():
+            if n_eval + len(fs) >= budget:
+                break
+            ys[:, 1] = s1 * x0
+            ys[:, 2] = s1 * x0 + fine * (1.0 - x0)
+            rows = ys[_in_class_rows(bx, ys, d, t)].tolist()
+            fs += [PLFunction(bx, tuple(row)) for row in rows]
+        consider(fs)
 
     return SigmaTauResult(best_val, best_f, n_eval, n_full, best_dec, n_coarse, n_quarter,
                           n_repeated)
 
 
-def lipschitz_scan(D: Profile, t_range, tau: float, **kwargs) -> list[dict]:
+def lipschitz_scan(D: Profile, t_range, tau: float, budget: int = 10000) -> list[dict]:
     """Scan sigma_tau over t, enforcing the class-nesting monotonicity.
 
     Smaller t admits every candidate feasible at larger t, so estimates are
@@ -713,7 +687,7 @@ def lipschitz_scan(D: Profile, t_range, tau: float, **kwargs) -> list[dict]:
     rows = []
     ceiling = math.inf
     for t in reversed(ts):
-        res = sigma_tau(D, t, tau, **kwargs)
+        res = sigma_tau(D, t, tau, budget=budget)
         est = min(res.estimate, ceiling)
         ceiling = est
         rows.append({"t": t, "estimate": est, "certificate": res.certificate})
@@ -725,34 +699,19 @@ def lipschitz_scan(D: Profile, t_range, tau: float, **kwargs) -> list[dict]:
 
 
 def verify_planar_bound(
-    u: float,
-    zeta: float,
-    eta: float = 0.01,
-    tau: float = 0.01,
-    budget: int = 1000,
-    s_grid=None,
-    **kwargs,
+    u: float, zeta: float, eta: float = 0.01, tau: float = 0.01, budget: int = 1000
 ) -> dict:
-    """Check that the planar profile value exceeds s across s in (0, phi(u)-zeta].
+    """Check that the planar profile value exceeds s at s = s_max k/6,
+    k = 1..6, with s_max = phi(u) - zeta.
 
     Parametric in the plateau height eta; the shipped default is
     non-canonical.  Reports per-s margins; PASS iff all are strictly positive.
     """
     s_max = phi(u) - zeta
-    if s_grid is None:
-        s_grid = [s_max * k / 6.0 for k in range(1, 7)]
-    try:
-        s_grid = list(s_grid)
-    except TypeError:
-        s_grid = []
-    if not s_grid or not all(map(_is_number, s_grid)):
-        raise ValueError("s_grid must be a non-empty list of numbers")
     rows = []
-    for s in s_grid:
-        if not (0.0 < s <= s_max + _TOL):
-            raise ValueError(f"s={s} outside (0, {s_max}]")
+    for s in (s_max * k / 6.0 for k in range(1, 7)):
         D = PlanarProfile(s, eta=eta)
-        res = sigma_tau(D, u, tau, budget=budget, **kwargs)
+        res = sigma_tau(D, u, tau, budget=budget)
         rows.append(
             {
                 "s": s,

@@ -147,16 +147,16 @@ def sigma_value_bruteforce(D, f, tau, grid_n):
     return best
 
 
-def two_slope_class_count(d, t, n_segments=16):
-    """Number of functions in L(d, t) with one inner breakpoint
-    x0 = k/n_segments, 0 < k < n_segments, slope s1 up to x0 and s2 after
-    it, s1 and s2 in {d i/16 : 0 <= i <= 16}, one at a time by `in_class`
-    (repeated shapes, such as the lines at every x0, counted each time)."""
+def two_slope_class_count(d, t):
+    """Number of functions in L(d, t) with one inner breakpoint x0 = k/16,
+    0 < k < 16, slope s1 up to x0 and s2 after it, s1 and s2 in
+    {d i/16 : 0 <= i <= 16}, one at a time by `in_class` (repeated shapes,
+    such as the lines at every x0, counted each time)."""
     from dimlab.plf import from_slopes
 
     ladder = [d * i / 16.0 for i in range(17)]
-    return sum(from_slopes([s1, s2], xs=[0.0, k / n_segments, 1.0]).in_class(d, t)
-               for k in range(1, n_segments) for s1 in ladder for s2 in ladder)
+    return sum(from_slopes([s1, s2], xs=[0.0, k / 16.0, 1.0]).in_class(d, t)
+               for k in range(1, 16) for s1 in ladder for s2 in ladder)
 
 
 # -- dense references for the banded sigma_for_f DP --------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from dimlab.cli import main
 from dimlab.dyadic import DyadicMeasure
-from oracles import random_measure
+from oracles import random_measure, two_slope_class_count
 
 
 def test_measure_build_and_info(tmp_path, capsys):
@@ -137,6 +137,18 @@ def test_sigma_inf(capsys):
     quarter, repeated = rest.split(" repeated:")
     assert full + int(coarse) + int(quarter) + int(repeated) == candidates
     assert len(lines) == 4
+
+
+def test_sigma_inf_ends_with_the_ladder_whatever_the_budget(capsys):
+    """A budget beyond the two-slope ladder is not a search cost: the search
+    makes the line and the ladder's class members, 1 + 1,703 at d = 2,
+    t = 1, and returns."""
+    rc = main(["sigma", "inf", "--profile", "planar:s=0.5", "--t", "1.0", "--tau", "0.1",
+               "--budget", "10000000000000000"])
+    assert rc == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.endswith(" candidates=1704")
+    assert 1704 == 1 + two_slope_class_count(2.0, 1.0)
 
 
 def test_sigma_inf_reports_an_input_too_large_for_memory(monkeypatch, capsys):

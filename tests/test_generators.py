@@ -63,7 +63,6 @@ def test_train_track_geometry():
     # rows spaced 2^{-delta} apart, starting at 0
     step = 1 << (depth - delta)
     assert ys == [k * step for k in range(len(ys))]
-    assert gen_train_track(delta, depth, n_tracks=0).trivial
     with pytest.raises(ValueError):
         gen_train_track(5, 12)
     with pytest.raises(ValueError):

@@ -60,6 +60,10 @@ def test_value_box_counts_match_unique_oracle():
         assert value_box_counts(vals, levels) == [
             value_box_count_reference(vals, j) for j in levels]
         assert value_box_counts(vals, [0]) == [value_box_count_reference(vals, 0)]
+        # unsorted and repeated levels, as acceptance 09 passes [delta] + levels
+        mixed = [8, 3, 17, 0, 8, 12]
+        assert value_box_counts(vals, mixed) == [
+            value_box_count_reference(vals, j) for j in mixed]
     assert value_box_counts(np.zeros(0), levels) == [0] * len(levels)
     assert value_box_count_reference(np.zeros(0), 3) == 0
     assert value_box_counts(np.array([0.5]), []) == []

@@ -391,8 +391,7 @@ def test_sigma_for_f_rejects_bad_tau():
 
 def test_sigma_tau_certified_upper_bound():
     D = TrivialHalfProfile()
-    res = sigma_tau(D, 1.0, 0.1, budget=200, n_segments=4, grid_n=80,
-                    slope_levels=[0.0, 0.5, 1.0, 1.5, 2.0])
+    res = sigma_tau(D, 1.0, 0.1, budget=200)
     assert res.certificate.in_class(2.0, 1.0)
     # the estimate is exactly the inner value at the certificate
     val, _ = sigma_for_f(D, res.certificate, 0.1, 80)
@@ -418,15 +417,6 @@ def test_sigma_tau_and_sigma_for_f_reject_bad_input():
     for grid_n in (0, -4, 16.5, 16.0, True):
         with pytest.raises(ValueError, match="grid_n"):
             sigma_for_f(D, linear(1.0), 0.1, grid_n)
-        with pytest.raises(ValueError, match="grid_n"):
-            sigma_tau(D, 1.0, 0.1, grid_n=grid_n)
-    for n_segments in (0, -1, 2.5, 4.0, True, None):
-        with pytest.raises(ValueError, match="n_segments"):
-            sigma_tau(D, 1.0, 0.1, n_segments=n_segments)
-    for levels in ([], [math.nan, 1.0], [0.5, math.inf], [-math.inf], ["a"], [[1.0]], 3,
-                   [True, False, 2], ["0.5"]):
-        with pytest.raises(ValueError, match="slope"):
-            sigma_tau(D, 1.0, 0.1, slope_levels=levels)
 
 
 def _dp_function(rng, d, grid_n, on_grid):
@@ -680,29 +670,24 @@ def test_two_slope_class_filter_matches_in_class(d, t):
 
 
 _SEARCH_CONFIGS = {
-    # 5**4 = 625 slope vectors fit the budget: exhaustive enumeration
-    "exhaustive": (PlanarProfile(0.4), 1.0, 0.1,
-                   dict(budget=700, n_segments=4, slope_levels=[0.0, 0.5, 1.0, 1.5, 2.0])),
-    # 9**4 > budget; the two-slope phase alone uses up the budget
-    "two_slope": (KaufmanProfile(0.8), 0.6, 0.1, dict(budget=120, n_segments=4)),
-    # 117 two-slope functions at x0 = k/4 lie in the class (t = 3/4 d): the
-    # ladder runs out below the budget
-    "ladder_below_budget": (HighDimProfile(3, 1.2), 2.25, 0.125,
-                            dict(budget=148, n_segments=4)),
-    "ladder_below_budget_planar": (PlanarProfile(0.6), 1.5, 0.125,
-                                   dict(budget=148, n_segments=4)),
+    # the ladder uses up the budget at its first breakpoint x0 = 1/16
+    "two_slope": (KaufmanProfile(0.8), 0.6, 0.1, 120),
+    # 602 two-slope functions lie in the class (t = 3/4 d): the ladder runs
+    # out below the budget
+    "ladder_below_budget": (HighDimProfile(3, 1.2), 2.25, 0.125, 700),
+    "ladder_below_budget_planar": (PlanarProfile(0.6), 1.5, 0.125, 700),
 }
 
 
 @pytest.mark.parametrize("name", list(_SEARCH_CONFIGS))
 def test_pruned_sigma_tau_equals_full_evaluation(name, monkeypatch):
-    D, t, tau, kwargs = _SEARCH_CONFIGS[name]
-    pruned = sigma_tau(D, t, tau, **kwargs)
+    D, t, tau, budget = _SEARCH_CONFIGS[name]
+    pruned = sigma_tau(D, t, tau, budget)
     # bounding one candidate at a time prunes the same candidates
     monkeypatch.setattr(sigma, "_BATCH", 1)
-    single = sigma_tau(D, t, tau, **kwargs)
+    single = sigma_tau(D, t, tau, budget)
     monkeypatch.setattr(sigma, "_pruning_bounds", lambda D, fs, *a: np.full(len(fs), -math.inf))
-    full = sigma_tau(D, t, tau, **kwargs)
+    full = sigma_tau(D, t, tau, budget)
 
     assert repr(single) == repr(pruned)
     assert single.decomposition.entries == pruned.decomposition.entries
@@ -714,15 +699,11 @@ def test_pruned_sigma_tau_equals_full_evaluation(name, monkeypatch):
     assert full.n_full_evals + full.n_repeated == full.n_candidates
     assert pruned.n_repeated == single.n_repeated == full.n_repeated
     assert 1 <= pruned.n_full_evals < pruned.n_candidates
-    budget = kwargs["budget"]
-    if name == "exhaustive":
-        assert pruned.n_candidates < budget
-    elif name == "two_slope":
+    if name == "two_slope":
         assert pruned.n_candidates >= budget
     else:
         # the line, then every in-class function of the two-slope ladder
-        ladder = 1 + two_slope_class_count(D.d, t, kwargs["n_segments"])
-        assert pruned.n_candidates == ladder < budget
+        assert pruned.n_candidates == 1 + two_slope_class_count(D.d, t) < budget
 
 
 def _set_coarse_stage(monkeypatch, grid_n, tight):
@@ -745,13 +726,13 @@ def test_coarse_stage_changes_no_search(name, monkeypatch):
     quarter sub-grid bound would let through: the result is the same
     without it, and each candidate is pruned by one stage or fully
     evaluated."""
-    D, t, tau, kwargs = _SEARCH_CONFIGS[name]
-    grid_n = sigma._default_grid_n(tau, kwargs["n_segments"])
-    both = sigma_tau(D, t, tau, **kwargs)
+    D, t, tau, budget = _SEARCH_CONFIGS[name]
+    grid_n = sigma._default_grid_n(tau)
+    both = sigma_tau(D, t, tau, budget)
     _set_coarse_stage(monkeypatch, grid_n, tight=False)
-    quarter = sigma_tau(D, t, tau, **kwargs)
+    quarter = sigma_tau(D, t, tau, budget)
     _set_coarse_stage(monkeypatch, grid_n, tight=True)
-    tight = sigma_tau(D, t, tau, **kwargs)
+    tight = sigma_tau(D, t, tau, budget)
     for res in (quarter, tight):
         assert repr(res) == repr(both)
         assert res.decomposition.entries == both.decomposition.entries
@@ -775,7 +756,7 @@ def test_coarse_stage_keeps_highdim_full_evaluations(monkeypatch):
     assert [res.n_full_evals for res in both] == [2, 4, 5, 6]
     assert [res.n_repeated for res in both] == [127] * 4
     assert all(res.n_pruned_coarse > 0.9 * res.n_candidates for res in both)
-    _set_coarse_stage(monkeypatch, sigma._default_grid_n(0.02, 16), tight=False)
+    _set_coarse_stage(monkeypatch, sigma._default_grid_n(0.02), tight=False)
     assert [res.n_full_evals for res in _acceptance_03_searches()] == [2, 4, 5, 6]
 
 
@@ -787,8 +768,8 @@ def test_skipping_repeated_shapes_changes_no_search(name, monkeypatch):
     def searches():
         if name == "acceptance_03":
             return _acceptance_03_searches()
-        D, t, tau, kwargs = _SEARCH_CONFIGS[name]
-        return [sigma_tau(D, t, tau, **kwargs)]
+        D, t, tau, budget = _SEARCH_CONFIGS[name]
+        return [sigma_tau(D, t, tau, budget)]
     skipped = searches()
     monkeypatch.setattr(sigma, "_shape_rows", lambda xs, ys: [object() for _ in ys])
     every = searches()
@@ -806,22 +787,14 @@ def test_skipping_repeated_shapes_changes_no_search(name, monkeypatch):
 
 def test_lipschitz_scan_monotone():
     D = KaufmanProfile(0.8)
-    rows = lipschitz_scan(D, [0.4, 0.8, 1.2], 0.1, budget=100, n_segments=4,
-                          slope_levels=[0.0, 0.5, 1.0, 1.5, 2.0])
+    rows = lipschitz_scan(D, [0.4, 0.8, 1.2], 0.1, budget=100)
     ests = [r["estimate"] for r in rows]
     assert all(b >= a - 1e-12 for a, b in zip(ests, ests[1:]))
     assert all("modulus" in r for r in rows[1:])
 
 
 def test_verify_planar_bound_smoke():
-    rep = verify_planar_bound(1.0, 0.3, tau=0.05, budget=60,
-                              s_grid=[0.1, 0.3], n_segments=4,
-                              slope_levels=[0.0, 0.5, 1.0, 1.5, 2.0])
+    rep = verify_planar_bound(1.0, 0.3, tau=0.05, budget=60)
     assert {"s", "margin", "certificate", "base_case"} <= set(rep["rows"][0])
     assert rep["rows"][0]["base_case"] is True
 
-
-@pytest.mark.parametrize("s_grid", [[], ["0.1"], [True], [0.1, None], 0.1])
-def test_verify_planar_bound_rejects_bad_s_grid(s_grid):
-    with pytest.raises(ValueError, match="s_grid"):
-        verify_planar_bound(1.0, 0.3, tau=0.05, budget=60, s_grid=s_grid)
