@@ -348,27 +348,59 @@ def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray) -> tuple[
     Coverage rises only at starts, so its maximum is at one.  At theta it is
     the mass of the starts <= theta, less the ends < theta, plus the arcs
     that wrap past pi and are still open at theta (ends >= theta + pi).
+    Equal masses need no permutation: start and end are sorted in place, and
+    the prefix sums of w[0] give the mass of the first k starts and of the
+    first k ends, the same sums in any order.  Other masses follow two stable
+    argsorts.  The starts are ranked among the ends before the running sums
+    are made, so the merge's arrays and the sums are never held at once.
     start and end are overwritten, to spare a sweep fresh arrays.
     """
-    if not len(w):
+    n = len(w)
+    if not n:
         return 0.0, 0.0
-    s_order = np.argsort(start, kind="stable")
-    s = start[s_order]
-    # mass of the starts <= s[k]; mode="clip" writes to out unbuffered
-    cover = np.cumsum(np.take(w, s_order, out=start, mode="clip"), out=start)
-    del s_order
-    e_order = np.argsort(end, kind="stable")
-    e = end[e_order]
-    ended = np.empty(len(w) + 1)  # ended[k]: mass of the first k ends
-    ended[0] = 0.0
-    np.cumsum(np.take(w, e_order, out=end, mode="clip"), out=ended[1:])
-    del e_order
-    cover -= np.take(ended, np.searchsorted(e, s), out=end, mode="clip")
-    wrapped = np.take(ended, np.searchsorted(e, np.add(s, math.pi, out=end)), out=end,
-                      mode="clip")
+    if w.min() == w.max():
+        s, e = start, end
+        s.sort()
+        e.sort()
+        rank = _ranks_below(s, e)
+        ended = np.zeros(n + 1)  # ended[k]: mass of the first k ends
+        np.cumsum(np.full(n, w[0]), out=ended[1:])
+        # mass of the starts <= s[k]
+        cover = np.take(ended, rank, mode="clip")
+        np.subtract(ended[1:], cover, out=cover)
+        del rank
+        shifted = np.add(s, math.pi)
+    else:
+        s_order = np.argsort(start, kind="stable")
+        s = start[s_order]
+        # mass of the starts <= s[k]; mode="clip" writes to out unbuffered
+        cover = np.cumsum(np.take(w, s_order, out=start, mode="clip"), out=start)
+        del s_order
+        e_order = np.argsort(end, kind="stable")
+        e = end[e_order]
+        np.take(w, e_order, out=end, mode="clip")
+        del e_order
+        rank = _ranks_below(s, e)
+        ended = np.zeros(n + 1)
+        np.cumsum(end, out=ended[1:])
+        cover -= np.take(ended, rank, out=end, mode="clip")
+        del rank
+        shifted = np.add(s, math.pi, out=end)
+    wrapped = np.take(ended, np.searchsorted(e, shifted), out=shifted, mode="clip")
     cover += np.subtract(ended[-1], wrapped, out=wrapped)
     k = int(np.argmax(cover))
     return float(cover[k]), float(s[k])
+
+
+def _ranks_below(s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """np.searchsorted(e, s) for sorted s and e: the number of e < s[k].
+
+    One stable argsort of s then e merges the two sorted runs, with each s[k]
+    before the e equal to it, so s[k]'s place in the merge less k counts the
+    e below it."""
+    rank = np.flatnonzero(np.argsort(np.concatenate((s, e)), kind="stable") < len(s))
+    rank -= np.arange(len(s))
+    return rank
 
 
 def _tube_mass_grid(pts: np.ndarray, sq: np.ndarray, w: np.ndarray, r: float,

@@ -702,12 +702,14 @@ def verify_planar_bound(
     u: float, zeta: float, eta: float = 0.01, tau: float = 0.01, budget: int = 1000
 ) -> dict:
     """Check that the planar profile value exceeds s at s = s_max k/6,
-    k = 1..6, with s_max = phi(u) - zeta.
+    k = 1..6, with s_max = phi(u) - zeta, which must lie in (0, 2).
 
     Parametric in the plateau height eta; the shipped default is
     non-canonical.  Reports per-s margins; PASS iff all are strictly positive.
     """
-    s_max = phi(u) - zeta
+    s_max = phi(u) - _finite("zeta", zeta)
+    if not 0.0 < s_max < 2.0:
+        raise ValueError(f"phi(u) - zeta must be in (0, 2), got {s_max} at zeta = {zeta}")
     rows = []
     for s in (s_max * k / 6.0 for k in range(1, 7)):
         D = PlanarProfile(s, eta=eta)

@@ -276,6 +276,31 @@ def tube_mass_max_bruteforce(nu, x, r):
     return best
 
 
+def heaviest_point_reference(start, end, w):
+    """The planar arc sweep by two stable argsorts and searchsorted ranks,
+    for any weights: geometry._heaviest_point must give its mass and theta
+    bit for bit.  Overwrites start and end."""
+    if not len(w):
+        return 0.0, 0.0
+    s_order = np.argsort(start, kind="stable")
+    s = start[s_order]
+    # mass of the starts <= s[k]; mode="clip" writes to out unbuffered
+    cover = np.cumsum(np.take(w, s_order, out=start, mode="clip"), out=start)
+    del s_order
+    e_order = np.argsort(end, kind="stable")
+    e = end[e_order]
+    ended = np.empty(len(w) + 1)  # ended[k]: mass of the first k ends
+    ended[0] = 0.0
+    np.cumsum(np.take(w, e_order, out=end, mode="clip"), out=ended[1:])
+    del e_order
+    cover -= np.take(ended, np.searchsorted(e, s), out=end, mode="clip")
+    wrapped = np.take(ended, np.searchsorted(e, np.add(s, math.pi, out=end)), out=end,
+                      mode="clip")
+    cover += np.subtract(ended[-1], wrapped, out=wrapped)
+    k = int(np.argmax(cover))
+    return float(cover[k]), float(s[k])
+
+
 def planar_direction_grid(step):
     """Deterministic grid of planar line directions with angular step <= `step`;
     a maximum over it is a lower bound for the exact planar sweeps."""

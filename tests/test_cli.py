@@ -151,6 +151,16 @@ def test_sigma_inf_ends_with_the_ladder_whatever_the_budget(capsys):
     assert 1704 == 1 + two_slope_class_count(2.0, 1.0)
 
 
+def test_verify_planar_negative_zeta_runs_and_fails(capsys):
+    """A negative zeta is an admissible slack while phi(u) - zeta < 2: the
+    six searches run, the upper ones miss, and the exit code is 1."""
+    rc = main(["sigma", "verify-planar", "--u", "1.0", "--zeta", "-0.5", "--tau", "0.05",
+               "--budget", "60"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1 and lines[-1] == "FAIL" and len(lines) == 7
+    assert lines[-2].startswith("s=1.118033988749895 ")
+
+
 def test_sigma_inf_reports_an_input_too_large_for_memory(monkeypatch, capsys):
     """A tau whose endpoint grid does not fit in memory is one error line
     and exit 2; the grid is never allocated."""
@@ -361,6 +371,7 @@ def _write(path, text):
     "profile_missing_s", "generator_missing_param", "rho_empty", "rho_truncated",
     "measure_nan", "pin_wrong_dim_distance", "pin_wrong_dim_radial", "circle_pair_radius",
     "lattice_dim", "sigma_inf_tau_zero", "sigma_inf_budget_negative", "verify_planar_tau_zero",
+    "verify_planar_zeta_high", "verify_planar_zeta_nan", "verify_planar_zeta_inf",
     "verify_highdim_tau_zero", "sigma_eval_grid_zero", "tubes_pins_zero",
     "tubes_radii_duplicate", "tubes_radius_nan", "tubes_radius_inf", "tubes_dim_mismatch",
     "scene_pins_zero", "scene_pins_not_object", "scene_list", "scene_generator_string",
@@ -448,6 +459,9 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
                                       "--tau", "0.1", "--budget", "-1"],
         "verify_planar_tau_zero": ["sigma", "verify-planar", "--u", "1.0", "--zeta", "0.05",
                                    "--tau", "0"],
+        "verify_planar_zeta_high": ["sigma", "verify-planar", "--u", "1.0", "--zeta", "0.7"],
+        "verify_planar_zeta_nan": ["sigma", "verify-planar", "--u", "1.0", "--zeta", "nan"],
+        "verify_planar_zeta_inf": ["sigma", "verify-planar", "--u", "1.0", "--zeta", "inf"],
         "verify_highdim_tau_zero": ["sigma", "verify-highdim", "--d", "3", "--t", "1.5",
                                     "--s", "1.2", "--tau", "0"],
         "sigma_eval_grid_zero": ["sigma", "eval", "--profile", "trivial", "--f", f,
@@ -628,6 +642,10 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "build_d_null": "'d' must be of type int",
         "build_delta_level_fraction": "'delta_level' must be of type int",
         "build_too_deep": "outside [2, 20]",
+        "verify_planar_zeta_high": "phi(u) - zeta must be in (0, 2), got -0.08196601125010505"
+                                   " at zeta = 0.7",
+        "verify_planar_zeta_nan": "zeta must be finite, got nan",
+        "verify_planar_zeta_inf": "zeta must be finite, got inf",
         "verify_highdim_slack_nan": "slack must be finite",
         "tubes_not_separated": "from the support",
         "build_product_set_r_string": "'r' must be a number",

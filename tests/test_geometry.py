@@ -29,6 +29,7 @@ from dimlab.geometry import (
     value_entropy,
 )
 from oracles import (
+    heaviest_point_reference,
     hyperplane_concentration_bruteforce,
     hyperplane_concentration_grid,
     leaf_dict,
@@ -229,6 +230,59 @@ def test_heaviest_point_closed_arcs_and_wrap():
     assert start + math.pi == 4.0
     assert _heaviest_point(np.array([3.0, start]), np.array([4.0, start + 0.5]),
                            np.array([2.0, 4.0])) == (6.0, start)
+
+
+def _same_bits(got, want):
+    return [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_heaviest_point_equals_reference_bitwise():
+    """The sweep gives the two-argsort reference's mass and theta bit for
+    bit, with equal and with unequal masses: on a single arc, on starts and
+    ends drawn from a few values (tied starts, tied ends, starts equal to
+    ends), and on arcs past pi whose wrapped ends meet a start."""
+    rng = np.random.default_rng(17)
+    pi = math.pi
+    cases = [(np.array([1.0]), np.array([2.5])), (np.array([3.0]), np.array([4.0]))]
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        start = rng.integers(0, 25, n) / 8.0  # in [0, 3], on the grid k/8
+        cases.append((start, start + rng.integers(0, 25, n) / 8.0))
+        # the arcs ending at 4.0 wrap to 4 - pi, where one more arc starts
+        cases.append((np.append(start, 4.0 - pi),
+                      np.append(np.where(start > 1.0, 4.0, start + 0.5), 4.5 - pi)))
+        start = rng.uniform(0.0, pi, n)
+        cases.append((start, start + rng.uniform(0.0, pi, n) * (1 - 1e-12)))
+    for start, end in cases:
+        assert np.all((start >= 0.0) & (start < pi) & (end >= start) & (end - start < pi))
+        n = len(start)
+        for w in (np.full(n, 1.0 / n), np.full(n, 0.1), rng.choice([0.25, 0.5, 1.0], n),
+                  rng.random(n) + 1e-3):
+            got = _heaviest_point(start.copy(), end.copy(), w)
+            assert _same_bits(got, heaviest_point_reference(start.copy(), end.copy(), w))
+
+
+def test_scene_sweeps_equal_reference_bitwise(monkeypatch):
+    """Every sweep of a depth-10 cantor scene (equal masses) and of a
+    depth-10 circle_pair scene (unequal masses) equals the reference."""
+    from dimlab import geometry
+    from dimlab.experiment import SceneConfig, run_experiment
+
+    sweep = geometry._heaviest_point
+    seen = []
+
+    def checked(start, end, w):
+        want = heaviest_point_reference(start.copy(), end.copy(), w)
+        got = sweep(start, end, w)
+        seen.append((w.min() == w.max(), _same_bits(got, want)))
+        return got
+
+    monkeypatch.setattr(geometry, "_heaviest_point", checked)
+    for kind, params in (("cantor_product", {"r": 0.25, "d": 2}), ("circle_pair", {})):
+        seen.clear()
+        run_experiment(SceneConfig("t", {"kind": kind, "params": params}, 10))
+        assert len(seen) == 32 and all(same for _, same in seen)
+        assert all(equal == (kind == "cantor_product") for equal, _ in seen)
 
 
 def test_mod_pi_equals_np_mod_bitwise():
