@@ -5,10 +5,10 @@ leaves at the finest level m that carry positive mass, rows in
 lexicographic order, and ``masses``, their float64 masses.  Masses of
 coarser cubes are summed by np.bincount in that leaf order, so
 cube/children consistency is bit-exact and runs are reproducible.  All
-instances are immutable (their arrays reject writes) and hold nothing
-derived from their arrays; every operation returns a new object.  Other
-modules read and build measures only through these arrays and the helpers
-here, never a per-leaf Python loop.
+instances are immutable (their arrays reject writes), with ``trivial``,
+``total_mass`` and ``equal_masses`` fixed at construction; every operation
+returns a new object.  Other modules read and build measures only through
+these arrays and the helpers here, never a per-leaf Python loop.
 
 Entropies are in bits throughout.
 """
@@ -34,6 +34,7 @@ __all__ = [
 _MASS_FLOOR = 1e-300
 
 _NORM_TOL = 1e-9
+_MAX_LOG2_C = 10.0  # frostman_fit keeps its envelope constant C below 2^_MAX_LOG2_C
 
 
 def _entropies(p: np.ndarray, cap: float | None = None) -> np.ndarray:
@@ -113,6 +114,20 @@ def _fsum(a: np.ndarray) -> float:
     """math.fsum(a.tolist()), correctly rounded, without a list of all of a."""
     return math.fsum(itertools.chain.from_iterable(
         a[i : i + 4096].tolist() for i in range(0, len(a), 4096)))
+
+
+def _mass_facts(masses: np.ndarray) -> tuple[float, bool]:
+    """The math.fsum total of finite non-negative masses (n * w for n masses of
+    w: one rounding of the same exact sum) and whether all are equal (true of none)."""
+    n = len(masses)
+    equal = not n or bool(masses.min() == masses.max())
+    try:
+        total = n * float(masses[0]) if n and equal else _fsum(masses)
+    except OverflowError:  # fsum's; n * w overflows to inf
+        total = math.inf
+    if total == math.inf:
+        raise ValueError(f"the total of the {n} masses overflows a float")
+    return total, equal
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -285,17 +300,13 @@ class DyadicMeasure:
         keep = masses > 0.0
         if not keep.all():
             coords, masses = coords[keep], masses[keep]
-        self.d = d
-        self.m = m
+        self.d, self.m = d, m
         self.coords = _frozen(coords.reshape(-1, d))
         self.masses = _frozen(masses)
         self.trivial = not len(self.masses)
+        self.total_mass, self.equal_masses = _mass_facts(self.masses)
 
     # -- basic structure ---------------------------------------------------
-
-    @property
-    def total_mass(self) -> float:
-        return _fsum(self.masses)
 
     @property
     def normalized(self) -> bool:
@@ -371,13 +382,13 @@ class DyadicMeasure:
 
     # -- regularity diagnostics --------------------------------------------
 
-    def frostman_fit(self, scale_range: tuple[int, int], max_log2_C: float = 10.0) -> FrostmanFit:
+    def frostman_fit(self, scale_range: tuple[int, int]) -> FrostmanFit:
         """Fit the largest exponent s with max_Q mu(Q) * 2^{j s} bounded.
 
         Two-pass log-log envelope fit over the dyadic levels in
         ``scale_range = (j_lo, j_hi)``: a least-squares slope through the
         per-level worst-case masses, capped so that the envelope constant C
-        stays below 2^max_log2_C.  Ball-vs-cube constants are absorbed into C.
+        stays below 2^_MAX_LOG2_C.  Ball-vs-cube constants are absorbed into C.
         One _walk holds one level's cells at a time.
         """
         j_lo, j_hi = scale_range
@@ -387,11 +398,10 @@ class DyadicMeasure:
             raise ValueError("need at least 3 dyadic scales")
         if not (0 <= j_lo <= j_hi <= self.m):
             raise ValueError("scale_range outside measure depth")
-        levels = list(range(j_lo, j_hi + 1))
         # map keeps no level alive while the walk makes the next
         worst = list(map(lambda cells: float(cells[2].max()), self._walk(j_lo, j_hi)))[::-1]
         logm = np.array([math.log2(w) for w in worst])
-        js = np.array(levels, dtype=float)
+        js = np.arange(j_lo, j_hi + 1, dtype=float)
 
         # pass 1: least-squares slope of -log2(max mass) against level
         s_ls = float(np.polyfit(js, -logm, 1)[0])
@@ -402,14 +412,11 @@ class DyadicMeasure:
 
         # pass 2: shrink s until the envelope constant is within budget
         s = s_ls
-        if log2_C(s) > max_log2_C:
+        if log2_C(s) > _MAX_LOG2_C:
             lo, hi = 0.0, s
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if log2_C(mid) <= max_log2_C:
-                    lo = mid
-                else:
-                    hi = mid
+                lo, hi = (mid, hi) if log2_C(mid) <= _MAX_LOG2_C else (lo, mid)
             s = lo
         C = 2.0 ** log2_C(s)
         residual = max(0.0, float(np.max(logm + js * s - math.log2(max(C, 1.0)))))

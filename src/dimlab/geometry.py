@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (DyadicMeasure, _cell_table, _centers, _check_shape, _entropies,
-                     _frozen, _fsum, _read_cells, _sum_by_key)
+                     _frozen, _mass_facts, _read_cells, _sum_by_key)
 
 _TOL = 1e-9
 
@@ -76,16 +76,13 @@ class DirectionMeasure:
             raise ValueError("direction measure has no mass")
         self.index = _frozen(index[live, 0])
         self.masses = _frozen(masses[live])
+        self.total_mass, self.equal_masses = _mass_facts(self.masses)
 
     @property
     def resolution(self) -> float:
         if self.d == 2:
             return 2.0 * math.pi / self.n_cells
         return math.sqrt(4.0 * math.pi / self.n_cells)
-
-    @property
-    def total_mass(self) -> float:
-        return _fsum(self.masses)
 
     def cell_centers(self) -> np.ndarray:
         """(n_cells, d) unit vectors at the cell centers."""
@@ -163,14 +160,13 @@ def value_box_counts(values, levels) -> list[int]:
     (0 for no values).  The values are binned once, at the finest level J:
     floor(v * 2^j) is floor(v * 2^J) >> (J - j), and the shift keeps the
     order of the sorted cell indices, so a count is 1 + the number of steps
-    in them."""
-    if not levels:
-        return []
-    top = max(levels)
+    in them.  Neighbours a < b step at level j exactly when a ^ b, as uint64,
+    is at least 2^min(J - j, 63), so one sort of the XORs counts every level."""
+    top = max(levels, default=0)
     idx = np.sort(value_bins(np.asarray(values, dtype=float), top), axis=None)
-    if not idx.size:
-        return [0 for _ in levels]
-    return [1 + int(np.count_nonzero(np.diff(idx >> (top - j)))) for j in levels]
+    steps = np.sort((idx[1:] ^ idx[:-1]).view(np.uint64))
+    shifts = np.minimum(top - np.array(levels, dtype=np.int64), 63).astype(np.uint64)
+    return (len(idx) - np.searchsorted(steps, np.uint64(1) << shifts)).tolist()
 
 
 def value_box_count(values, level: int) -> int:
@@ -299,12 +295,12 @@ def _pin_tubes(nu: DyadicMeasure, x, rs, min_dist: float) -> list[tuple[float, n
     if nu.d == 2:
         ang = np.arctan2(pts[:, 1], pts[:, 0])
         del pts  # the sweeps read only sq and ang
-        return [_tube_mass_sweep(sq, ang, nu.masses, r) for r in rs]
+        return [_tube_mass_sweep(sq, ang, nu.masses, r, nu.equal_masses) for r in rs]
     return [_tube_mass_grid(pts, sq, nu.masses, r, _hemisphere_blocks(r / 4.0)) for r in rs]
 
 
-def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray,
-                     r: float) -> tuple[float, np.ndarray]:
+def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray, r: float,
+                     equal: bool) -> tuple[float, np.ndarray]:
     """Exact planar maximum over line directions theta in [0, pi), given the
     leaves' squared distances sq and angles ang from the pin.
 
@@ -322,7 +318,7 @@ def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray,
     _mod_pi(np.subtract(start, alpha, out=start))
     end = np.multiply(alpha, 2.0, out=alpha)
     end += start
-    mass, theta = _heaviest_point(start, end, w[far])
+    mass, theta = _heaviest_point(start, end, w[far], equal)
     return float(w[~far].sum()) + mass, np.array([math.cos(theta), math.sin(theta)])
 
 
@@ -340,7 +336,8 @@ def _mod_pi(x: np.ndarray) -> np.ndarray:
     return np.add(x, math.pi, out=x, where=x < 0.0)
 
 
-def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray,
+                    equal: bool) -> tuple[float, float]:
     """(mass, theta) of a heaviest point theta in [0, pi) of the closed
     weighted arcs [start, end] on the circle of length pi, given
     0 <= start < pi and end - start < pi; (0.0, 0.0) without arcs.
@@ -348,17 +345,18 @@ def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray) -> tuple[
     Coverage rises only at starts, so its maximum is at one.  At theta it is
     the mass of the starts <= theta, less the ends < theta, plus the arcs
     that wrap past pi and are still open at theta (ends >= theta + pi).
-    Equal masses need no permutation: start and end are sorted in place, and
-    the prefix sums of w[0] give the mass of the first k starts and of the
-    first k ends, the same sums in any order.  Other masses follow two stable
-    argsorts.  The starts are ranked among the ends before the running sums
-    are made, so the merge's arrays and the sums are never held at once.
+    Masses the caller says are `equal` need no permutation: start and end
+    are sorted in place, and the prefix sums of w[0] give the mass of the
+    first k starts and of the first k ends, the same sums in any order.
+    Other masses follow two stable argsorts (the same bits on equal ones).
+    The starts are ranked among the ends before the running sums are
+    made, so the merge's arrays and the sums are never held at once.
     start and end are overwritten, to spare a sweep fresh arrays.
     """
     n = len(w)
     if not n:
         return 0.0, 0.0
-    if w.min() == w.max():
+    if equal:
         s, e = start, end
         s.sort()
         e.sort()
@@ -507,7 +505,7 @@ def hyperplane_concentration(rho: DirectionMeasure, a: float) -> float:
         alpha = math.asin(a + _TOL)
         phi = (rho.index + 0.5) * (2.0 * math.pi / rho.n_cells)
         start = np.mod(phi - alpha, math.pi)
-        return _heaviest_point(start, start + 2.0 * alpha, rho.masses)[0]
+        return _heaviest_point(start, start + 2.0 * alpha, rho.masses, rho.equal_masses)[0]
     return _heaviest_direction(
         rho.cell_centers()[rho.index], rho.masses, _hemisphere_blocks(a / 4.0),
         lambda inner: np.less_equal(np.abs(inner, out=inner), a + _TOL, out=inner))[0]

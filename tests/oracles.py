@@ -339,6 +339,21 @@ def value_box_count_reference(values, level):
     return int(len(np.unique(value_bins(values, level))))
 
 
+def value_box_counts_shift_reference(values, levels):
+    """geometry.value_box_counts as a per-level loop: bin once at the finest
+    level, then count the steps of the sorted cell indices shifted to each
+    level."""
+    from dimlab.geometry import value_bins
+
+    if not levels:
+        return []
+    top = max(levels)
+    idx = np.sort(value_bins(np.asarray(values, dtype=float), top), axis=None)
+    if not idx.size:
+        return [0 for _ in levels]
+    return [1 + int(np.count_nonzero(np.diff(idx >> (top - j)))) for j in levels]
+
+
 # -- per-base-point references for the entropy chain -------------------------
 # The chain's right-hand side as it was computed before it was binned per
 # ancestor: one magnified sub-measure per level-A ancestor, then a projection,

@@ -220,6 +220,39 @@ def test_sigma_eval_matches_recorded_output(name, profile, tau, grid, capsys):
     assert capsys.readouterr().out == (data / f"sigma_eval_{name}.txt").read_text()
 
 
+def test_measure_info_and_dims_match_recorded_totals(capsys):
+    """The printed total_mass of ten leaves of 0.1 (n * w) and of unequal
+    masses (fsum), and the dims tables of both, byte for byte."""
+    data = Path(__file__).parent / "data" / "totals"
+    out = []
+    for name in ("equal", "unequal"):
+        for cmd in ("measure info", "dims"):
+            assert main([*cmd.split(), str(data / f"{name}.txt")]) == 0
+            out.append(capsys.readouterr().out)
+    assert "".join(out) == (data / "stdout.txt").read_text()
+
+
+@pytest.mark.parametrize("cmd", ["measure info", "dims", "distance", "audit entropy-proj"])
+def test_total_mass_overflow_exits_2(cmd, tmp_path, capsys):
+    """A measure or sphere file whose total overflows a float ends with one
+    error line and exit 2, not an OverflowError traceback."""
+    mu = _write(tmp_path / "mu.txt", "1 1\n0 1e308\n1 1e308\n")
+    argv = {
+        "measure info": ["measure", "info", mu],
+        "dims": ["dims", mu],
+        "distance": ["distance", _write(tmp_path / "mu2.txt", "2 1\n0 0 1e308\n1 1 1.5e308\n"),
+                     "--pin", "-0.5", "0.5", "--depth", "4"],
+        "audit entropy-proj": ["audit", "entropy-proj", "--rho",
+                               _write(tmp_path / "rho.txt", "sphere 2 8\n0 1e308\n3 1e308\n"),
+                               "--mu", str(Path(__file__).parent / "data" / "measure" / "mu.txt"),
+                               "--m", "4", "--a", "0.2", "--b", "1.0"],
+    }[cmd]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: the total of the 2 masses overflows") and err.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["measure", "info", "/nonexistent"]) == 2
     assert main(["sigma", "phi", "--u", "2.0"]) == 2

@@ -185,10 +185,17 @@ def test_frostman_fit_selfsimilar():
 def test_frostman_fit_constant_cap():
     # one heavy atom forces the constant down via the exponent
     mu = DyadicMeasure(1, 10, {(0,): 0.5, **{(i,): 0.5 / 1023 for i in range(1, 1024)}})
-    fit = mu.frostman_fit((1, 9), max_log2_C=2.0)
+    fit = mu.frostman_fit((1, 9))
     assert fit.C <= 4.0 + 1e-9
-    # the heavy atom pins the exponent near zero once C is capped
+    # the heavy atom pins the exponent near zero
     assert fit.s < 0.5
+    # a point at scales 2^-20..2^-25 that spreads evenly below them: the
+    # least-squares slope 0.5 would need C = 2^12.5 at level 25, so the
+    # exponent drops to 0.4, where C reaches the cap 2^10
+    mu = DyadicMeasure(1, 30, {(i,): 1.0 / 32 for i in range(32)})
+    fit = mu.frostman_fit((20, 30))
+    assert fit.s == pytest.approx(0.4, abs=1e-12)
+    assert 2.0 ** 10 * (1 - 1e-9) <= fit.C <= 2.0 ** 10 and fit.residual == 0.0
 
 
 def test_finest_first_cells_equal_direct_grouping():
@@ -254,6 +261,56 @@ def test_total_mass_is_fsum_bit_for_bit():
         assert mu.total_mass.hex() == math.fsum(w.tolist()).hex()
         rho = DirectionMeasure(2, max(2, len(w)), np.arange(len(w)), w)
         assert rho.total_mass.hex() == math.fsum(w.tolist()).hex()
+
+
+def test_mass_facts_are_fsum_and_min_equals_max():
+    """Both measure types fix total_mass as math.fsum of the masses and
+    equal_masses as min == max at construction: on random, equal, single
+    and tiny masses, and on ten masses of 0.1, whose left-to-right sum
+    reads 0.9999999999999999 while fsum and 10 * 0.1 read 1.0."""
+    rng = np.random.default_rng(31)
+    cases = [np.full(10, 0.1), np.array([0.5]), np.array([5e-324]), np.full(3, 5e-324),
+             np.full(1 << 16, 1.0 / 3), np.full(7, 1e300), rng.random(50) + 1e-3,
+             rng.random(5) * 2.0 ** rng.integers(-60, 60, 5), np.array([0.1, 0.1, 0.2])]
+    cases += [np.full(int(rng.integers(1, 500)), rng.random() * 2.0 ** rng.integers(-40, 40))
+              for _ in range(200)]
+    assert sum(cases[0].tolist()) == 0.9999999999999999 != 1.0 == 10 * 0.1
+    for w in cases:
+        mu = DyadicMeasure._from_arrays(1, 20, np.arange(len(w)).reshape(-1, 1), w.copy())
+        rho = DirectionMeasure(2, max(2, len(w)), np.arange(len(w)), w)
+        for nu in (mu, rho):
+            assert nu.total_mass.hex() == math.fsum(w.tolist()).hex()
+            assert type(nu.total_mass) is float
+            assert nu.equal_masses is bool(w.min() == w.max())
+    mu = random_measure(rng, d=2, m=6, n_leaves=30)
+    assert mu.total_mass == math.fsum(mu.masses.tolist()) and not mu.equal_masses
+    zero = DyadicMeasure(2, 3, {})
+    assert zero.trivial and zero.total_mass == 0.0 and zero.equal_masses
+    assert DyadicMeasure(2, 3, {(1, 1): 0.0, (2, 2): 0.0}).total_mass == 0.0
+
+
+def test_total_mass_that_overflows_is_rejected():
+    """A total past the largest float is a ValueError, in both measure types,
+    whether the masses are equal (n * w overflows) or not (fsum overflows)."""
+    for w in ([1e308, 1e308], [1e308, 1.7e308, 5.0]):
+        with pytest.raises(ValueError, match="overflows"):
+            DyadicMeasure(1, 2, {(i,): v for i, v in enumerate(w)})
+        with pytest.raises(ValueError, match="overflows"):
+            DirectionMeasure(2, 4, np.arange(len(w)), w)
+    assert DyadicMeasure(1, 1, {(0,): 1e308, (1,): 7e307}).total_mass == 1.7e308
+
+
+def test_equal_masses_survive_normalizing_and_restricting():
+    mu = DyadicMeasure(2, 4, {(i, j): 0.7 for i in range(3) for j in range(5)})
+    assert mu.equal_masses and mu.total_mass == 15 * 0.7 and not mu.normalized
+    keep = np.arange(len(mu.masses)) % 4 != 1
+    for nu in (mu.normalize(), restrict_normalize(mu, keep)):
+        assert nu.equal_masses and nu.normalized
+        assert nu.total_mass == math.fsum(nu.masses.tolist())
+    rng = np.random.default_rng(5)
+    mu = random_measure(rng, d=2, m=6, n_leaves=40)
+    assert not mu.normalize().equal_masses
+    assert not restrict_normalize(mu, np.arange(len(mu.masses)) < 20).equal_masses
 
 
 # (d, [(cell, mass), ...]) tables on the depth-4 grid, valid and malformed
@@ -478,9 +535,10 @@ def test_decomposition_matches_dict_loops_at_benchmark_size():
 
 def test_measure_holds_only_its_arrays():
     """No query leaves anything on the measure: it keeps d, m, its two
-    arrays and the trivial flag, and nothing derived from them."""
+    arrays and the facts fixed at construction (trivial, total_mass and
+    equal_masses), and nothing else derived from them."""
     mu = gen_cantor_product(0.25, 2, 8).normalize()
-    attrs = {"d", "m", "coords", "masses", "trivial"}
+    attrs = {"d", "m", "coords", "masses", "trivial", "total_mass", "equal_masses"}
     assert set(vars(mu)) == attrs
     mu.cells(3), mu.cells(mu.m), mu.leaf_centers(), mu.frostman_fit((1, 7))
     mu.entropy(4), mu.robust_entropy(4, 2.0), mu.box_count(5), mu.robustness_check(4, 0.5, 0.5)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -15,7 +16,7 @@ from dimlab.experiment import (
     run_experiment,
     split_separated,
 )
-from dimlab.generators import gen_cantor_product, gen_product_set
+from dimlab.generators import gen_cantor_product, gen_circle_pair, gen_product_set
 from dimlab.sigma import phi
 
 
@@ -69,6 +70,17 @@ def test_split_separated_gap_contract():
     a, b = split_separated(leb)
     gap = b.leaf_centers()[:, 0].min() - a.leaf_centers()[:, 0].max()
     assert gap >= 2.0 ** -3
+
+
+def test_split_halves_keep_equal_masses():
+    """Both halves of an equal-mass measure are equal-mass measures, with the
+    fsum total; the halves of circle_pair are not."""
+    for mu in (gen_cantor_product(0.25, 2, 10).normalize(),
+               gen_product_set({"kind": "lebesgue"}, 7).normalize()):
+        for half in split_separated(mu):
+            assert half.equal_masses and half.normalized
+            assert half.total_mass == math.fsum(half.masses.tolist())
+    assert not any(half.equal_masses for half in split_separated(gen_circle_pair(10).normalize()))
 
 
 def test_run_experiment_peak_memory_per_leaf():

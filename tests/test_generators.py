@@ -89,3 +89,17 @@ def test_product_set():
     assert len(pt.masses) == 1
     with pytest.raises(ValueError):
         gen_product_set({"kind": "nope"}, 6)
+
+
+def test_generators_give_equal_masses_but_circle_pair():
+    """Cantor products, lattice sets, train tracks and product sets carry
+    equal leaf masses; the circle pair does not."""
+    for mu in (gen_cantor_product(0.25, 2, 8), gen_cantor_product(0.25, 1, 10),
+               gen_lattice_falconer(4, 2, 8), gen_train_track(4, 10),
+               gen_product_set({"kind": "cantor", "params": {"r": 0.25}}, 8),
+               gen_product_set({"kind": "lebesgue"}, 5), gen_product_set({"kind": "point"}, 5)):
+        assert mu.equal_masses and mu.masses.min() == mu.masses.max()
+        assert mu.total_mass == math.fsum(mu.masses.tolist())
+        assert mu.normalize().equal_masses
+    mu = gen_circle_pair(10)
+    assert not mu.equal_masses and mu.masses.min() < mu.masses.max()

@@ -37,6 +37,7 @@ from oracles import (
     random_measure,
     tube_mass_max_bruteforce,
     value_box_count_reference,
+    value_box_counts_shift_reference,
 )
 
 
@@ -68,6 +69,28 @@ def test_value_box_counts_match_unique_oracle():
     assert value_box_counts(np.zeros(0), levels) == [0] * len(levels)
     assert value_box_count_reference(np.zeros(0), 3) == 0
     assert value_box_counts(np.array([0.5]), []) == []
+
+
+def test_value_box_counts_equal_the_per_level_loop():
+    """One sort of the sorted cells' neighbour XORs gives the per-level
+    loop's counts: on negative and positive values, ties, values on dyadic
+    boundaries, unsorted and repeated levels, negative levels, and shifts
+    of 63 and more, where only the sign bit is left."""
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(0, 300))
+        vals = rng.uniform(-2.0, 2.0, n) * 2.0 ** rng.integers(-8, 4)
+        if n and rng.random() < 0.5:  # ties and dyadic points
+            vals = np.concatenate([vals, rng.choice(vals, n), rng.integers(-64, 64, n) / 32.0])
+        top = int(rng.integers(0, 56))
+        levels = [int(j) for j in rng.integers(-12, top + 1, int(rng.integers(0, 12)))]
+        levels += [top] * (rng.random() < 0.5)
+        assert value_box_counts(vals, levels) == value_box_counts_shift_reference(vals, levels)
+    # cells past 2^62 at level 62, where a shift of 63 leaves only the sign
+    vals = rng.uniform(-1.99, 1.99, 1000)
+    for levels in ([62, 0, -1, -3], [61, -5, -2, 0, 61], [40, 30], [62, 1]):
+        assert value_box_counts(vals, levels) == value_box_counts_shift_reference(vals, levels)
+    assert value_box_counts(vals, [62, -1, 1]) == [1000, 2, 8]
 
 
 def test_project_linear_mass_and_marginal():
@@ -221,15 +244,16 @@ def test_profile_tables_match_tube_mass_max():
 
 
 def test_heaviest_point_closed_arcs_and_wrap():
-    assert _heaviest_point(np.zeros(0), np.zeros(0), np.zeros(0)) == (0.0, 0.0)
+    for equal in (True, False):
+        assert _heaviest_point(np.zeros(0), np.zeros(0), np.zeros(0), equal) == (0.0, 0.0)
     # closed arcs: two arcs that touch at 1.0 both hold that point
     assert _heaviest_point(np.array([0.5, 1.0]), np.array([1.0, 1.5]),
-                           np.array([1.0, 2.0])) == (3.0, 1.0)
+                           np.array([1.0, 2.0]), False) == (3.0, 1.0)
     # an arc past pi wraps to [0, 4 - pi], touching the arc that starts there
     start = 4.0 - math.pi
     assert start + math.pi == 4.0
     assert _heaviest_point(np.array([3.0, start]), np.array([4.0, start + 0.5]),
-                           np.array([2.0, 4.0])) == (6.0, start)
+                           np.array([2.0, 4.0]), False) == (6.0, start)
 
 
 def _same_bits(got, want):
@@ -240,7 +264,8 @@ def test_heaviest_point_equals_reference_bitwise():
     """The sweep gives the two-argsort reference's mass and theta bit for
     bit, with equal and with unequal masses: on a single arc, on starts and
     ends drawn from a few values (tied starts, tied ends, starts equal to
-    ends), and on arcs past pi whose wrapped ends meet a start."""
+    ends), and on arcs past pi whose wrapped ends meet a start.  Equal
+    masses give the same bits on the unequal path too."""
     rng = np.random.default_rng(17)
     pi = math.pi
     cases = [(np.array([1.0]), np.array([2.5])), (np.array([3.0]), np.array([4.0]))]
@@ -258,23 +283,26 @@ def test_heaviest_point_equals_reference_bitwise():
         n = len(start)
         for w in (np.full(n, 1.0 / n), np.full(n, 0.1), rng.choice([0.25, 0.5, 1.0], n),
                   rng.random(n) + 1e-3):
-            got = _heaviest_point(start.copy(), end.copy(), w)
-            assert _same_bits(got, heaviest_point_reference(start.copy(), end.copy(), w))
+            want = heaviest_point_reference(start.copy(), end.copy(), w)
+            for equal in {bool(w.min() == w.max()), False}:
+                assert _same_bits(_heaviest_point(start.copy(), end.copy(), w, equal), want)
 
 
 def test_scene_sweeps_equal_reference_bitwise(monkeypatch):
-    """Every sweep of a depth-10 cantor scene (equal masses) and of a
-    depth-10 circle_pair scene (unequal masses) equals the reference."""
+    """Every sweep of a depth-10 cantor scene (equal masses, told so by the
+    measure) and of a depth-10 circle_pair scene (unequal masses) equals
+    the reference."""
     from dimlab import geometry
     from dimlab.experiment import SceneConfig, run_experiment
 
     sweep = geometry._heaviest_point
     seen = []
 
-    def checked(start, end, w):
+    def checked(start, end, w, equal):
         want = heaviest_point_reference(start.copy(), end.copy(), w)
-        got = sweep(start, end, w)
-        seen.append((w.min() == w.max(), _same_bits(got, want)))
+        assert not equal or w.min() == w.max()
+        got = sweep(start, end, w, equal)
+        seen.append((equal, _same_bits(got, want)))
         return got
 
     monkeypatch.setattr(geometry, "_heaviest_point", checked)
