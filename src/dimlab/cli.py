@@ -200,6 +200,7 @@ def cmd_audit(args) -> int:
         rho = geo.DirectionMeasure.from_text(fh.read())
     mu = _load_measure(args.mu).normalize()
     if args.action == "adapted":
+        _finite("max-fail", args.max_fail)
         frac = geo.adapted_audit(rho, mu, args.level, args.s, args.eps)
         print(f"failing_fraction={frac!r} threshold={args.max_fail!r}")
         return PASS if frac <= args.max_fail else FAIL

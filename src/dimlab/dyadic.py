@@ -227,6 +227,14 @@ def _read_cells(text: str, header: str, tag: str = "") -> tuple[list[int], np.nd
         raise
 
 
+def _cells_text(head: str, keys: np.ndarray, masses: np.ndarray) -> str:
+    """The table _read_cells reads: the line `head`, then per row of the
+    (n, k) integer `keys` its integers and the repr of its mass."""
+    lines = [head] + [f"{' '.join(map(str, key))} {mass!r}"
+                      for key, mass in zip(keys.tolist(), masses.tolist())]
+    return "\n".join(lines) + "\n"
+
+
 def _check_shape(d: int, m: int) -> None:
     if not (1 <= d <= 3):
         raise ValueError(f"ambient dimension must be 1..3, got {d}")
@@ -257,17 +265,7 @@ class FrostmanFit:
 
     s: float
     C: float
-    scale_range: tuple[float, float]  # (delta_lo, delta_hi)
     residual: float
-
-    def __post_init__(self):
-        lo, hi = self.scale_range
-        if lo > hi:
-            raise ValueError("scale_range must be (delta_lo, delta_hi) with lo <= hi")
-        if self.C < 1.0:
-            raise ValueError("envelope constant must be >= 1")
-        if self.residual < 0:
-            raise ValueError("residual must be >= 0")
 
 
 class DyadicMeasure:
@@ -420,9 +418,7 @@ class DyadicMeasure:
             s = lo
         C = 2.0 ** log2_C(s)
         residual = max(0.0, float(np.max(logm + js * s - math.log2(max(C, 1.0)))))
-        return FrostmanFit(
-            s=s, C=max(C, 1.0), scale_range=(2.0 ** (-j_hi), 2.0 ** (-j_lo)), residual=residual
-        )
+        return FrostmanFit(s=s, C=max(C, 1.0), residual=residual)
 
     def robustness_check(
         self, level: int, s: float, r: float
@@ -437,6 +433,7 @@ class DyadicMeasure:
         """
         if not (0.0 < r < 1.0):
             raise ValueError(f"r must be in (0,1), got {r}")
+        s = _finite("s", s)
         if self.trivial:
             return True, None
         if not self.normalized:
@@ -456,10 +453,7 @@ class DyadicMeasure:
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"{self.d} {self.m}"]
-        for key, mass in zip(self.coords.tolist(), self.masses.tolist()):
-            lines.append(f"{' '.join(map(str, key))} {mass!r}")
-        return "\n".join(lines) + "\n"
+        return _cells_text(f"{self.d} {self.m}", self.coords, self.masses)
 
     @classmethod
     def from_text(cls, text: str) -> "DyadicMeasure":

@@ -1,9 +1,10 @@
 """Scene configuration and the distance-set exponent pipeline.
 
-A scene builds a fractal measure, splits it into two separated halves by a
-mass-balanced axis cut, profiles thin tubes from a deterministic pin panel,
-and measures pinned-distance box-count exponents against the target
-phi(t) - zeta.  Everything is deterministic given the config.
+A scene builds a planar fractal measure, splits it into two separated halves
+by a mass-balanced axis cut, profiles thin tubes from a deterministic pin
+panel, and measures pinned-distance box-count exponents against the planar
+target phi(t) - zeta; a measure with d != 2 has no target and is a
+ConfigError.  Everything is deterministic given the config.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ class SceneConfig:
 class ExperimentResult:
     scenario: str
     frostman_s: float
-    t_used: float
     target: float
     target_provenance: str
     zeta: float
@@ -255,9 +255,12 @@ def _distance_curve(nu: DyadicMeasure, pin, levels) -> list[tuple[int, float]]:
 
 def run_experiment(cfg: SceneConfig) -> ExperimentResult:
     mu_full = build_scene_measure(cfg)
+    if mu_full.d != 2:
+        raise ConfigError(f"the scene's measure has d = {mu_full.d}, and no target is defined "
+                          "for it: the target phi(t) - zeta is the planar (d = 2) one")
     if mu_full.trivial or mu_full.box_count(cfg.depth) < 4:
         return ExperimentResult(
-            scenario=cfg.scenario, frostman_s=0.0, t_used=0.0,
+            scenario=cfg.scenario, frostman_s=0.0,
             target=phi(1.0) - cfg.zeta, target_provenance=_TARGET_NOTE,
             zeta=cfg.zeta, rows=[], best_exponent=0.0, passed=False,
             degenerate=True,
@@ -268,8 +271,7 @@ def run_experiment(cfg: SceneConfig) -> ExperimentResult:
         fit = mu_full.frostman_fit((max(lo, 1), hi - 1))
     except Exception as e:
         raise StageError("frostman", str(e)) from e
-    t_used = min(max(fit.s, 1e-6), 1.0)
-    target = phi(t_used) - cfg.zeta
+    target = phi(min(max(fit.s, 1e-6), 1.0)) - cfg.zeta
 
     mu_half, nu_half = split_separated(mu_full)
     del mu_full  # the tubes and curves read only the halves
@@ -307,7 +309,6 @@ def run_experiment(cfg: SceneConfig) -> ExperimentResult:
     return ExperimentResult(
         scenario=cfg.scenario,
         frostman_s=fit.s,
-        t_used=t_used,
         target=target,
         target_provenance=_TARGET_NOTE,
         zeta=cfg.zeta,

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (DyadicMeasure, _cell_table, _centers, _check_shape, _entropies,
-                     _frozen, _mass_facts, _read_cells, _sum_by_key)
+from .dyadic import (DyadicMeasure, _cell_table, _cells_text, _centers, _check_shape,
+                     _entropies, _finite, _frozen, _mass_facts, _read_cells, _sum_by_key)
 
 _TOL = 1e-9
 
@@ -39,16 +39,6 @@ class LineMeasure:
     def __post_init__(self):
         if not (self.hi - self.lo > 0):
             raise ValueError("range length must be positive")
-
-    @property
-    def depth(self) -> int:
-        return self.measure.m
-
-    def entropy(self, level: int | None = None) -> float:
-        return self.measure.entropy(self.depth if level is None else level)
-
-    def box_count(self, level: int | None = None) -> int:
-        return self.measure.box_count(self.depth if level is None else level)
 
     def to_text(self) -> str:
         return f"range {self.lo!r} {self.hi!r}\n" + self.measure.to_text()
@@ -92,10 +82,7 @@ class DirectionMeasure:
         return _sphere_lattice(self.n_cells)
 
     def to_text(self) -> str:
-        lines = [f"sphere {self.d} {self.n_cells}"]
-        for i, m in zip(self.index.tolist(), self.masses.tolist()):
-            lines.append(f"{i} {m!r}")
-        return "\n".join(lines) + "\n"
+        return _cells_text(f"sphere {self.d} {self.n_cells}", self.index[:, None], self.masses)
 
     @classmethod
     def from_text(cls, text: str) -> "DirectionMeasure":
@@ -106,20 +93,12 @@ class DirectionMeasure:
 @dataclass
 class ThinTubeProfile:
     """Worst-tube decay through one pin: mass(r-tube) <= K * r^t after
-    discarding a 1-c fraction (c = 1 here: no exceptional mass removed)."""
+    discarding a 1-c fraction, with c = 1: no exceptional mass is removed."""
 
     pin: tuple[float, ...]
     t: float
     K: float
-    c: float
-    scale_range: tuple[float, float]
     table: list[tuple[float, float]] = field(repr=False)  # (r, worst tube mass)
-
-    def __post_init__(self):
-        if self.t < -1e-6:
-            raise ValueError("fitted exponent must be >= 0")
-        if not (0 < self.c <= 1):
-            raise ValueError("retained fraction must be in (0, 1]")
 
 
 def _sphere_lattice(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -209,11 +188,13 @@ def _sq_norms(pts: np.ndarray) -> np.ndarray:
 
 def _pin_offsets(mu: DyadicMeasure, y, min_dist: float) -> tuple[np.ndarray, np.ndarray]:
     """Leaf-center offsets from the pin y and their squared norms; raises
-    unless y has mu.d coordinates and every leaf center is at least min_dist
+    unless y has mu.d finite coordinates and every leaf center is at least min_dist
     from y.  np.sqrt of the squared norms equals np.linalg.norm of the rows."""
     y = np.asarray(y, dtype=float)
     if y.shape != (mu.d,):
         raise ValueError(f"pin has {y.size} coordinates; the measure has d = {mu.d}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"pin {tuple(y.tolist())} is not finite")
     diff = _centers(mu.coords, mu.m)
     diff -= y
     sq = _sq_norms(diff)
@@ -318,18 +299,18 @@ def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray, r: float,
     _mod_pi(np.subtract(start, alpha, out=start))
     end = np.multiply(alpha, 2.0, out=alpha)
     end += start
-    mass, theta = _heaviest_point(start, end, w[far], equal)
+    mass, theta = _heaviest_point(start, end, w if equal else w[far], equal)
     return float(w[~far].sum()) + mass, np.array([math.cos(theta), math.sin(theta)])
 
 
 def _mod_pi(x: np.ndarray) -> np.ndarray:
-    """np.mod(x, pi) bit for bit, in place, for x in [-2pi, pi] but not -0.0.
+    """np.mod(x, pi) bit for bit, in place, for x in [-2pi, 2pi) but not -0.0.
 
-    np.mod adds pi to fmod(x, pi) if that is negative and maps 0 to +0.0, so
-    pi goes to +0.0 first.  Below -pi the first add of pi gives fmod, exact by
-    Sterbenz's lemma, and the second is np.mod's rounded add; on [-pi, 0)
-    the one add is that rounded add.  Masked adds cost a tenth of np.mod
-    when signs come in long runs, as in leaf order.
+    np.mod adds pi to fmod(x, pi) if that is negative and maps 0 to +0.0.
+    On [pi, 2pi) fmod is x - pi, and below -pi it is x + pi, both exact by
+    Sterbenz's lemma; a second add of pi is then np.mod's rounded add, the
+    one add on [-pi, 0).  Masked adds cost a tenth of np.mod when signs come
+    in long runs, as in leaf order.
     """
     np.subtract(x, math.pi, out=x, where=x >= math.pi)
     np.add(x, math.pi, out=x, where=x < 0.0)
@@ -345,15 +326,15 @@ def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray,
     Coverage rises only at starts, so its maximum is at one.  At theta it is
     the mass of the starts <= theta, less the ends < theta, plus the arcs
     that wrap past pi and are still open at theta (ends >= theta + pi).
-    Masses the caller says are `equal` need no permutation: start and end
-    are sorted in place, and the prefix sums of w[0] give the mass of the
-    first k starts and of the first k ends, the same sums in any order.
-    Other masses follow two stable argsorts (the same bits on equal ones).
+    Masses the caller says are `equal` need no permutation, and w may be
+    longer: start and end are sorted in place, and the prefix sums of w[0]
+    give the mass of the first k starts and of the first k ends, in any order.
+    Other masses, one per arc, follow two stable argsorts (the same bits on equal ones).
     The starts are ranked among the ends before the running sums are
     made, so the merge's arrays and the sums are never held at once.
     start and end are overwritten, to spare a sweep fresh arrays.
     """
-    n = len(w)
+    n = len(start)
     if not n:
         return 0.0, 0.0
     if equal:
@@ -479,8 +460,6 @@ def thin_tubes_profile(
                 pin=tuple(float(v) for v in pin),
                 t=max(0.0, float(t)),
                 K=float(2.0 ** logK),
-                c=1.0,
-                scale_range=(rs[0], rs[-1]),
                 table=table,
             )
         )
@@ -504,7 +483,7 @@ def hyperplane_concentration(rho: DirectionMeasure, a: float) -> float:
             return rho.total_mass
         alpha = math.asin(a + _TOL)
         phi = (rho.index + 0.5) * (2.0 * math.pi / rho.n_cells)
-        start = np.mod(phi - alpha, math.pi)
+        start = _mod_pi(phi - alpha)
         return _heaviest_point(start, start + 2.0 * alpha, rho.masses, rho.equal_masses)[0]
     return _heaviest_direction(
         rho.cell_centers()[rho.index], rho.masses, _hemisphere_blocks(a / 4.0),
@@ -546,6 +525,7 @@ def entropy_projection_bound(
 ) -> tuple[float, bool]:
     """Mass of directions with anomalously small projected entropy, checked
     against the budget b; requires the hyperplane-concentration hypothesis."""
+    b, fitted_constant = _finite("b", b), _finite("fitted_constant", fitted_constant)
     conc = hyperplane_concentration(rho, a)
     if conc > b + _TOL:
         raise ValueError(
@@ -553,5 +533,5 @@ def entropy_projection_bound(
         )
     h_mu = mu.entropy(m)
     threshold = h_mu / mu.d - math.log2(1.0 / a) - fitted_constant
-    bad_mass = _failing_direction_mass(rho, mu, m, lambda proj: proj.entropy(m) < threshold)
+    bad_mass = _failing_direction_mass(rho, mu, m, lambda p: p.measure.entropy(m) < threshold)
     return bad_mass, bad_mass <= b + _TOL

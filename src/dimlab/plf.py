@@ -49,15 +49,9 @@ class PLFunction:
 
     def class_violation(self, d: float, u: float) -> tuple[str, float] | None:
         """First violated L(d,u) condition and its witness x, or None."""
-        slopes = self.slopes()
-        bad = np.nonzero(np.abs(slopes) > d + _TOL)[0]
-        if len(bad):
-            return ("lipschitz", float(self.xs[bad[0]]))
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        bad = np.nonzero(ys < u * xs - _TOL)[0]
-        if len(bad):
-            return ("below-line", float(xs[bad[0]]))
+        for name, ok in zip(("lipschitz", "below-line"), _class_masks(self.xs, self.ys, d, u)):
+            if not ok.all():
+                return name, float(self.xs[int(np.argmin(ok))])
         return None
 
     # -- serialization ------------------------------------------------------
@@ -77,13 +71,18 @@ class PLFunction:
                 f"a PL function needs 'breakpoints' and 'values' lists: {e!r}") from None
 
 
+def _class_masks(xs, ys, d: float, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """The L(d,u) conditions |slope| <= d per segment and y >= u x per
+    breakpoint of PL functions with breakpoints xs and values ys[..., :]."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    return np.abs(np.diff(ys, axis=-1) / np.diff(xs)) <= d + _TOL, ys >= u * xs - _TOL
+
+
 def _in_class_rows(xs, ys, d: float, u: float) -> np.ndarray:
     """Membership in L(d,u) of each PL function with breakpoints xs and
     values ys[..., :] (a row per function)."""
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    lipschitz = np.all(np.abs(np.diff(ys, axis=-1) / np.diff(xs)) <= d + _TOL, axis=-1)
-    return lipschitz & np.all(ys >= u * xs - _TOL, axis=-1)
+    lipschitz, above = _class_masks(xs, ys, d, u)
+    return lipschitz.all(axis=-1) & above.all(axis=-1)
 
 
 def _shape_rows(xs, ys) -> list[bytes]:

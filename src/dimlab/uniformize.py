@@ -97,10 +97,10 @@ def _levels(up: np.ndarray, off: tuple[int, ...]) -> list[tuple[int, int, np.nda
     return [(lo, hi, up[lo:hi]) for lo, hi in zip(off[1:], off[2:])]
 
 
-def _cube_masses(L: np.ndarray, w: np.ndarray, n_cubes: int) -> np.ndarray:
-    """Every cube's mass over the leaves labelled by the columns of L, weighed
-    by w: one bincount, summed in leaf order as the measure's cells are."""
-    return np.bincount(L.ravel(), weights=np.concatenate([w] * len(L)), minlength=n_cubes)
+def _cube_masses(labels: np.ndarray, w: np.ndarray, n_cubes: int) -> np.ndarray:
+    """Every cube's mass over the leaves labelled by the rows of `labels`,
+    weighed by w: one bincount, summed in leaf order as the measure's cells are."""
+    return np.bincount(labels.ravel(), np.repeat(w, labels.shape[1]), n_cubes)
 
 
 def _check_pieces(pieces: list[UniformPiece], leaves: list[np.ndarray], L: np.ndarray,
@@ -117,7 +117,7 @@ def _check_pieces(pieces: list[UniformPiece], leaves: list[np.ndarray], L: np.nd
     """
     n_cubes = len(up)
     base = np.repeat(np.arange(len(pieces)) * n_cubes, [len(idx) for idx in leaves])
-    code = L[:, np.concatenate(leaves)] + base  # piece p's cube c is p n_cubes + c
+    code = L.T[np.concatenate(leaves)] + base[:, None]  # piece p's cube c is p n_cubes + c
     pairs, inv = np.unique(code.ravel(), return_inverse=True)
     mass = _cube_masses(inv.reshape(code.shape),
                         np.concatenate([p.measure.masses for p in pieces]), len(pairs))
@@ -155,8 +155,7 @@ def _prune_pass(w: np.ndarray, idx: np.ndarray, rows: np.ndarray, up: np.ndarray
     """
     n_k = len(asc)
     labels = rows[idx]
-    mass = np.bincount(labels.ravel(), weights=np.repeat(w[idx], labels.shape[1]),
-                       minlength=len(up))
+    mass = _cube_masses(labels, w[idx], len(up))
     keep = mass > 0.0
     ratio = np.divide(mass, mass[up], out=np.zeros(len(up)), where=keep)
     cls = n_k - asc.searchsorted(ratio)

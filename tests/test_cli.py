@@ -429,6 +429,9 @@ def _write(path, text):
     "scene_generator_unknown_key", "scene_params_unknown_key", "scene_pins_unknown_key",
     "build_params_unknown_key", "build_d_not_taken", "build_product_set_A_unknown_key",
     "build_product_set_A_params_unknown_key",
+    "distance_pin_inf", "distance_pin_nan", "radial_pin_inf", "radial_pin_nan",
+    "chain_pin_inf", "chain_pin_nan", "entropy_proj_constant_nan", "entropy_proj_b_nan",
+    "adapted_s_nan", "adapted_s_inf", "adapted_max_fail_nan", "scene_lattice_d3",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -446,6 +449,7 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     chain = ["chain", "run", "--measure", mu, "--pin", "-0.5", "0.5", "--intervals"]
     entropy_proj = ["audit", "entropy-proj", "--rho", rho, "--mu", mu, "--m", "6",
                     "--b", "0.5", "--a"]
+    adapted = ["audit", "adapted", "--rho", rho, "--mu", mu, "--level", "6", "--s"]
 
     rho_no_mass = _write(tmp_path / "rho_no_mass.txt", "sphere 2 16\n")
 
@@ -612,6 +616,21 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
                                               values=[False, True], d=True),
         "custom_breakpoints_string": custom_eval("string", breakpoints=["0", "2"],
                                                  values=[0.0, 1.0]),
+        "distance_pin_inf": ["distance", mu, "--pin", "inf", "0.5", "--depth", "6"],
+        "distance_pin_nan": ["distance", mu, "--pin", "nan", "0.5", "--depth", "6"],
+        "radial_pin_inf": ["radial", mu, "--pin", "inf", "0.5", "--cells", "16"],
+        "radial_pin_nan": ["radial", mu, "--pin", "nan", "0.5", "--cells", "16"],
+        "chain_pin_inf": ["chain", "run", "--measure", mu, "--pin", "inf", "0.5",
+                          "--intervals", "2:4,4:6"],
+        "chain_pin_nan": ["chain", "run", "--measure", mu, "--pin", "nan", "0.5",
+                          "--intervals", "2:4,4:6"],
+        "entropy_proj_constant_nan": entropy_proj + ["0.2", "--constant", "nan"],
+        "entropy_proj_b_nan": entropy_proj + ["0.2", "--b", "nan"],
+        "adapted_s_nan": adapted + ["nan", "--eps", "0.1"],
+        "adapted_s_inf": adapted + ["inf", "--eps", "0.1"],
+        "adapted_max_fail_nan": adapted + ["0.5", "--eps", "0.1", "--max-fail", "nan"],
+        "scene_lattice_d3": scene_run("d3", generator={"kind": "lattice_falconer",
+                                                       "params": {"q": 4, "d": 3}}, depth=8),
     }[case]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -690,6 +709,18 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "profile_duplicate_key": "gives 's' twice",
         "custom_bool_and_string": "d must be a number, got True",
         "custom_breakpoints_string": "lists of numbers",
+        "distance_pin_inf": "pin (inf, 0.5) is not finite",
+        "distance_pin_nan": "pin (nan, 0.5) is not finite",
+        "radial_pin_inf": "pin (inf, 0.5) is not finite",
+        "radial_pin_nan": "pin (nan, 0.5) is not finite",
+        "chain_pin_inf": "pin (inf, 0.5) is not finite",
+        "chain_pin_nan": "pin (nan, 0.5) is not finite",
+        "entropy_proj_constant_nan": "fitted_constant must be finite, got nan",
+        "entropy_proj_b_nan": "b must be finite, got nan",
+        "adapted_s_nan": "s must be finite, got nan",
+        "adapted_s_inf": "s must be finite, got inf",
+        "adapted_max_fail_nan": "max-fail must be finite, got nan",
+        "scene_lattice_d3": "d = 3, and no target is defined",
     }.get(case, "") in err
     assert out == ""
     assert len(err.splitlines()) == 1

@@ -291,7 +291,9 @@ def test_heaviest_point_equals_reference_bitwise():
 def test_scene_sweeps_equal_reference_bitwise(monkeypatch):
     """Every sweep of a depth-10 cantor scene (equal masses, told so by the
     measure) and of a depth-10 circle_pair scene (unequal masses) equals
-    the reference."""
+    the reference, and takes the path it is told to: the equal-mass path
+    leaves the starts sorted in place, the other overwrites them with
+    running masses."""
     from dimlab import geometry
     from dimlab.experiment import SceneConfig, run_experiment
 
@@ -299,32 +301,42 @@ def test_scene_sweeps_equal_reference_bitwise(monkeypatch):
     seen = []
 
     def checked(start, end, w, equal):
-        want = heaviest_point_reference(start.copy(), end.copy(), w)
+        want = heaviest_point_reference(start.copy(), end.copy(), w[: len(start)])
         assert not equal or w.min() == w.max()
+        starts = np.sort(start)
         got = sweep(start, end, w, equal)
-        seen.append((equal, _same_bits(got, want)))
+        seen.append((equal, _same_bits(got, want), np.array_equal(start, starts)))
         return got
 
     monkeypatch.setattr(geometry, "_heaviest_point", checked)
     for kind, params in (("cantor_product", {"r": 0.25, "d": 2}), ("circle_pair", {})):
         seen.clear()
         run_experiment(SceneConfig("t", {"kind": kind, "params": params}, 10))
-        assert len(seen) == 32 and all(same for _, same in seen)
-        assert all(equal == (kind == "cantor_product") for equal, _ in seen)
+        assert len(seen) == 32 and all(same for _, same, _ in seen)
+        assert all(equal == sorted_in_place == (kind == "cantor_product")
+                   for equal, _, sorted_in_place in seen)
 
 
 def test_mod_pi_equals_np_mod_bitwise():
     """The conditional-add reduction gives np.mod(x, pi)'s bits on its domain
-    [-2pi, pi]: at -pi and its neighbours, tiny negatives, the ends, and
-    random points of (-3pi/2, pi), the range of the sweeps' ang - alpha."""
+    [-2pi, 2pi): at -pi, pi and their neighbours, tiny negatives, the ends,
+    random points of (-3pi/2, pi), the range of the sweeps' ang - alpha, and
+    of [pi, 2pi), where hyperplane_concentration's phi - alpha reaches."""
     pi = math.pi
     edges = [-pi, np.nextafter(-pi, -np.inf), np.nextafter(-pi, np.inf), -5e-324, -1e-300,
              -1e-17, -2.0 ** -60, -0.5 * pi, -1.5 * pi, np.nextafter(-1.5 * pi, np.inf),
-             -2.0 * pi, np.nextafter(-2.0 * pi, np.inf), 0.0, 5e-324, np.nextafter(pi, 0.0), pi]
+             -2.0 * pi, np.nextafter(-2.0 * pi, np.inf), 0.0, 5e-324, np.nextafter(pi, 0.0), pi,
+             np.nextafter(pi, np.inf), 1.5 * pi, np.nextafter(2.0 * pi, 0.0)]
     rng = np.random.default_rng(11)
     x = np.concatenate([edges, rng.uniform(-1.5 * pi, pi, 100_000),
-                        -pi + rng.uniform(-1e-12, 1e-12, 1000)])
+                        -pi + rng.uniform(-1e-12, 1e-12, 1000),
+                        rng.uniform(pi, 2.0 * pi, 100_000),
+                        pi + rng.uniform(0.0, 1e-12, 1000)])
     assert _mod_pi(x.copy()).tobytes() == np.mod(x, pi).tobytes()
+    for n in (16, 64, 512, 4096):  # every arc start hyperplane_concentration makes
+        for a in (1e-6, 0.01, 0.2, 0.9):
+            x = (np.arange(n) + 0.5) * (2.0 * pi / n) - math.asin(a + 1e-9)
+            assert _mod_pi(x.copy()).tobytes() == np.mod(x, pi).tobytes()
 
 
 def test_tube_sweep_with_tied_arcs_matches_bruteforce():
@@ -371,7 +383,7 @@ def test_thin_tubes_profile_contract():
     profiles = thin_tubes_profile(mu_half, nu_half, radii, n_pins=4)
     assert profiles
     for p in profiles:
-        assert p.t >= 0.0 and p.K > 0.0 and p.c == 1.0
+        assert p.t >= 0.0 and p.K > 0.0
         rs = [r for r, _ in p.table]
         ms = [m for _, m in p.table]
         assert rs == sorted(rs)

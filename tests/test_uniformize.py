@@ -87,7 +87,7 @@ def test_cube_tree_matches_cells():
             equal = DyadicMeasure._from_arrays(d, m, mu.coords, np.ones(len(mu.masses)))
             for nu in (mu, exact_split_measure(rng, d, m), equal.normalize()):
                 L, up, off = uniformize._block_labels(nu, T, m // T)
-                mass = uniformize._cube_masses(L, nu.masses, len(up))
+                mass = uniformize._cube_masses(L.T, nu.masses, len(up))
                 assert up[0] == 0 and off[-1] == len(up) == len(mass)
                 for j in range(m // T + 1):
                     rows, sums = nu.cells(j * T)
