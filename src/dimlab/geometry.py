@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (DyadicMeasure, _cell_table, _cells_text, _centers, _check_shape,
-                     _entropies, _finite, _frozen, _mass_facts, _read_cells, _sum_by_key)
+                     _entropies, _finite, _frozen, _mass_facts, _positive, _read_cells,
+                     _sum_by_key)
 
 _TOL = 1e-9
 
@@ -196,7 +197,8 @@ def _pin_offsets(mu: DyadicMeasure, y, min_dist: float) -> tuple[np.ndarray, np.
     if not np.isfinite(y).all():
         raise ValueError(f"pin {tuple(y.tolist())} is not finite")
     diff = _centers(mu.coords, mu.m)
-    diff -= y
+    for i in range(mu.d):  # the subtractions of diff -= y, faster by column
+        diff[:, i] -= y[i]
     sq = _sq_norms(diff)
     dmin = math.sqrt(float(sq.min(initial=math.inf)))
     if dmin < min_dist:
@@ -270,20 +272,23 @@ def _check_tube_radius(nu: DyadicMeasure, r: float) -> None:
 def _pin_tubes(nu: DyadicMeasure, x, rs, min_dist: float) -> list[tuple[float, np.ndarray]]:
     """tube_mass_max's (mass, direction) at each radius in rs, with the leaf
     offsets from the pin x (checked by _pin_offsets against min_dist), their
-    squared norms and, in d = 2, their angles computed once for all radii.
+    squared norms, in d = 2 their angles and, for equal masses, their prefix
+    sums computed once for all radii.
     The radii must have passed _check_tube_radius."""
     pts, sq = _pin_offsets(nu, x, min_dist)
     if nu.d == 2:
         ang = np.arctan2(pts[:, 1], pts[:, 0])
         del pts  # the sweeps read only sq and ang
-        return [_tube_mass_sweep(sq, ang, nu.masses, r, nu.equal_masses) for r in rs]
+        ended = _mass_prefix(nu.masses) if nu.equal_masses else None
+        return [_tube_mass_sweep(sq, ang, nu.masses, r, ended) for r in rs]
     return [_tube_mass_grid(pts, sq, nu.masses, r, _hemisphere_blocks(r / 4.0)) for r in rs]
 
 
 def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray, r: float,
-                     equal: bool) -> tuple[float, np.ndarray]:
+                     ended: np.ndarray | None) -> tuple[float, np.ndarray]:
     """Exact planar maximum over line directions theta in [0, pi), given the
-    leaves' squared distances sq and angles ang from the pin.
+    leaves' squared distances sq and angles ang from the pin, and for equal
+    masses w their prefix sums `ended` (None otherwise).
 
     A leaf at offset p with |p|^2 > r^2 + _TOL lies in the slab of direction
     theta exactly when theta is within alpha = arcsin(sqrt(r^2 + _TOL)/|p|) of
@@ -299,8 +304,9 @@ def _tube_mass_sweep(sq: np.ndarray, ang: np.ndarray, w: np.ndarray, r: float,
     _mod_pi(np.subtract(start, alpha, out=start))
     end = np.multiply(alpha, 2.0, out=alpha)
     end += start
-    mass, theta = _heaviest_point(start, end, w if equal else w[far], equal)
-    return float(w[~far].sum()) + mass, np.array([math.cos(theta), math.sin(theta)])
+    mass, theta = _heaviest_point(start, end, w if ended is not None else w[far], ended)
+    near = float(w[~far].sum()) if len(start) < len(w) else 0.0
+    return near + mass, np.array([math.cos(theta), math.sin(theta)])
 
 
 def _mod_pi(x: np.ndarray) -> np.ndarray:
@@ -318,57 +324,141 @@ def _mod_pi(x: np.ndarray) -> np.ndarray:
 
 
 def _heaviest_point(start: np.ndarray, end: np.ndarray, w: np.ndarray,
-                    equal: bool) -> tuple[float, float]:
+                    ended: np.ndarray | None = None) -> tuple[float, float]:
     """(mass, theta) of a heaviest point theta in [0, pi) of the closed
     weighted arcs [start, end] on the circle of length pi, given
-    0 <= start < pi and end - start < pi; (0.0, 0.0) without arcs.
+    0 <= start < pi and start <= end <= fl(start + pi); (0.0, 0.0) without arcs.
 
-    Coverage rises only at starts, so its maximum is at one.  At theta it is
-    the mass of the starts <= theta, less the ends < theta, plus the arcs
-    that wrap past pi and are still open at theta (ends >= theta + pi).
-    Masses the caller says are `equal` need no permutation, and w may be
-    longer: start and end are sorted in place, and the prefix sums of w[0]
-    give the mass of the first k starts and of the first k ends, in any order.
-    Other masses, one per arc, follow two stable argsorts (the same bits on equal ones).
-    The starts are ranked among the ends before the running sums are
-    made, so the merge's arrays and the sums are never held at once.
-    start and end are overwritten, to spare a sweep fresh arrays.
+    Coverage rises only at starts, so its maximum is at one.  With starts
+    and ends in value order, the k-th start's cover is the mass of the
+    first k + 1 starts, less the ends below it, plus the arcs that wrap past
+    pi and are still open there (the ends >= fl(start + pi)); the first
+    maximum wins.  Equal masses come as `ended`, their prefix sums
+    (_mass_prefix; w is not read), and are swept by angular buckets
+    (_bucket_sweep), leaving start and end as they are.  Other masses, one
+    per arc in w, follow two stable argsorts, and start and end are
+    overwritten to spare a sweep fresh arrays.  The starts are ranked among
+    the ends before the running sums are made, so the merge's arrays and the
+    sums are never held at once.
     """
     n = len(start)
     if not n:
         return 0.0, 0.0
-    if equal:
-        s, e = start, end
-        s.sort()
-        e.sort()
-        rank = _ranks_below(s, e)
-        ended = np.zeros(n + 1)  # ended[k]: mass of the first k ends
-        np.cumsum(np.full(n, w[0]), out=ended[1:])
-        # mass of the starts <= s[k]
-        cover = np.take(ended, rank, mode="clip")
-        np.subtract(ended[1:], cover, out=cover)
-        del rank
-        shifted = np.add(s, math.pi)
-    else:
-        s_order = np.argsort(start, kind="stable")
-        s = start[s_order]
-        # mass of the starts <= s[k]; mode="clip" writes to out unbuffered
-        cover = np.cumsum(np.take(w, s_order, out=start, mode="clip"), out=start)
-        del s_order
-        e_order = np.argsort(end, kind="stable")
-        e = end[e_order]
-        np.take(w, e_order, out=end, mode="clip")
-        del e_order
-        rank = _ranks_below(s, e)
-        ended = np.zeros(n + 1)
-        np.cumsum(end, out=ended[1:])
-        cover -= np.take(ended, rank, out=end, mode="clip")
-        del rank
-        shifted = np.add(s, math.pi, out=end)
-    wrapped = np.take(ended, np.searchsorted(e, shifted), out=shifted, mode="clip")
+    if ended is not None:
+        return _bucket_sweep(start, end, ended)
+    s_order = np.argsort(start, kind="stable")
+    s = start[s_order]
+    # mass of the starts <= s[k]; mode="clip" writes to out unbuffered
+    cover = np.cumsum(np.take(w, s_order, out=start, mode="clip"), out=start)
+    del s_order
+    e_order = np.argsort(end, kind="stable")
+    e = end[e_order]
+    np.take(w, e_order, out=end, mode="clip")
+    del e_order
+    rank = _ranks_below(s, e)
+    ended = np.zeros(n + 1)
+    np.cumsum(end, out=ended[1:])
+    cover -= np.take(ended, rank, out=end, mode="clip")
+    del rank
+    wrapped = np.take(ended, np.searchsorted(e, np.add(s, math.pi, out=end)), out=end,
+                      mode="clip")
     cover += np.subtract(ended[-1], wrapped, out=wrapped)
     k = int(np.argmax(cover))
     return float(cover[k]), float(s[k])
+
+
+def _mass_prefix(w: np.ndarray) -> np.ndarray:
+    """ended[j]: the mass of j of the len(w) equal masses w, by one sequential
+    cumsum, so that ended[: j + 1] has the bits of the cumsum of j of them."""
+    ended = np.zeros(len(w) + 1)
+    ended[1:] = w[:1]
+    np.cumsum(ended[1:], out=ended[1:])
+    return ended
+
+
+def _counts_below(counts: np.ndarray) -> np.ndarray:
+    """p[b]: the sum of counts[:b], for b <= len(counts)."""
+    p = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=p[1:])
+    return p
+
+
+def _bucket_bounds(start: np.ndarray, end: np.ndarray, nb: int):
+    """Angular buckets of the arcs [start, end] of _heaviest_point: the
+    bucket ids bs and be (int32) of the starts and ends, ps[b] and pe[b]
+    the counts of starts and of ends in buckets < b, and for each start
+    bucket b <= nb an upper bound hi[b] on the arc count of its starts and
+    a lower bound lo[b] on the largest arc count.
+
+    A value x goes to bucket b(x) = int(fl(x * fl(nb / pi))): nb buckets
+    of [0, pi) (a start just below pi can round to bucket nb), and ends
+    reach buckets up to 2 nb.  b is monotone, so bucket order never
+    contradicts value order and ps, pe count exactly the values below a
+    bucket.  The k-th of the sorted starts, s, counts (k + 1) - rank +
+    (n - wrap) arcs, rank and wrap the counts of ends below s and below
+    fl(s + pi).  With u = 2^-53 the two roundings move b + nb by less than
+    3u (b + nb) < 1, so b(fl(x + pi)) is b(x) + nb - 1, b(x) + nb or
+    b(x) + nb + 1.  Hence:
+      - hi[b] = ps[b + 1] - pe[b] + (n - pe[b + nb - 1]), as k + 1 <= ps[b + 1],
+        rank >= pe[b] and every end >= fl(s + pi) is in a bucket >= b + nb - 1;
+      - lo[b] = ps[b] - pe[b + 1] + (n - pe[b + nb + 2]) is at most the
+        count of the arcs that start in a bucket < b and end in one > b,
+        plus those that end in a bucket >= b + nb + 2 and so, as
+        end <= fl(start + pi), start in one > b.  All of them hold the last
+        start below bucket b (the last start of all if there is none), whose
+        last copy's count is at least theirs: every arc counts 0 or more.
+    """
+    scale = nb / math.pi
+    ids = np.multiply(start, scale)
+    bs = ids.astype(np.int32)
+    be = np.multiply(end, scale, out=ids).astype(np.int32)
+    del ids
+    n = len(start)
+    ps = _counts_below(np.bincount(bs, minlength=nb + 1))
+    pe = _counts_below(np.bincount(be, minlength=2 * nb + 3))
+    hi = ps[1:] - pe[: nb + 1] + (n - pe[nb - 1 : 2 * nb])
+    lo = ps[:-1] - pe[1 : nb + 2] + (n - pe[nb + 2 : 2 * nb + 3])
+    return bs, be, ps, pe, hi, lo
+
+
+def _bucket_sweep(start: np.ndarray, end: np.ndarray, ended: np.ndarray) -> tuple[float, float]:
+    """_heaviest_point of n arcs of equal mass, whose prefix sums are ended,
+    from the few starts that can hold the maximum: those in buckets whose
+    hi reaches the largest lo (_bucket_bounds), nb a power of two near n/4.
+
+    The sorted starts' covers are ended[k + 1] - ended[rank] +
+    (ended[n] - ended[wrap]), and a start of the largest count is kept.
+    ended[j] is within u j^2 w0 of j w0 (u = 2^-53, w0 the mass), so for
+    n < 2^25 a cover is within w0 / 2 of its count times w0 and rises
+    strictly with the count: every float maximum is kept.  The kept starts
+    are sorted, and so are the ends of the buckets they query (b(s) and
+    b(fl(s + pi)), all of whose ends are kept).  k, rank and wrap are then
+    the counts in earlier buckets (ps, pe) plus the count in the queried
+    bucket, found among the kept values: the same integers, and so the same
+    bits, in the same order, as from full sorts.
+    """
+    n = len(start)
+    nb = 1 << max(0, (n >> 2).bit_length() - 1)
+    bs, be, ps, pe, hi, lo = _bucket_bounds(start, end, nb)
+    keep = hi >= (lo.max() if n < 1 << 25 else 0)
+    s = np.sort(np.compress(np.take(keep, bs), start))
+    del bs
+    shifted = s + math.pi
+    scale = nb / math.pi
+    sb, tb = (s * scale).astype(np.intp), (shifted * scale).astype(np.intp)
+    need = np.zeros(2 * nb + 3, dtype=bool)
+    need[: nb + 1] = keep
+    need[tb] = True
+    e = np.sort(np.compress(np.take(need, be), end))
+    del be
+    eb = (e * scale).astype(np.intp)
+    # a value's place among the kept ones, less the kept ones in buckets
+    # before its own, plus all values in those buckets
+    k = np.arange(len(s)) - np.searchsorted(sb, sb) + ps[sb]
+    cover = ended[k + 1] - ended[np.searchsorted(e, s) - np.searchsorted(eb, sb) + pe[sb]]
+    cover += ended[n] - ended[np.searchsorted(e, shifted) - np.searchsorted(eb, tb) + pe[tb]]
+    j = int(np.argmax(cover))
+    return float(cover[j]), float(s[j])
 
 
 def _ranks_below(s: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -484,7 +574,8 @@ def hyperplane_concentration(rho: DirectionMeasure, a: float) -> float:
         alpha = math.asin(a + _TOL)
         phi = (rho.index + 0.5) * (2.0 * math.pi / rho.n_cells)
         start = _mod_pi(phi - alpha)
-        return _heaviest_point(start, start + 2.0 * alpha, rho.masses, rho.equal_masses)[0]
+        ended = _mass_prefix(rho.masses) if rho.equal_masses else None
+        return _heaviest_point(start, start + 2.0 * alpha, rho.masses, ended)[0]
     return _heaviest_direction(
         rho.cell_centers()[rho.index], rho.masses, _hemisphere_blocks(a / 4.0),
         lambda inner: np.less_equal(np.abs(inner, out=inner), a + _TOL, out=inner))[0]
@@ -507,8 +598,9 @@ def adapted_audit(
     eps: float,
 ) -> float:
     """rho-mass fraction of directions whose linear projection of mu fails
-    the robustness check at exponent s - eps and threshold 2^{-eps * level}."""
-    r = 2.0 ** (-eps * delta_level)
+    the robustness check at exponent s - eps and threshold 2^{-eps * level},
+    for eps > 0."""
+    r = 2.0 ** (-_positive("eps", eps) * delta_level)
     return _failing_direction_mass(
         rho, mu, delta_level,
         lambda proj: not proj.measure.robustness_check(delta_level, s - eps, r)[0],

@@ -154,7 +154,7 @@ def _prune_pass(w: np.ndarray, idx: np.ndarray, rows: np.ndarray, up: np.ndarray
     and the classes.
     """
     n_k = len(asc)
-    labels = rows[idx]
+    labels = np.take(rows, idx, axis=0)
     mass = _cube_masses(labels, w[idx], len(up))
     keep = mass > 0.0
     ratio = np.divide(mass, mass[up], out=np.zeros(len(up)), where=keep)
@@ -193,7 +193,8 @@ def _extract(mu: DyadicMeasure, w: np.ndarray, alive: np.ndarray, rows: np.ndarr
         beta=tuple(k / T for k in classes),
         T=T,
         mass_retained=retained,
-        measure=DyadicMeasure._from_arrays(mu.d, mu.m, mu.coords[idx], kept / retained),
+        measure=DyadicMeasure._from_arrays(mu.d, mu.m, np.take(mu.coords, idx, axis=0),
+                                           kept / retained),
     )
     return piece, idx
 

@@ -432,6 +432,7 @@ def _write(path, text):
     "distance_pin_inf", "distance_pin_nan", "radial_pin_inf", "radial_pin_nan",
     "chain_pin_inf", "chain_pin_nan", "entropy_proj_constant_nan", "entropy_proj_b_nan",
     "adapted_s_nan", "adapted_s_inf", "adapted_max_fail_nan", "scene_lattice_d3",
+    "adapted_eps_nan", "adapted_eps_inf", "adapted_eps_zero", "adapted_eps_negative",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -629,6 +630,10 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "adapted_s_nan": adapted + ["nan", "--eps", "0.1"],
         "adapted_s_inf": adapted + ["inf", "--eps", "0.1"],
         "adapted_max_fail_nan": adapted + ["0.5", "--eps", "0.1", "--max-fail", "nan"],
+        "adapted_eps_nan": adapted + ["0.5", "--eps", "nan"],
+        "adapted_eps_inf": adapted + ["0.5", "--eps", "inf"],
+        "adapted_eps_zero": adapted + ["0.5", "--eps", "0"],
+        "adapted_eps_negative": adapted + ["0.5", "--eps", "-1"],
         "scene_lattice_d3": scene_run("d3", generator={"kind": "lattice_falconer",
                                                        "params": {"q": 4, "d": 3}}, depth=8),
     }[case]
@@ -720,6 +725,10 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "adapted_s_nan": "s must be finite, got nan",
         "adapted_s_inf": "s must be finite, got inf",
         "adapted_max_fail_nan": "max-fail must be finite, got nan",
+        "adapted_eps_nan": "eps must be finite, got nan",
+        "adapted_eps_inf": "eps must be finite, got inf",
+        "adapted_eps_zero": "eps must be positive, got 0.0",
+        "adapted_eps_negative": "eps must be positive, got -1.0",
         "scene_lattice_d3": "d = 3, and no target is defined",
     }.get(case, "") in err
     assert out == ""

@@ -12,7 +12,9 @@ from dimlab.geometry import (
     _hemisphere_blocks,
     _sphere_lattice,
     LineMeasure,
+    _bucket_bounds,
     _heaviest_point,
+    _mass_prefix,
     _mod_pi,
     _tube_mass_grid,
     adapted_audit,
@@ -244,28 +246,64 @@ def test_profile_tables_match_tube_mass_max():
 
 
 def test_heaviest_point_closed_arcs_and_wrap():
-    for equal in (True, False):
-        assert _heaviest_point(np.zeros(0), np.zeros(0), np.zeros(0), equal) == (0.0, 0.0)
+    for ended in (_mass_prefix(np.zeros(0)), None):
+        assert _heaviest_point(np.zeros(0), np.zeros(0), np.zeros(0), ended) == (0.0, 0.0)
     # closed arcs: two arcs that touch at 1.0 both hold that point
     assert _heaviest_point(np.array([0.5, 1.0]), np.array([1.0, 1.5]),
-                           np.array([1.0, 2.0]), False) == (3.0, 1.0)
+                           np.array([1.0, 2.0])) == (3.0, 1.0)
     # an arc past pi wraps to [0, 4 - pi], touching the arc that starts there
     start = 4.0 - math.pi
     assert start + math.pi == 4.0
     assert _heaviest_point(np.array([3.0, start]), np.array([4.0, start + 0.5]),
-                           np.array([2.0, 4.0]), False) == (6.0, start)
+                           np.array([2.0, 4.0])) == (6.0, start)
+    w = np.full(2, 0.5)
+    assert _heaviest_point(np.array([3.0, start]), np.array([4.0, start + 0.5]),
+                           w, _mass_prefix(w)) == (1.0, start)
 
 
 def _same_bits(got, want):
     return [x.hex() for x in got] == [x.hex() for x in want]
 
 
+def _bucket_edge_cases(rng):
+    """Arcs for the bucket sweep's edges, with B = _bucket_sweep's bucket
+    count for their number n: starts and ends at k pi / B and their
+    neighbours, arcs over many buckets, ends at another start plus pi
+    (wrapped ends that meet starts), arcs of width up to fl(pi), all-equal
+    arcs, n = 1, 2 and 3, and evenly spread arcs of one width, where every
+    bucket's bounds reach the maximum and none is pruned."""
+    pi = math.pi
+    cases = []
+    for n in (1, 2, 3, 5, 8, 17, 64, 300, 1000, 4099):
+        nb = 1 << max(0, (n >> 2).bit_length() - 1)
+        edges = rng.integers(0, 2 * nb, (2, n)) * (pi / nb)
+        edges = np.nextafter(edges, edges + rng.integers(-1, 2, (2, n)))
+        start = np.mod(np.abs(edges[0]), pi)
+        cases.append((start, np.clip(edges[1], start, start + pi)))
+        start = rng.uniform(0.0, pi, n)
+        cases.append((start, start + rng.uniform(0.5, 1.0, n) * pi))
+        cases.append((start, np.minimum(start, start[rng.permutation(n)]) + pi))
+        cases.append((start, start + np.full(n, pi)))
+        cases.append((np.full(n, start[0]), np.full(n, start[0] + 1.0)))
+        # all-equal arcs just short of width pi whose end bucket is B + 1
+        # past the start's, the roundings' slack
+        near = np.nextafter(np.arange(1, 2 * nb) * (pi / (2 * nb)), [[0.0], [4.0]]) % pi
+        ends = np.nextafter(near + pi, 0.0)
+        slack = (ends * (nb / pi)).astype(int) - (near * (nb / pi)).astype(int) - nb
+        for s0, e0 in zip(near[slack != 0][:4], ends[slack != 0][:4]):
+            cases.append((np.full(n, s0), np.full(n, e0)))
+        even = np.arange(n) * (pi / n)
+        cases.append((even, even + pi / 2))
+    return cases
+
+
 def test_heaviest_point_equals_reference_bitwise():
     """The sweep gives the two-argsort reference's mass and theta bit for
     bit, with equal and with unequal masses: on a single arc, on starts and
     ends drawn from a few values (tied starts, tied ends, starts equal to
-    ends), and on arcs past pi whose wrapped ends meet a start.  Equal
-    masses give the same bits on the unequal path too."""
+    ends), on arcs past pi whose wrapped ends meet a start, and on the
+    bucket sweep's edge cases.  Equal masses give the same bits on the
+    unequal path too."""
     rng = np.random.default_rng(17)
     pi = math.pi
     cases = [(np.array([1.0]), np.array([2.5])), (np.array([3.0]), np.array([4.0]))]
@@ -278,33 +316,59 @@ def test_heaviest_point_equals_reference_bitwise():
                       np.append(np.where(start > 1.0, 4.0, start + 0.5), 4.5 - pi)))
         start = rng.uniform(0.0, pi, n)
         cases.append((start, start + rng.uniform(0.0, pi, n) * (1 - 1e-12)))
+    cases += _bucket_edge_cases(rng)
     for start, end in cases:
-        assert np.all((start >= 0.0) & (start < pi) & (end >= start) & (end - start < pi))
+        assert np.all((start >= 0.0) & (start < pi) & (end >= start) & (end <= start + pi))
         n = len(start)
         for w in (np.full(n, 1.0 / n), np.full(n, 0.1), rng.choice([0.25, 0.5, 1.0], n),
                   rng.random(n) + 1e-3):
             want = heaviest_point_reference(start.copy(), end.copy(), w)
-            for equal in {bool(w.min() == w.max()), False}:
-                assert _same_bits(_heaviest_point(start.copy(), end.copy(), w, equal), want)
+            for ended in [None, _mass_prefix(w)] if w.min() == w.max() else [None]:
+                assert _same_bits(_heaviest_point(start.copy(), end.copy(), w, ended), want)
+
+
+def test_bucket_bounds_hold_the_maximum():
+    """Every start's arc count is at most its bucket's upper bound, and the
+    largest lower bound is at most the largest count, for many bucket
+    counts on the bucket sweep's edge cases and on random arcs."""
+    rng = np.random.default_rng(29)
+    cases = _bucket_edge_cases(rng)
+    for n in rng.integers(1, 2000, 40):
+        start = rng.uniform(0.0, math.pi, n)
+        cases.append((start, start + rng.uniform(0.0, rng.uniform(0.01, 1.0), n) * math.pi))
+    for start, end in cases:
+        n = len(start)
+        s, e = np.sort(start), np.sort(end)
+        count = np.arange(1, n + 1) - np.searchsorted(e, s) + (n - np.searchsorted(e, s + math.pi))
+        for nb in (1, 2, 8, 1 << max(0, (n >> 2).bit_length() - 1), 1024):
+            bs, be, ps, pe, hi, lo = _bucket_bounds(start, end, nb)
+            assert ps[-1] == pe[-1] == n and np.array_equal(np.sort(bs), bs[np.argsort(start)])
+            assert np.all(count <= hi[(s * (nb / math.pi)).astype(int)])
+            assert lo.max() <= count.max()
 
 
 def test_scene_sweeps_equal_reference_bitwise(monkeypatch):
     """Every sweep of a depth-10 cantor scene (equal masses, told so by the
     measure) and of a depth-10 circle_pair scene (unequal masses) equals
     the reference, and takes the path it is told to: the equal-mass path
-    leaves the starts sorted in place, the other overwrites them with
-    running masses."""
+    leaves the starts as they are, the other overwrites them with running
+    masses.  The equal path's per-pin prefix sums have the bits of a
+    cumsum of the sweep's own length."""
     from dimlab import geometry
     from dimlab.experiment import SceneConfig, run_experiment
 
     sweep = geometry._heaviest_point
     seen = []
 
-    def checked(start, end, w, equal):
-        want = heaviest_point_reference(start.copy(), end.copy(), w[: len(start)])
-        assert not equal or w.min() == w.max()
-        starts = np.sort(start)
-        got = sweep(start, end, w, equal)
+    def checked(start, end, w, ended):
+        n = len(start)
+        want = heaviest_point_reference(start.copy(), end.copy(), w[:n])
+        equal = ended is not None
+        if equal:
+            assert w.min() == w.max()
+            assert ended[: n + 1].tobytes() == np.append(0.0, np.cumsum(np.full(n, w[0]))).tobytes()
+        starts = start.copy()
+        got = sweep(start, end, w, ended)
         seen.append((equal, _same_bits(got, want), np.array_equal(start, starts)))
         return got
 
@@ -313,8 +377,8 @@ def test_scene_sweeps_equal_reference_bitwise(monkeypatch):
         seen.clear()
         run_experiment(SceneConfig("t", {"kind": kind, "params": params}, 10))
         assert len(seen) == 32 and all(same for _, same, _ in seen)
-        assert all(equal == sorted_in_place == (kind == "cantor_product")
-                   for equal, _, sorted_in_place in seen)
+        assert all(equal == unchanged == (kind == "cantor_product")
+                   for equal, _, unchanged in seen)
 
 
 def test_mod_pi_equals_np_mod_bitwise():
