@@ -15,13 +15,9 @@ from .sigma import (
     best_slope,
     c_d_table,
     is_superlinear,
-    lipschitz_scan,
-    merge,
-    merge_increasing,
     phi,
     sigma_for_f,
     sigma_tau,
-    superlinear_decomposition,
     verify_planar_bound,
 )
 from .uniformize import (

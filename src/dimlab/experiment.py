@@ -187,8 +187,8 @@ def _check_generator(generator, depth) -> dict:
 
 def _build_measure(generator, depth) -> DyadicMeasure:
     """The measure generator = {"kind", "params"} gives at `depth`: a
-    ConfigError for a bad generator, its parameters or depth, a [build]
-    StageError for any other failure."""
+    ConfigError for a bad generator, its parameters or depth, a MemoryError
+    as raised, a [build] StageError for any other failure."""
     params = _check_generator(generator, depth)
     kind = generator["kind"]
     try:
@@ -197,6 +197,8 @@ def _build_measure(generator, depth) -> DyadicMeasure:
         raise ConfigError(f"generator {kind!r} is missing parameter {e}") from e
     except ValueError as e:
         raise ConfigError(f"generator {kind!r}: {e}") from e
+    except MemoryError:
+        raise
     except Exception as e:
         raise StageError("build", str(e)) from e
 

@@ -25,11 +25,16 @@ __all__ = [
 _LEAF_BUDGET = 1 << 21
 
 
-def _dyadic_log(r: float) -> int:
-    """k with r = 2^{-k}, or raise."""
-    k = round(-math.log2(r))
-    if k < 1 or abs(r - 2.0 ** (-k)) > 1e-12:
+def _dyadic_log(r: float, depth: int) -> int:
+    """k with r = 2^{-k} to a relative 1e-12, or raise; k is bounded so that
+    `_cantor_1d(k, depth)`'s points, integers below 2^{k ceil(depth/k)}, fit
+    in int64."""
+    k = round(-math.log2(r)) if math.isfinite(r) and r > 0.0 else 0
+    if k < 1 or abs(math.ldexp(r, k) - 1.0) > 1e-12:
         raise ValueError(f"ratio {r} is not of the form 2^-k")
+    if k * max(1, math.ceil(depth / k)) > 63:
+        raise ValueError(f"ratio {r} = 2^-{k} is too fine for depth {depth}: its points "
+                         f"need more than 63 bits")
     return k
 
 
@@ -82,13 +87,18 @@ def gen_cantor_product(r: float, d: int, depth: int) -> DyadicMeasure:
     r = 2^{-k} aligns the construction with the dyadic grid; each factor has
     exact similarity dimension 1/k (r = 1/2 degenerates to Lebesgue).
     """
-    return _product([_cantor_1d(_dyadic_log(r), depth)] * d, depth)
+    return _product([_cantor_1d(_dyadic_log(r, depth), depth)] * d, depth)
 
 
 def _lattice_1d(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Base-q digits (q = 2^p) with every even-position digit forced to zero:
     a lattice-aligned set of dimension 1/2."""
     gens = max(1, math.ceil(depth / p))
+    # one free digit block of p bits every other generation
+    n = 1 << (p * math.ceil(gens / 2))
+    if n > _LEAF_BUDGET:
+        raise ValueError(f"the 1-d factor has {n:,} points before binning, more than the "
+                         f"leaf budget of {_LEAF_BUDGET:,}")
     pts = np.zeros(1, dtype=np.int64)
     step_bits = p * gens
     for g in range(1, gens + 1):
@@ -159,7 +169,7 @@ def gen_product_set(A_spec: dict, depth: int) -> DyadicMeasure:
     if not isinstance(params, dict):
         raise ValueError(f"params of the 1-d generator must be an object, not {params!r}")
     if kind == "cantor":
-        f = _cantor_1d(_dyadic_log(_finite("parameter 'r'", params.get("r", 0.25))), depth)
+        f = _cantor_1d(_dyadic_log(_finite("parameter 'r'", params.get("r", 0.25)), depth), depth)
     elif kind == "lebesgue":
         f = _cantor_1d(1, depth)
     elif kind == "point":

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (DyadicMeasure, _cell_table, _cells_text, _centers, _check_shape,
-                     _entropies, _finite, _frozen, _mass_facts, _positive, _read_cells,
-                     _sum_by_key)
+                     _entropies, _finite, _frozen, _mass_facts, _positive, _positive_int,
+                     _read_cells, _sum_by_key)
 
 _TOL = 1e-9
 
@@ -599,7 +599,8 @@ def adapted_audit(
 ) -> float:
     """rho-mass fraction of directions whose linear projection of mu fails
     the robustness check at exponent s - eps and threshold 2^{-eps * level},
-    for eps > 0."""
+    for eps > 0 and an integer level >= 1."""
+    delta_level = _positive_int("level", delta_level)
     r = 2.0 ** (-_positive("eps", eps) * delta_level)
     return _failing_direction_mass(
         rho, mu, delta_level,

@@ -40,9 +40,6 @@ class PLFunction:
         ys = np.asarray(self.ys)
         return np.diff(ys) / np.diff(xs)
 
-    def is_nondecreasing(self) -> bool:
-        return bool(np.all(self.slopes() >= -_TOL))
-
     def in_class(self, d: float, u: float) -> bool:
         """Membership in L(d,u): d-Lipschitz and above the line u*x."""
         return bool(_in_class_rows(self.xs, self.ys, d, u))

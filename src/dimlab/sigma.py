@@ -197,31 +197,30 @@ def is_superlinear(f: PLFunction, a: float, b: float, sigma: float, tol: float =
 
 
 def _chord_mins(G: np.ndarray, fG: np.ndarray, p: np.ndarray, q0: int, q1: int,
-                carry=None) -> np.ndarray:
-    """Best superlinear slopes of f (fG = f(G), or a row f(G) per function
-    on a leading axis) from the starts G[p], p increasing, to the ends G[q],
-    q0 <= q < q1, on the sorted grid G, end-major: S[..., q - q0, r] is the
-    least chord slope from G[p[r]] to the G[q'], p[r] < q' <= q, and of
-    carry[..., r] (inf when there are none).  That is best_slope(f, G[p[r]],
-    G[q]) when G contains f's breakpoints and carry holds the least slope to
-    the ends before q0."""
+                carry: np.ndarray) -> np.ndarray:
+    """Best superlinear slopes of the functions with values fG[k] = f_k(G)
+    from the starts G[p], p increasing, to the ends G[q], q0 <= q < q1, on
+    the sorted grid G, end-major: S[k, q - q0, r] is the least chord slope
+    of f_k from G[p[r]] to the G[q'], p[r] < q' <= q, and of carry[k, r]
+    (inf when there are none).  That is best_slope(f_k, G[p[r]], G[q]) when
+    G contains f_k's breakpoints and carry holds the least slope to the ends
+    before q0."""
     dx = G[q0:q1, None] - G[p]
-    S = np.subtract(fG[..., q0:q1, None], fG[..., None, p])
+    S = np.subtract(fG[:, q0:q1, None], fG[:, None, p])
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(S, dx, out=S)
     # q <= p[r] only happens for the starts from q0 on, at q <= p[-1]
     s = int(np.searchsorted(p, q0))
     if s < len(p):
         m = p[-1] + 1 - q0
-        np.copyto(S[..., :m, s:], np.inf, where=dx[:m, s:] <= 0)
-    if carry is not None:
-        np.minimum(S[..., 0, :], carry, out=S[..., 0, :])
+        np.copyto(S[:, :m, s:], np.inf, where=dx[:m, s:] <= 0)
+    np.minimum(S[:, 0], carry, out=S[:, 0])
     # a ufunc call per end costs less than accumulate's per-element loop
     # from a few hundred starts on
-    if S[..., 0, :].size < 256:
-        return np.minimum.accumulate(S, axis=-2, out=S)
-    for q in range(1, S.shape[-2]):
-        np.minimum(S[..., q - 1, :], S[..., q, :], out=S[..., q, :])
+    if S[:, 0].size < 256:
+        return np.minimum.accumulate(S, axis=1, out=S)
+    for q in range(1, S.shape[1]):
+        np.minimum(S[:, q - 1], S[:, q], out=S[:, q])
     return S
 
 
@@ -230,19 +229,21 @@ def _chord_mins(G: np.ndarray, fG: np.ndarray, p: np.ndarray, q0: int, q1: int,
 
 @dataclass
 class IntervalDecomposition:
-    """An ordered family of (a_j, b_j, sigma_j) with a superlinearity budget.
+    """An ordered family of (a_j, b_j, sigma_j): non-overlapping tau-allowable
+    intervals (tau <= b_j - a_j <= a_j), each with a slope sigma_j that
+    makes f sigma_j-superlinear on it.
 
-    `check` verifies the structural invariants; allowability (tau <= b-a <= a)
-    can be waived for merged chains, which the merging lemmas do not keep
-    allowable.
+    `check` verifies these invariants, sigma_j in [0, d] when d is given,
+    the superlinearity when f is given, and, with `value_against` (D,
+    total), that sum_j (b_j - a_j) D(sigma_j) recomputes to the stored
+    total.  `sigma_for_f` returns its certificate in this form.
     """
 
     entries: list[tuple[float, float, float]]
     tau: float
     value_against: tuple[Profile, float] | None = None
 
-    def check(self, f: PLFunction | None = None, d: float | None = None,
-              require_allowable: bool = True) -> None:
+    def check(self, f: PLFunction | None = None, d: float | None = None) -> None:
         prev_b = -math.inf
         for a, b, sigma in self.entries:
             if a >= b:
@@ -250,9 +251,8 @@ class IntervalDecomposition:
             if a < prev_b - _TOL:
                 raise ValueError("overlapping intervals")
             prev_b = b
-            if require_allowable:
-                if not (self.tau - _TOL <= b - a <= a + _TOL):
-                    raise ValueError(f"interval [{a}, {b}] is not {self.tau}-allowable")
+            if not (self.tau - _TOL <= b - a <= a + _TOL):
+                raise ValueError(f"interval [{a}, {b}] is not {self.tau}-allowable")
             if d is not None and not (-_TOL <= sigma <= d + _TOL):
                 raise ValueError(f"sigma {sigma} outside [0, {d}]")
             if f is not None and not is_superlinear(f, a, b, sigma):
@@ -264,122 +264,6 @@ class IntervalDecomposition:
                 acc += (b - a) * float(D(max(0.0, sigma)))
             if abs(acc - total) > 1e-8:
                 raise ValueError(f"stored value {total} != recomputed {acc}")
-
-
-def merge(
-    f: PLFunction,
-    left: tuple[float, float, float],
-    right: tuple[float, float, float],
-) -> tuple[float, float, float]:
-    """Merge adjacent superlinear entries; the combined slope is the
-    length-weighted mean, and superlinearity carries over when the left
-    slope dominates."""
-    a, b1, s1 = left
-    b2, c, s2 = right
-    if abs(b1 - b2) > _TOL:
-        raise ValueError("entries are not adjacent")
-    if s1 < s2 - _TOL:
-        raise ValueError("merge requires left slope >= right slope")
-    if not is_superlinear(f, a, b1, s1) or not is_superlinear(f, b2, c, s2):
-        raise ValueError("entries are not superlinear certificates for f")
-    sigma = _merged_slope(left, right)
-    if not is_superlinear(f, a, c, sigma, tol=1e-7):
-        raise ValueError(f"merged slope {sigma} is not superlinear on [{a}, {c}]")
-    return (a, c, sigma)
-
-
-def _merged_slope(left, right) -> float:
-    """Length-weighted mean slope of adjacent entries (a, b, sigma); it keeps
-    sum_j sigma_j (b_j - a_j) unchanged."""
-    (a, b1, s1), (b2, c, s2) = left, right
-    return (s1 * (b1 - a) + s2 * (c - b2)) / (c - a)
-
-
-def merge_increasing(f: PLFunction, entries) -> IntervalDecomposition:
-    """Merge a consecutive chain until the slopes are strictly increasing.
-
-    The weighted sum sum_j sigma_j (b_j - a_j) is preserved exactly by the
-    merge formula.
-    """
-    entries = list(entries)
-    for (a, b, _), (a2, _, _) in zip(entries, entries[1:]):
-        if abs(b - a2) > _TOL:
-            raise ValueError("chain must be consecutive")
-    stack: list[tuple[float, float, float]] = []
-    for entry in entries:
-        cur = entry
-        while stack and stack[-1][2] >= cur[2] - _TOL:
-            prev = stack.pop()
-            cur = (prev[0], cur[1], _merged_slope(prev, cur))
-        stack.append(cur)
-    dec = IntervalDecomposition(stack, tau=min(b - a for a, b, _ in stack))
-    dec.check(f=f, require_allowable=False)
-    return dec
-
-
-def superlinear_decomposition(
-    f: PLFunction, a: float, b: float, eps: float, rho: float
-) -> IntervalDecomposition:
-    """Cover [a, b] by consecutive intervals of length in [tau, rho] whose
-    superlinear slopes nearly exhaust the growth of f.
-
-    tau = eps * rho / 8 is reported in the result.  The chain is the exact
-    optimum (on a grid refined to step tau/2) of sum_j (a_{j+1}-a_j) sigma_j,
-    which dominates the constructive guarantee
-    f(b) - f(a) - eps (b - a) whenever one exists.
-    """
-    eps, rho = _positive("eps", eps), _positive("rho", rho)
-    if not f.is_nondecreasing():
-        raise ValueError("f must be nondecreasing")
-    if a < rho - _TOL or b - a < rho - _TOL:
-        raise ValueError("range too small: need a >= rho and b - a >= rho")
-    tau = eps * rho / 8.0
-    step = tau / 2.0
-    n = max(2, int(math.ceil((b - a) / step)))
-    grid = sorted(
-        set(np.linspace(a, b, n + 1).tolist())
-        | {x for x in f.xs if a < x < b}
-    )
-    G = np.array(grid)
-    K = len(G)
-    fG = np.asarray(f(G))
-    # column-major best slopes Bt[j, i] over [G[i], G[j]] for the lengths up
-    # to rho the chain may use, 48 starts at a time; zero elsewhere, where
-    # the DP masks them
-    hi = np.searchsorted(G, G + (rho + 4 * _TOL), side="right") - 1
-    Bt = np.zeros((K, K))
-    for p0 in range(0, K - 1, 48):
-        p1 = min(p0 + 48, K - 1)
-        q1 = hi[p1 - 1] + 1
-        Bt[p0 + 1:q1, p0:p1] = _chord_mins(G, fG, np.arange(p0, p1), p0 + 1, q1)
-
-    NEG = -math.inf
-    val = np.full(K, NEG)
-    back = np.full(K, -1, dtype=int)
-    val[0] = 0.0
-    for j in range(1, K):
-        lens = G[j] - G[:j]
-        ok = (lens >= tau - _TOL) & (lens <= rho + _TOL)
-        if not ok.any():
-            continue
-        cand = val[:j] + lens * Bt[j, :j]
-        cand[~ok] = NEG
-        i = int(np.argmax(cand))
-        if cand[i] > NEG:
-            val[j] = cand[i]
-            back[j] = i
-    if val[K - 1] == NEG:
-        raise ValueError("range too small to tile with the required lengths")
-    chain = []
-    j = K - 1
-    while j > 0:
-        i = back[j]
-        chain.append((float(G[i]), float(G[j]), float(Bt[j, i])))
-        j = i
-    chain.reverse()
-    dec = IntervalDecomposition(chain, tau=tau)
-    dec.check(f=f, require_allowable=False)
-    return dec
 
 
 # -- exact inner maximization ----------------------------------------------
@@ -673,29 +557,6 @@ def sigma_tau(D: Profile, t: float, tau: float, budget: int = 10000) -> SigmaTau
 
     return SigmaTauResult(best_val, best_f, n_eval, n_full, best_dec, n_coarse, n_quarter,
                           n_repeated)
-
-
-def lipschitz_scan(D: Profile, t_range, tau: float, budget: int = 10000) -> list[dict]:
-    """Scan sigma_tau over t, enforcing the class-nesting monotonicity.
-
-    Smaller t admits every candidate feasible at larger t, so estimates are
-    clamped to be nondecreasing in t; the empirical modulus is reported.
-    """
-    ts = list(t_range)
-    if ts != sorted(ts):
-        raise ValueError("t_range must be sorted")
-    rows = []
-    ceiling = math.inf
-    for t in reversed(ts):
-        res = sigma_tau(D, t, tau, budget=budget)
-        est = min(res.estimate, ceiling)
-        ceiling = est
-        rows.append({"t": t, "estimate": est, "certificate": res.certificate})
-    rows.reverse()
-    for prev, cur in zip(rows, rows[1:]):
-        dt = cur["t"] - prev["t"]
-        cur["modulus"] = (cur["estimate"] - prev["estimate"]) / dt if dt > 0 else 0.0
-    return rows
 
 
 def verify_planar_bound(

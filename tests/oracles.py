@@ -212,45 +212,6 @@ def grid_dp_dense_reference(D, f, tau, xs):
     return float(best[n]), take, Bg
 
 
-def superlinear_chain_dense_reference(f, a, b, eps, rho):
-    """The (a_j, b_j, sigma_j) chain of superlinear_decomposition, from the
-    dense best-slope matrix and its per-column DP."""
-    tau = eps * rho / 8.0
-    step = tau / 2.0
-    n = max(2, int(math.ceil((b - a) / step)))
-    grid = sorted(
-        set(np.linspace(a, b, n + 1).tolist())
-        | {x for x in f.xs if a < x < b}
-    )
-    G = np.array(grid)
-    K = len(G)
-    B = _best_slope_matrix(f, G)
-
-    NEG = -math.inf
-    val = np.full(K, NEG)
-    back = np.full(K, -1, dtype=int)
-    val[0] = 0.0
-    for j in range(1, K):
-        lens = G[j] - G[:j]
-        ok = (lens >= tau - _TOL) & (lens <= rho + _TOL)
-        if not ok.any():
-            continue
-        cand = val[:j] + lens * B[:j, j]
-        cand[~ok] = NEG
-        i = int(np.argmax(cand))
-        if cand[i] > NEG:
-            val[j] = cand[i]
-            back[j] = i
-    chain = []
-    j = K - 1
-    while j > 0:
-        i = back[j]
-        chain.append((float(G[i]), float(G[j]), float(B[i, j])))
-        j = i
-    chain.reverse()
-    return chain
-
-
 # Slack on the squared perpendicular distance for the leaf that defines an
 # arc endpoint: it sits on its slab's boundary, and rounding the endpoint
 # angle moves its distance by about 1e-16.

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -313,6 +314,20 @@ def test_measure_build_keeps_to_the_leaf_budget(kind, params, depth, tmp_path, m
     assert len(DyadicMeasure.from_text(out.read_text()).masses) == leaves
 
 
+def test_build_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    """A generator that runs out of memory exits 2 (an input too large),
+    not 1 as a failed [build] stage."""
+    from dimlab import experiment
+
+    def exhausted(params, depth):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setitem(experiment._BUILDERS, "lattice_falconer", exhausted)
+    assert main(["measure", "build", "--kind", "lattice_falconer", "--depth", "8",
+                 "--out", str(tmp_path / "mu.txt")]) == 2
+    assert capsys.readouterr() == ("", "error: Unable to allocate 8.00 TiB\n")
+
+
 def test_chain_run(tmp_path, capsys):
     src = str(tmp_path / "mu.txt")
     main(["measure", "build", "--kind", "cantor_product",
@@ -433,6 +448,8 @@ def _write(path, text):
     "chain_pin_inf", "chain_pin_nan", "entropy_proj_constant_nan", "entropy_proj_b_nan",
     "adapted_s_nan", "adapted_s_inf", "adapted_max_fail_nan", "scene_lattice_d3",
     "adapted_eps_nan", "adapted_eps_inf", "adapted_eps_zero", "adapted_eps_negative",
+    "adapted_level_zero", "adapted_level_negative", "build_r_tiny", "build_r_inf",
+    "build_product_set_r_tiny", "scene_r_inf", "build_lattice_q_2_22", "build_lattice_q_2_40",
 ])
 def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     mu = str(tmp_path / "mu.txt")
@@ -634,6 +651,19 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "adapted_eps_inf": adapted + ["0.5", "--eps", "inf"],
         "adapted_eps_zero": adapted + ["0.5", "--eps", "0"],
         "adapted_eps_negative": adapted + ["0.5", "--eps", "-1"],
+        "adapted_level_zero": ["audit", "adapted", "--rho", rho, "--mu", mu,
+                               "--level", "0", "--s", "0.5", "--eps", "0.1"],
+        "adapted_level_negative": ["audit", "adapted", "--rho", rho, "--mu", mu,
+                                   "--level", "-3", "--s", "0.5", "--eps", "0.1"],
+        "build_r_tiny": build("cantor_product", {"r": 1e-13}),
+        "build_r_inf": build("cantor_product", {"r": math.inf}),
+        "build_product_set_r_tiny": build(
+            "product_set", {"A": {"kind": "cantor", "params": {"r": 1e-300}}}),
+        "scene_r_inf": scene_run("r_inf", generator={"kind": "cantor_product",
+                                                     "params": {"r": math.inf}}),
+        # rejected before the 1-d factor's points exist (8 TiB of them at q = 2^40)
+        "build_lattice_q_2_22": build("lattice_falconer", {"q": 1 << 22}),
+        "build_lattice_q_2_40": build("lattice_falconer", {"q": 1 << 40}),
         "scene_lattice_d3": scene_run("d3", generator={"kind": "lattice_falconer",
                                                        "params": {"q": 4, "d": 3}}, depth=8),
     }[case]
@@ -729,6 +759,14 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "adapted_eps_inf": "eps must be finite, got inf",
         "adapted_eps_zero": "eps must be positive, got 0.0",
         "adapted_eps_negative": "eps must be positive, got -1.0",
+        "adapted_level_zero": "level must be at least 1, got 0",
+        "adapted_level_negative": "level must be at least 1, got -3",
+        "build_r_tiny": "ratio 1e-13 is not of the form 2^-k",
+        "build_r_inf": "ratio inf is not of the form 2^-k",
+        "build_product_set_r_tiny": "ratio 1e-300 is not of the form 2^-k",
+        "scene_r_inf": "ratio inf is not of the form 2^-k",
+        "build_lattice_q_2_22": "the 1-d factor has 4,194,304 points before binning",
+        "build_lattice_q_2_40": "the 1-d factor has 1,099,511,627,776 points before binning",
         "scene_lattice_d3": "d = 3, and no target is defined",
     }.get(case, "") in err
     assert out == ""

@@ -38,6 +38,13 @@ def test_cantor_rejects_non_dyadic_ratio():
         gen_cantor_product(0.3, 2, 8)
     with pytest.raises(ValueError):
         gen_cantor_product(0.25, 4, 8)
+    # within 1e-12 of 2^-43 in absolute terms, but 12% off it
+    with pytest.raises(ValueError, match="ratio 1e-13 is not of the form 2"):
+        gen_cantor_product(1e-13, 2, 8)
+    # the points of ratio 2^-64 need 64 bits; those of 2^-63 fit in int64
+    assert len(gen_cantor_product(2.0 ** -63, 2, 8).masses) == 4
+    with pytest.raises(ValueError, match="too fine for depth 8"):
+        gen_cantor_product(2.0 ** -64, 2, 8)
 
 
 def test_lattice_falconer_aligned_exponent():
