@@ -1,10 +1,10 @@
 """Scene configuration and the distance-set exponent pipeline.
 
 A scene builds a planar fractal measure, splits it into two separated halves
-by a mass-balanced axis cut, profiles thin tubes from a deterministic pin
-panel, and measures pinned-distance box-count exponents against the planar
-target phi(t) - zeta; a measure with d != 2 has no target and is a
-ConfigError.  Everything is deterministic given the config.
+by a mass-balanced axis cut, takes a mass-quantile panel of pins from the
+left half, and measures pinned-distance box-count exponents of the right
+half against the planar target phi(t) - zeta; a measure with d != 2 has no
+target and is a ConfigError.  Everything is deterministic given the config.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .generators import (
     gen_product_set,
     gen_train_track,
 )
-from .geometry import _pin_offsets, thin_tubes_profile, value_box_counts
+from .geometry import _pin_offsets, _quantile_leaves, value_box_counts
 from .sigma import phi
 
 MIN_GAP = 2.0 ** (-3)
@@ -276,32 +276,21 @@ def run_experiment(cfg: SceneConfig) -> ExperimentResult:
     target = phi(min(max(fit.s, 1e-6), 1.0)) - cfg.zeta
 
     mu_half, nu_half = split_separated(mu_full)
-    del mu_full  # the tubes and curves read only the halves
+    del mu_full  # the pins and curves read only the halves
 
-    # tube radii scale with the split gap: 4 * max radius must stay below it
-    gap = _split_gap(mu_half, nu_half)
-    j_min = max(3, math.ceil(math.log2(4.0 / gap)))
-    radii = [2.0 ** (-j) for j in range(j_min, j_min + 4) if j < cfg.depth]
-    try:
-        profiles = thin_tubes_profile(mu_half, nu_half, radii,
-                                      n_pins=max(8, cfg.pins.get("count", 8)))
-    except Exception as e:
-        raise StageError("tubes", str(e)) from e
-    profiles.sort(key=lambda pr: (-pr.t, pr.pin))
-    selected = profiles[: cfg.pins.get("count", 8)]
-
+    count = cfg.pins.get("count", 8)
+    pins = _centers(mu_half.coords[_quantile_leaves(mu_half.masses, count)], mu_half.m)
     levels = list(range(lo, hi + 1))
     rows = []
     curves = {}
-    for idx, prof in enumerate(selected):
-        curve = _distance_curve(nu_half, prof.pin, levels)
+    for idx, pin in enumerate(pins.tolist()):
+        curve = _distance_curve(nu_half, pin, levels)
         # fit without the two coarsest and two finest levels: discretization boundaries
         xs, ys = np.array(curve[2:-2], dtype=float).T
         slope = float(np.polyfit(xs, ys, 1)[0])
         rows.append(
             {
-                "pin": prof.pin,
-                "tube_t": prof.t,
+                "pin": tuple(pin),
                 "exponent": slope,
                 "passed": slope >= target,
             }
@@ -329,16 +318,16 @@ def emit_report(results, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     csv_path = os.path.join(out_dir, "report.csv")
-    lines = ["scenario,pin_index,tube_t,exponent,target,zeta,passed,degenerate"]
+    lines = ["scenario,pin_index,exponent,target,zeta,passed,degenerate"]
     for res in results:
         if not res.rows:
             lines.append(
-                f"{res.scenario},,,,{res.target!r},{res.zeta!r},"
+                f"{res.scenario},,,{res.target!r},{res.zeta!r},"
                 f"{int(res.passed)},{int(res.degenerate)}"
             )
         for i, row in enumerate(res.rows):
             lines.append(
-                f"{res.scenario},{i},{row['tube_t']!r},{row['exponent']!r},"
+                f"{res.scenario},{i},{row['exponent']!r},"
                 f"{res.target!r},{res.zeta!r},{int(row['passed'])},{int(res.degenerate)}"
             )
         for name, curve in sorted(res.curves.items()):

@@ -191,9 +191,9 @@ def best_slope(f: PLFunction, a: float, b: float) -> float:
     return min((float(f(x)) - fa) / (x - a) for x in _eval_points(f, a, b))
 
 
-def is_superlinear(f: PLFunction, a: float, b: float, sigma: float, tol: float = _TOL) -> bool:
-    """True iff f(x) >= f(a) + sigma (x - a) on [a, b]."""
-    return best_slope(f, a, b) >= sigma - tol
+def is_superlinear(f: PLFunction, a: float, b: float, sigma: float) -> bool:
+    """True iff f(x) >= f(a) + sigma (x - a) on [a, b], up to _TOL."""
+    return best_slope(f, a, b) >= sigma - _TOL
 
 
 def _chord_mins(G: np.ndarray, fG: np.ndarray, p: np.ndarray, q0: int, q1: int,

@@ -16,7 +16,9 @@ from dimlab.experiment import (
     run_experiment,
     split_separated,
 )
+from dimlab.dyadic import _centers
 from dimlab.generators import gen_cantor_product, gen_circle_pair, gen_product_set
+from dimlab.geometry import _quantile_leaves
 from dimlab.sigma import phi
 
 
@@ -137,6 +139,22 @@ def test_run_experiment_circle_calibration():
     assert res.best_exponent - res.target >= 0.05
 
 
+def test_run_experiment_pins_are_the_quantile_panel():
+    """The pins are the mass-quantile panel of the left half, count of them,
+    in panel order, and a scene too shallow for tubes at the split gap's
+    scale (lattice q = 4 at depth 6, once rejected with "[tubes] need at
+    least two tube radii") runs."""
+    lattice = {"kind": "lattice_falconer", "params": {"q": 4}}
+    res = run_experiment(SceneConfig("lattice6", lattice, 6, scale_window=(0, 6)))
+    assert not res.degenerate and res.passed
+    assert len(res.rows) == 8 and res.best_exponent == pytest.approx(1.0)
+    res = run_experiment(_cfg(pins={"count": 3}))
+    mu_half, _ = split_separated(build_scene_measure(_cfg()).normalize())
+    panel = _centers(mu_half.coords[_quantile_leaves(mu_half.masses, 3)], mu_half.m)
+    assert [row["pin"] for row in res.rows] == [tuple(pin) for pin in panel.tolist()]
+    assert sorted(res.curves) == ["pin0", "pin1", "pin2"]
+
+
 def test_emit_report_deterministic(tmp_path):
     cfg = SceneConfig(
         "det",
@@ -165,7 +183,7 @@ def test_emit_report_deterministic(tmp_path):
 def test_emit_report_empty(tmp_path):
     files = emit_report([], str(tmp_path / "empty"))
     text = Path(files[0]).read_text()
-    assert text.splitlines() == ["scenario,pin_index,tube_t,exponent,target,zeta,passed,degenerate"]
+    assert text.splitlines() == ["scenario,pin_index,exponent,target,zeta,passed,degenerate"]
 
 
 def test_stage_error_names_stage():

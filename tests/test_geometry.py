@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from dimlab.dyadic import DyadicMeasure
-from dimlab.generators import gen_cantor_product
+from dimlab.experiment import _split_gap, split_separated
+from dimlab.generators import gen_cantor_product, gen_circle_pair
 from dimlab.geometry import (
     _DIRECTION_CHUNK,
     DirectionMeasure,
@@ -233,8 +234,6 @@ def test_profile_tables_match_tube_mass_max():
     """thin_tubes_profile shares each pin's offsets and angles across its
     radii; every table entry still equals tube_mass_max at that pin and
     radius, in d = 2 (the cantor16 scene) and d = 3."""
-    from dimlab.experiment import split_separated
-
     scenes = [(gen_cantor_product(0.25, 2, 16), [2 ** -6, 2 ** -5, 2 ** -4, 2 ** -3], 8),
               (gen_cantor_product(0.25, 3, 4), [2 ** -4, 2 ** -3], 4)]
     for mu, radii, n_pins in scenes:
@@ -347,15 +346,24 @@ def test_bucket_bounds_hold_the_maximum():
             assert lo.max() <= count.max()
 
 
+def _scene_tubes(mu: DyadicMeasure):
+    """The separated halves of mu as the distance experiment splits them,
+    and the tube radii the experiment swept when it profiled tubes: four
+    dyadic radii from the largest one whose 4 times stays within the split
+    gap, above the grid scale."""
+    mu_half, nu_half = split_separated(mu.normalize())
+    j_min = max(3, math.ceil(math.log2(4.0 / _split_gap(mu_half, nu_half))))
+    return mu_half, nu_half, [2.0 ** (-j) for j in range(j_min, j_min + 4) if j < mu.m]
+
+
 def test_scene_sweeps_equal_reference_bitwise(monkeypatch):
-    """Every sweep of a depth-10 cantor scene (equal masses, told so by the
-    measure) and of a depth-10 circle_pair scene (unequal masses) equals
-    the reference, and takes the path it is told to: the equal-mass path
-    leaves the starts as they are, the other overwrites them with running
-    masses.  The equal path's per-pin prefix sums have the bits of a
-    cumsum of the sweep's own length."""
+    """Every sweep of 8 pins and 4 radii through the halves of a depth-10
+    cantor scene (equal masses, told so by the measure) and of a depth-10
+    circle_pair scene (unequal masses) equals the reference, and takes the
+    path it is told to: the equal-mass path leaves the starts as they are,
+    the other overwrites them with running masses.  The equal path's per-pin
+    prefix sums have the bits of a cumsum of the sweep's own length."""
     from dimlab import geometry
-    from dimlab.experiment import SceneConfig, run_experiment
 
     sweep = geometry._heaviest_point
     seen = []
@@ -373,12 +381,26 @@ def test_scene_sweeps_equal_reference_bitwise(monkeypatch):
         return got
 
     monkeypatch.setattr(geometry, "_heaviest_point", checked)
-    for kind, params in (("cantor_product", {"r": 0.25, "d": 2}), ("circle_pair", {})):
+    for mu in (gen_cantor_product(0.25, 2, 10), gen_circle_pair(10)):
         seen.clear()
-        run_experiment(SceneConfig("t", {"kind": kind, "params": params}, 10))
+        thin_tubes_profile(*_scene_tubes(mu), n_pins=8)
         assert len(seen) == 32 and all(same for _, same, _ in seen)
-        assert all(equal == unchanged == (kind == "cantor_product")
-                   for equal, _, unchanged in seen)
+        assert all(equal == unchanged == mu.equal_masses for equal, _, unchanged in seen)
+
+
+def test_scene_profiles_keep_recorded_tube_exponents():
+    """The tube exponents of 8 pins through the halves of the cantor16 and
+    circle14 scenes, at the experiment's former radii, are the bits its
+    reports recorded in their tube_t column, pin for pin."""
+    recorded = {
+        "cantor16": (gen_cantor_product(0.25, 2, 16), [0.5526570246869917] * 8),
+        "circle14": (gen_circle_pair(14), [
+            0.9845127076616857, 0.9824290237507537, 0.9786910640008764, 0.9762763516979825,
+            0.9724672883090747, 0.9686802301837231, 0.9648866287001978, 0.9602212979032797]),
+    }
+    for name, (mu, ts) in recorded.items():
+        profiles = thin_tubes_profile(*_scene_tubes(mu), n_pins=8)
+        assert [pr.t for pr in profiles] == ts, name
 
 
 def test_mod_pi_equals_np_mod_bitwise():
@@ -440,8 +462,6 @@ def test_tube_mass_monotone_in_radius():
 
 def test_thin_tubes_profile_contract():
     mu = gen_cantor_product(0.25, 2, 8)
-    from dimlab.experiment import split_separated
-
     mu_half, nu_half = split_separated(mu.normalize())
     radii = [2 ** -6, 2 ** -5, 2 ** -4]
     profiles = thin_tubes_profile(mu_half, nu_half, radii, n_pins=4)

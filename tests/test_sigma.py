@@ -241,7 +241,7 @@ def test_best_slope_dense_sampling_oracle():
         dense = np.min((np.asarray(f(xs)) - float(f(a))) / (xs - a))
         assert sigma <= dense + 1e-9
         assert is_superlinear(f, a, b, sigma)
-        assert not is_superlinear(f, a, b, sigma + 1e-6, tol=1e-9)
+        assert not is_superlinear(f, a, b, sigma + 1e-6)
 
 
 def test_decomposition_check_rejects_bad_families():
