@@ -5,10 +5,10 @@ leaves at the finest level m that carry positive mass, rows in
 lexicographic order, and ``masses``, their float64 masses.  Masses of
 coarser cubes are summed by np.bincount in that leaf order, so
 cube/children consistency is bit-exact and runs are reproducible.  All
-instances are immutable (their arrays reject writes), with ``trivial``,
-``total_mass`` and ``equal_masses`` fixed at construction; every operation
-returns a new object.  Other modules read and build measures only through
-these arrays and the helpers here, never a per-leaf Python loop.
+instances are immutable (their arrays reject writes), with ``trivial`` and
+``total_mass`` fixed at construction; every operation returns a new object.
+Other modules read and build measures only through these arrays and the
+helpers here, never a per-leaf Python loop.
 
 Entropies are in bits throughout.
 """
@@ -118,18 +118,17 @@ def _fsum(a: np.ndarray) -> float:
         a[i : i + 4096].tolist() for i in range(0, len(a), 4096)))
 
 
-def _mass_facts(masses: np.ndarray) -> tuple[float, bool]:
+def _mass_total(masses: np.ndarray) -> float:
     """The math.fsum total of finite non-negative masses (n * w for n masses of
-    w: one rounding of the same exact sum) and whether all are equal (true of none)."""
+    w: one rounding of the same exact sum)."""
     n = len(masses)
-    equal = not n or bool(masses.min() == masses.max())
     try:
-        total = n * float(masses[0]) if n and equal else _fsum(masses)
+        total = n * float(masses[0]) if n and masses.min() == masses.max() else _fsum(masses)
     except OverflowError:  # fsum's; n * w overflows to inf
         total = math.inf
     if total == math.inf:
         raise ValueError(f"the total of the {n} masses overflows a float")
-    return total, equal
+    return total
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -304,7 +303,7 @@ class DyadicMeasure:
         self.coords = _frozen(coords.reshape(-1, d))
         self.masses = _frozen(masses)
         self.trivial = not len(self.masses)
-        self.total_mass, self.equal_masses = _mass_facts(self.masses)
+        self.total_mass = _mass_total(self.masses)
 
     # -- basic structure ---------------------------------------------------
 

@@ -92,20 +92,21 @@ def gen_cantor_product(r: float, d: int, depth: int) -> DyadicMeasure:
 
 def _lattice_1d(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Base-q digits (q = 2^p) with every even-position digit forced to zero:
-    a lattice-aligned set of dimension 1/2."""
-    gens = max(1, math.ceil(depth / p))
-    # one free digit block of p bits every other generation
-    n = 1 << (p * math.ceil(gens / 2))
+    a lattice-aligned set of dimension 1/2, on the level-`depth` grid.  Only
+    the bits above 2^-depth are made: the free digit block of generation g
+    (odd g) keeps its top min(p, depth - p(g - 1)) bits, so the cells are
+    distinct and of equal mass."""
+    blocks = [(min(p, depth - p * (g - 1)), max(0, depth - p * g))  # (bits, shift)
+              for g in range(1, math.ceil(depth / p) + 1, 2)]
+    n = 1 << sum(bits for bits, _ in blocks)
     if n > _LEAF_BUDGET:
-        raise ValueError(f"the 1-d factor has {n:,} points before binning, more than the "
-                         f"leaf budget of {_LEAF_BUDGET:,}")
+        raise ValueError(f"the 1-d factor has {n:,} cells, more than the leaf budget of "
+                         f"{_LEAF_BUDGET:,}")
     pts = np.zeros(1, dtype=np.int64)
-    step_bits = p * gens
-    for g in range(1, gens + 1):
-        if g % 2 == 1:  # free digit
-            offs = np.arange(1 << p, dtype=np.int64) << (step_bits - p * g)
-            pts = (pts[:, None] + offs[None, :]).ravel()
-    return _uniform_1d(pts, step_bits, depth)
+    for bits, shift in blocks:
+        offs = np.arange(1 << bits, dtype=np.int64) << shift
+        pts = (pts[:, None] + offs[None, :]).ravel()
+    return pts, np.full(n, 1.0 / n)
 
 
 def gen_lattice_falconer(q: int, d: int, depth: int) -> DyadicMeasure:

@@ -262,6 +262,21 @@ def heaviest_point_reference(start, end, w):
     return float(cover[k]), float(s[k])
 
 
+def lattice_1d_reference(p, depth):
+    """The lattice factor with every free base-2^p digit block made in full,
+    down to scale 2^-(p gens) for gens = ceil(depth / p), then binned to the
+    level-`depth` grid by np.unique: (sorted cells, their masses).  The
+    point masses are powers of two, so every cell's sum is exact."""
+    gens = max(1, math.ceil(depth / p))
+    step_bits = p * gens
+    pts = np.zeros(1, dtype=np.int64)
+    for g in range(1, gens + 1, 2):
+        offs = np.arange(1 << p, dtype=np.int64) << (step_bits - p * g)
+        pts = (pts[:, None] + offs[None, :]).ravel()
+    cells, inv = np.unique(pts >> (step_bits - depth), return_inverse=True)
+    return cells, np.bincount(inv.ravel(), weights=np.full(len(pts), 1.0 / len(pts)))
+
+
 def planar_direction_grid(step):
     """Deterministic grid of planar line directions with angular step <= `step`;
     a maximum over it is a lower bound for the exact planar sweeps."""
@@ -273,7 +288,7 @@ def planar_direction_grid(step):
 def hyperplane_concentration_grid(rho, a):
     """Planar hyperplane concentration over the normals of
     planar_direction_grid(a / 4): a lower bound for the exact maximum."""
-    inner = np.abs(rho.cell_centers()[rho.index] @ planar_direction_grid(a / 4.0).T)
+    inner = np.abs(rho.cell_centers() @ planar_direction_grid(a / 4.0).T)
     return float((rho.masses @ (inner <= a + _TOL)).max())
 
 

@@ -115,6 +115,21 @@ def test_tubes_command(tmp_path, capsys):
     assert len({line.rpartition('",')[0] for line in lines[1:]}) == 4
 
 
+def test_tubes_match_recorded_output(capsys):
+    """`tubes` prints the recorded profiles byte for byte, 8 pins and 4
+    radii each, on the separated halves of the depth-10 cantor_product
+    r = 1/4 scene (equal masses) and of the depth-10 circle_pair scene
+    (unequal masses)."""
+    data = Path(__file__).parent / "data" / "tubes"
+    out = []
+    for name, radii in (("cantor10", ["0.125", "0.0625", "0.03125", "0.015625"]),
+                        ("circle10", ["0.0625", "0.03125", "0.015625", "0.0078125"])):
+        assert main(["tubes", "--mu", str(data / f"{name}_mu.txt"),
+                     "--nu", str(data / f"{name}_nu.txt"), "--radii", *radii, "--pins", "8"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (data / "stdout.txt").read_text()
+
+
 def test_sigma_phi_and_cdtable(capsys):
     assert main(["sigma", "phi", "--u", "1.0"]) == 0
     assert "0.618033988749894" in capsys.readouterr().out
@@ -277,10 +292,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     ("cantor_product", {"r": 0.25}, 16),
     ("lattice_falconer", {"q": 4}, 16),
     ("lattice_falconer", {"q": 2}, 8),
+    ("lattice_falconer", {"q": 1 << 22}, 8),
     ("train_track", {"delta_level": 12}, 20),
     ("product_set", {"A": {"kind": "cantor", "params": {"r": 0.25}}}, 16),
     ("product_set", {"A": {"kind": "lebesgue"}}, 8),
-], ids=["cantor_product", "lattice_falconer", "lattice_falconer_q2", "train_track",
+], ids=["cantor_product", "lattice_falconer", "lattice_falconer_q2", "lattice_falconer_q2_22",
+        "train_track",
         "product_set_cantor", "product_set_lebesgue"])
 def test_measure_build_keeps_to_the_leaf_budget(kind, params, depth, tmp_path, monkeypatch,
                                                 capsys):
@@ -662,8 +679,10 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "scene_r_inf": scene_run("r_inf", generator={"kind": "cantor_product",
                                                      "params": {"r": math.inf}}),
         # rejected before the 1-d factor's points exist (8 TiB of them at q = 2^40)
-        "build_lattice_q_2_22": build("lattice_falconer", {"q": 1 << 22}),
-        "build_lattice_q_2_40": build("lattice_falconer", {"q": 1 << 40}),
+        # a lattice factor keeps min(log2 q, depth) bits of its first digit block,
+        # so a large q is over the budget only deep enough
+        "build_lattice_q_2_22": build("lattice_falconer", {"q": 1 << 22}, depth="20"),
+        "build_lattice_q_2_40": build("lattice_falconer", {"q": 1 << 40}, depth="20"),
         "scene_lattice_d3": scene_run("d3", generator={"kind": "lattice_falconer",
                                                        "params": {"q": 4, "d": 3}}, depth=8),
     }[case]
@@ -765,8 +784,8 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
         "build_r_inf": "ratio inf is not of the form 2^-k",
         "build_product_set_r_tiny": "ratio 1e-300 is not of the form 2^-k",
         "scene_r_inf": "ratio inf is not of the form 2^-k",
-        "build_lattice_q_2_22": "the 1-d factor has 4,194,304 points before binning",
-        "build_lattice_q_2_40": "the 1-d factor has 1,099,511,627,776 points before binning",
+        "build_lattice_q_2_22": "the product has 1,099,511,627,776 leaves, more than the leaf",
+        "build_lattice_q_2_40": "the product has 1,099,511,627,776 leaves, more than the leaf",
         "scene_lattice_d3": "d = 3, and no target is defined",
     }.get(case, "") in err
     assert out == ""

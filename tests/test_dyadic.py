@@ -264,10 +264,11 @@ def test_total_mass_is_fsum_bit_for_bit():
 
 
 def test_mass_facts_are_fsum_and_min_equals_max():
-    """Both measure types fix total_mass as math.fsum of the masses and
-    equal_masses as min == max at construction: on random, equal, single
-    and tiny masses, and on ten masses of 0.1, whose left-to-right sum
-    reads 0.9999999999999999 while fsum and 10 * 0.1 read 1.0."""
+    """Both measure types fix total_mass as math.fsum of the masses at
+    construction, and keep equal masses equal (min == max): on random,
+    equal, single and tiny masses, and on ten masses of 0.1, whose
+    left-to-right sum reads 0.9999999999999999 while fsum and 10 * 0.1
+    read 1.0."""
     rng = np.random.default_rng(31)
     cases = [np.full(10, 0.1), np.array([0.5]), np.array([5e-324]), np.full(3, 5e-324),
              np.full(1 << 16, 1.0 / 3), np.full(7, 1e300), rng.random(50) + 1e-3,
@@ -281,11 +282,11 @@ def test_mass_facts_are_fsum_and_min_equals_max():
         for nu in (mu, rho):
             assert nu.total_mass.hex() == math.fsum(w.tolist()).hex()
             assert type(nu.total_mass) is float
-            assert nu.equal_masses is bool(w.min() == w.max())
+            assert bool(nu.masses.min() == nu.masses.max()) is bool(w.min() == w.max())
     mu = random_measure(rng, d=2, m=6, n_leaves=30)
-    assert mu.total_mass == math.fsum(mu.masses.tolist()) and not mu.equal_masses
+    assert mu.total_mass == math.fsum(mu.masses.tolist()) and mu.masses.min() < mu.masses.max()
     zero = DyadicMeasure(2, 3, {})
-    assert zero.trivial and zero.total_mass == 0.0 and zero.equal_masses
+    assert zero.trivial and zero.total_mass == 0.0
     assert DyadicMeasure(2, 3, {(1, 1): 0.0, (2, 2): 0.0}).total_mass == 0.0
 
 
@@ -302,15 +303,16 @@ def test_total_mass_that_overflows_is_rejected():
 
 def test_equal_masses_survive_normalizing_and_restricting():
     mu = DyadicMeasure(2, 4, {(i, j): 0.7 for i in range(3) for j in range(5)})
-    assert mu.equal_masses and mu.total_mass == 15 * 0.7 and not mu.normalized
+    assert mu.masses.min() == mu.masses.max() and mu.total_mass == 15 * 0.7
+    assert not mu.normalized
     keep = np.arange(len(mu.masses)) % 4 != 1
     for nu in (mu.normalize(), restrict_normalize(mu, keep)):
-        assert nu.equal_masses and nu.normalized
+        assert nu.masses.min() == nu.masses.max() and nu.normalized
         assert nu.total_mass == math.fsum(nu.masses.tolist())
     rng = np.random.default_rng(5)
     mu = random_measure(rng, d=2, m=6, n_leaves=40)
-    assert not mu.normalize().equal_masses
-    assert not restrict_normalize(mu, np.arange(len(mu.masses)) < 20).equal_masses
+    for nu in (mu.normalize(), restrict_normalize(mu, np.arange(len(mu.masses)) < 20)):
+        assert nu.masses.min() < nu.masses.max()
 
 
 # (d, [(cell, mass), ...]) tables on the depth-4 grid, valid and malformed
@@ -535,10 +537,10 @@ def test_decomposition_matches_dict_loops_at_benchmark_size():
 
 def test_measure_holds_only_its_arrays():
     """No query leaves anything on the measure: it keeps d, m, its two
-    arrays and the facts fixed at construction (trivial, total_mass and
-    equal_masses), and nothing else derived from them."""
+    arrays and the facts fixed at construction (trivial and total_mass),
+    and nothing else derived from them."""
     mu = gen_cantor_product(0.25, 2, 8).normalize()
-    attrs = {"d", "m", "coords", "masses", "trivial", "total_mass", "equal_masses"}
+    attrs = {"d", "m", "coords", "masses", "trivial", "total_mass"}
     assert set(vars(mu)) == attrs
     mu.cells(3), mu.cells(mu.m), mu.leaf_centers(), mu.frostman_fit((1, 7))
     mu.entropy(4), mu.robust_entropy(4, 2.0), mu.box_count(5), mu.robustness_check(4, 0.5, 0.5)

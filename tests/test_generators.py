@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from dimlab.generators import (
+    _LEAF_BUDGET,
+    _lattice_1d,
+    _product,
     gen_cantor_product,
     gen_circle_pair,
     gen_lattice_falconer,
     gen_product_set,
     gen_train_track,
 )
+from oracles import lattice_1d_reference
 
 
 def test_cantor_product_exponents():
@@ -62,6 +66,37 @@ def test_lattice_falconer_aligned_exponent():
     assert len(full.masses) == 16
 
 
+def test_lattice_factor_makes_only_the_cells_at_depth():
+    """The lattice factor has the cells and masses, byte for byte, of its
+    full digit blocks binned to depth, for every q = 2^p and depth whose
+    full blocks hold at most 2^16 points, and so has every product of it;
+    q = 2^22 at depth 8, whose full block of 4,194,304 points is over the
+    leaf budget, has its 256 cells, and a factor over the budget is
+    rejected before its cells exist."""
+    checked = 0
+    for p in range(2, 23):
+        for depth in range(1, 41):
+            if p * math.ceil(math.ceil(depth / p) / 2) > 16:
+                continue
+            want = lattice_1d_reference(p, depth)
+            got = _lattice_1d(p, depth)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (p, depth)
+            checked += 1
+            for d in (1, 2, 3):
+                if len(got[0]) ** d <= 1 << 12:
+                    mu = gen_lattice_falconer(1 << p, d, depth)
+                    ref = _product([want] * d, depth)
+                    assert mu.coords.tobytes() == ref.coords.tobytes()
+                    assert mu.masses.tobytes() == ref.masses.tobytes()
+    assert checked > 300
+    mu = gen_lattice_falconer(1 << 22, 2, 8)
+    assert len(mu.masses) == 256 ** 2 and mu.masses.min() == mu.masses.max() == 2.0 ** -16
+    assert _lattice_1d(22, 8)[0].tolist() == list(range(256))
+    assert len(_lattice_1d(22, 21)[0]) == _LEAF_BUDGET
+    with pytest.raises(ValueError, match="has 4,194,304 cells, more than the leaf budget"):
+        _lattice_1d(22, 22)
+
+
 def test_train_track_geometry():
     delta, depth = 6, 12
     mu = gen_train_track(delta, depth)
@@ -105,8 +140,9 @@ def test_generators_give_equal_masses_but_circle_pair():
                gen_lattice_falconer(4, 2, 8), gen_train_track(4, 10),
                gen_product_set({"kind": "cantor", "params": {"r": 0.25}}, 8),
                gen_product_set({"kind": "lebesgue"}, 5), gen_product_set({"kind": "point"}, 5)):
-        assert mu.equal_masses and mu.masses.min() == mu.masses.max()
+        assert mu.masses.min() == mu.masses.max()
         assert mu.total_mass == math.fsum(mu.masses.tolist())
-        assert mu.normalize().equal_masses
+        nu = mu.normalize()
+        assert nu.masses.min() == nu.masses.max()
     mu = gen_circle_pair(10)
-    assert not mu.equal_masses and mu.masses.min() < mu.masses.max()
+    assert mu.masses.min() < mu.masses.max()
