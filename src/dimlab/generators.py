@@ -2,6 +2,13 @@
 
 Every generator emits exact leaf masses (no sampling), so Frostman fits and
 box counts over aligned scale windows match closed forms.
+
+The product generators (Cantor products, lattice sets, train tracks, A x A
+products) restrict base-2^k digits.  Each 1-d factor is an offset plus digit
+blocks: a block (shift, bits, full) is one digit's bits above 2^-depth, as
+the integer bits shift .. shift + bits - 1 of a level-depth cell, and takes
+every value (full) or only all zeros and all ones.  So a factor's size is
+known before any cell exists, and `_product` checks the leaf budget first.
 """
 
 from __future__ import annotations
@@ -25,60 +32,57 @@ __all__ = [
 _LEAF_BUDGET = 1 << 21
 
 
-def _dyadic_log(r: float, depth: int) -> int:
-    """k with r = 2^{-k} to a relative 1e-12, or raise; k is bounded so that
-    `_cantor_1d(k, depth)`'s points, integers below 2^{k ceil(depth/k)}, fit
-    in int64."""
+def _dyadic_log(r: float) -> int:
+    """k with r = 2^{-k} to a relative 1e-12, or raise."""
     k = round(-math.log2(r)) if math.isfinite(r) and r > 0.0 else 0
     if k < 1 or abs(math.ldexp(r, k) - 1.0) > 1e-12:
         raise ValueError(f"ratio {r} is not of the form 2^-k")
-    if k * max(1, math.ceil(depth / k)) > 63:
-        raise ValueError(f"ratio {r} = 2^-{k} is too fine for depth {depth}: its points "
-                         f"need more than 63 bits")
     return k
 
 
-def _cantor_1d(k: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-branch self-similar set with contraction 2^{-k}: keep the first
-    and last subinterval of length r in each parent, uniform mass."""
-    gens = max(1, math.ceil(depth / k))
-    # left endpoints as integers at scale 2^{-k*gens}, then truncated to depth
-    pts = np.zeros(1, dtype=np.int64)
-    step_bits = k * gens
-    for g in range(1, gens + 1):
-        # offset of the right branch at generation g: (1 - 2^{-k}) * 2^{-k(g-1)}
-        off = ((1 << k) - 1) << (step_bits - k * g)
-        pts = np.concatenate([pts, pts + off])
-    return _uniform_1d(pts, step_bits, depth)
+def _digits(k: int, depth: int, gens, full: bool) -> list[tuple[int, int, bool]]:
+    """The blocks of the base-2^k digits of generations `gens` (1 is the top
+    digit, none past ceil(depth / k)), each cut to its bits above 2^-depth,
+    of which it keeps at least one."""
+    return [(max(0, depth - k * g), min(k, depth - k * (g - 1)), full) for g in gens]
 
 
-def _uniform_1d(pts: np.ndarray, step_bits: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equal masses on integer points at scale 2^{-step_bits}, binned to the
-    coarser level-`depth` grid (step_bits >= depth)."""
-    cells, masses = _sum_by_key((pts >> (step_bits - depth))[:, None],
-                                np.full(len(pts), 1.0 / len(pts)))
-    return cells[:, 0], masses
+def _cantor(k: int, depth: int) -> tuple[int, list]:
+    """Two-branch self-similar set with contraction 2^{-k}: every digit all
+    zeros or all ones, uniform mass (k = 1 is Lebesgue measure)."""
+    return 0, _digits(k, depth, range(1, math.ceil(depth / k) + 1), False)
 
 
-def _product(factors: list[tuple[np.ndarray, np.ndarray]], depth: int) -> DyadicMeasure:
-    """Product of 1-d factors, each a pair (sorted distinct int64 cells at
-    `depth`, their masses), of at most _LEAF_BUDGET leaves (checked first).
-    Earlier factors vary slowest, so the rows come out in lexicographic order."""
+def _cells(factor: tuple[int, list]) -> np.ndarray:
+    """The sorted distinct int64 cells of a factor (offset, blocks), blocks
+    listed top digit first: the offset plus one value of each block."""
+    offset, blocks = factor
+    cells = np.full(1, offset, dtype=np.int64)
+    for shift, bits, full in blocks:
+        values = (np.arange(1 << bits, dtype=np.int64) if full
+                  else np.array([0, (1 << bits) - 1], dtype=np.int64))
+        cells = (cells[:, None] + (values << shift)).ravel()
+    return cells
+
+
+def _product(factors: list[tuple[int, list]], depth: int) -> DyadicMeasure:
+    """Product of 1-d factors (offset, blocks) with equal masses, of at most
+    _LEAF_BUDGET leaves, checked before any array exists.  Earlier factors
+    vary slowest, so the rows come out in lexicographic order."""
     d = len(factors)
     _check_shape(d, depth)
-    sizes = [len(cells) for cells, _ in factors]
+    sizes = [math.prod(1 << bits if full else 2 for _, bits, full in blocks)
+             for _, blocks in factors]
     n = math.prod(sizes)
     if n > _LEAF_BUDGET:
         raise ValueError(f"the product has {n:,} leaves, more than the leaf budget of "
                          f"{_LEAF_BUDGET:,}")
     coords = np.empty((n, d), dtype=np.int64)
-    masses = np.ones(1)
-    for i, (cells, w) in enumerate(factors):
+    for i, factor in enumerate(factors):
         # rows indexed (earlier factors, this factor's cell, later factors)
         rows = coords.reshape(math.prod(sizes[:i]), sizes[i], math.prod(sizes[i + 1:]), d)
-        rows[..., i] = cells[:, None]
-        masses = np.outer(masses, w).ravel()
-    return DyadicMeasure._from_arrays(d, depth, coords, masses)
+        rows[..., i] = _cells(factor)[:, None]
+    return DyadicMeasure._from_arrays(d, depth, coords, np.full(n, 1.0 / n))
 
 
 def gen_cantor_product(r: float, d: int, depth: int) -> DyadicMeasure:
@@ -87,26 +91,7 @@ def gen_cantor_product(r: float, d: int, depth: int) -> DyadicMeasure:
     r = 2^{-k} aligns the construction with the dyadic grid; each factor has
     exact similarity dimension 1/k (r = 1/2 degenerates to Lebesgue).
     """
-    return _product([_cantor_1d(_dyadic_log(r, depth), depth)] * d, depth)
-
-
-def _lattice_1d(p: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base-q digits (q = 2^p) with every even-position digit forced to zero:
-    a lattice-aligned set of dimension 1/2, on the level-`depth` grid.  Only
-    the bits above 2^-depth are made: the free digit block of generation g
-    (odd g) keeps its top min(p, depth - p(g - 1)) bits, so the cells are
-    distinct and of equal mass."""
-    blocks = [(min(p, depth - p * (g - 1)), max(0, depth - p * g))  # (bits, shift)
-              for g in range(1, math.ceil(depth / p) + 1, 2)]
-    n = 1 << sum(bits for bits, _ in blocks)
-    if n > _LEAF_BUDGET:
-        raise ValueError(f"the 1-d factor has {n:,} cells, more than the leaf budget of "
-                         f"{_LEAF_BUDGET:,}")
-    pts = np.zeros(1, dtype=np.int64)
-    for bits, shift in blocks:
-        offs = np.arange(1 << bits, dtype=np.int64) << shift
-        pts = (pts[:, None] + offs[None, :]).ravel()
-    return pts, np.full(n, 1.0 / n)
+    return _product([_cantor(_dyadic_log(r), depth)] * d, depth)
 
 
 def gen_lattice_falconer(q: int, d: int, depth: int) -> DyadicMeasure:
@@ -117,12 +102,13 @@ def gen_lattice_falconer(q: int, d: int, depth: int) -> DyadicMeasure:
     p = int(q).bit_length() - 1
     if q < 2 or (1 << p) != q:
         raise ValueError(f"q must be a power of 2, got {q}")
-    if q == 2:
-        # degenerate: single-bit blocks leave no room for a zero block pattern
-        # at alternate generations below depth 2; emit the full uniform
-        # measure (the ratio-1/2 Cantor factor)
-        return _product([_cantor_1d(1, depth)] * d, depth)
-    return _product([_lattice_1d(p, depth)] * d, depth)
+    # q = 2 degenerates: single-bit blocks leave no room for a zero block
+    # pattern at alternate generations below depth 2; emit the full uniform
+    # measure (the ratio-1/2 Cantor factor).  Otherwise the odd generations'
+    # digits are free and the even ones zero.
+    factor = _cantor(1, depth) if q == 2 else (
+        0, _digits(p, depth, range(1, math.ceil(depth / p) + 1, 2), True))
+    return _product([factor] * d, depth)
 
 
 def gen_train_track(delta_level: int, depth: int) -> DyadicMeasure:
@@ -137,9 +123,8 @@ def gen_train_track(delta_level: int, depth: int) -> DyadicMeasure:
         raise ValueError("delta_level must be even")
     if not (0 < delta_level < depth):
         raise ValueError("need 0 < delta_level < depth")
-    n_tracks = 1 << (delta_level // 2)
-    rows = np.arange(n_tracks, dtype=np.int64) << (depth - delta_level)
-    return _product([_cantor_1d(2, depth), (rows, np.full(n_tracks, 1.0) / n_tracks)], depth)
+    rows = (0, [(depth - delta_level, delta_level // 2, True)])
+    return _product([_cantor(2, depth), rows], depth)
 
 
 def gen_circle_pair(depth: int, radius: float = 0.25) -> DyadicMeasure:
@@ -170,15 +155,15 @@ def gen_product_set(A_spec: dict, depth: int) -> DyadicMeasure:
     if not isinstance(params, dict):
         raise ValueError(f"params of the 1-d generator must be an object, not {params!r}")
     if kind == "cantor":
-        f = _cantor_1d(_dyadic_log(_finite("parameter 'r'", params.get("r", 0.25)), depth), depth)
+        f = _cantor(_dyadic_log(_finite("parameter 'r'", params.get("r", 0.25))), depth)
     elif kind == "lebesgue":
-        f = _cantor_1d(1, depth)
+        f = _cantor(1, depth)
     elif kind == "point":
         x = _finite("parameter 'x'", params.get("x", 0.0))
         if not (0.0 <= x <= 1.0):
             raise ValueError(f"point x = {x} outside [0, 1]")
         top = 1 << depth
-        f = (np.array([min(int(x * top), top - 1)], dtype=np.int64), np.ones(1))
+        f = (min(int(x * top), top - 1), [])
     else:
         raise ValueError(f"unknown 1-d generator kind {kind!r}")
     return _product([f, f], depth)

@@ -19,12 +19,15 @@ from .dyadic import (DyadicMeasure, _cell_table, _cells_text, _centers, _check_s
 
 _TOL = 1e-9
 
-# Rows per block of the 3-d direction products (directions in _heaviest_direction,
-# leaves in project_radial); bounds their temporaries.
+# Rows per block of the 3-d direction products in _heaviest_direction, and of
+# the cell centers project_radial makes; bounds their temporaries.
 # The direction loop reuses one work array for every block: fresh temporaries
 # of this size would each be mapped and zero-filled anew by the allocator,
 # which costs more than the product itself.
 _DIRECTION_CHUNK = 128
+# Entries per block of project_radial's leaf-by-cell products (512 KB), so its
+# memory is the 24 bytes a cell of the centers, whatever the number of cells.
+_DIRECTION_ENTRIES = 1 << 16
 
 
 # -- output measure types ---------------------------------------------------
@@ -221,9 +224,14 @@ def project_radial(mu: DyadicMeasure, y, n_cells: int) -> DirectionMeasure:
         idx = np.minimum((ang / (2.0 * math.pi) * n_cells).astype(np.int64), n_cells - 1)
     else:
         unit = diff / np.sqrt(sq)[:, None]
-        centers = _sphere_lattice(n_cells, np.arange(n_cells)).T
-        idx = np.concatenate([np.argmax(unit[i0 : i0 + _DIRECTION_CHUNK] @ centers, axis=1)
-                              for i0 in range(0, len(unit), _DIRECTION_CHUNK)])
+        centers = np.empty((n_cells, 3))
+        for j0 in range(0, n_cells, _DIRECTION_CHUNK):
+            rows = np.arange(j0, min(j0 + _DIRECTION_CHUNK, n_cells))
+            centers[j0 : j0 + _DIRECTION_CHUNK] = _sphere_lattice(n_cells, rows)
+        idx = np.empty(len(unit), dtype=np.intp)
+        step = max(1, _DIRECTION_ENTRIES // n_cells)
+        for i0 in range(0, len(unit), step):
+            np.argmax(unit[i0 : i0 + step] @ centers.T, axis=1, out=idx[i0 : i0 + step])
     cells, masses = _sum_by_key(idx[:, None], mu.masses)
     return DirectionMeasure(mu.d, n_cells, cells[:, 0], masses)
 

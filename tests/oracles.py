@@ -4,6 +4,7 @@ These recompute the optimization targets by exhaustive enumeration so the
 fast implementations can be checked exactly.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -260,6 +261,33 @@ def heaviest_point_reference(start, end, w):
     cover += np.subtract(ended[-1], wrapped, out=wrapped)
     k = int(np.argmax(cover))
     return float(cover[k]), float(s[k])
+
+
+def cantor_1d_reference(k, depth):
+    """The two-branch Cantor factor with contraction 2^-k made in full: all
+    2^gens points for gens = ceil(depth / k), as Python ints at scale
+    2^-(k gens), binned to the level-`depth` grid by np.unique: (sorted
+    cells, their masses).  The point masses are powers of two, so every
+    cell's sum is exact."""
+    gens = max(1, math.ceil(depth / k))
+    pts = [0]
+    for g in range(1, gens + 1):
+        off = ((1 << k) - 1) << (k * (gens - g))
+        pts += [x + off for x in pts]
+    binned = np.array([x >> (k * gens - depth) for x in pts], dtype=np.int64)
+    cells, inv = np.unique(binned, return_inverse=True)
+    return cells, np.bincount(inv.ravel(), weights=np.full(len(pts), 1.0 / len(pts)))
+
+
+def product_reference(factor, d):
+    """The d-fold product of a 1-d factor (cells, masses), the first
+    coordinate varying slowest: (coords, masses)."""
+    cells, masses = factor
+    coords = np.array(list(itertools.product(cells.tolist(), repeat=d)), dtype=np.int64)
+    w = np.ones(1)
+    for _ in range(d):
+        w = np.outer(w, masses).ravel()
+    return coords.reshape(-1, d), w
 
 
 def lattice_1d_reference(p, depth):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -329,6 +330,49 @@ def test_measure_build_keeps_to_the_leaf_budget(kind, params, depth, tmp_path, m
     monkeypatch.setattr(generators, "_LEAF_BUDGET", leaves)
     assert main(argv) == 0
     assert len(DyadicMeasure.from_text(out.read_text()).masses) == leaves
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("product_set", {"A": {"kind": "lebesgue"}}),
+    ("lattice_falconer", {"q": 1 << 22}),
+    ("lattice_falconer", {"q": 2}),
+], ids=["product_set_lebesgue", "lattice_falconer_q2_22", "lattice_falconer_q2"])
+def test_oversize_build_exits_2_before_any_cell_exists(kind, params, tmp_path, capsys):
+    """A depth-20 product of 2^40 leaves is rejected from its factors' sizes
+    alone: exit 2, one error line naming the product's leaf count, under
+    1 MB traced (a factor's 2^20 cells would take 8 MB)."""
+    argv = ["measure", "build", "--kind", kind, "--params", json.dumps(params),
+            "--depth", "20", "--out", str(tmp_path / "mu.txt")]
+    assert main(["sigma", "phi", "--u", "1.0"]) == 0  # the parser exists
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: generator {kind!r}: the product has "
+                                       "1,099,511,627,776 leaves, more than the leaf budget of "
+                                       "2,097,152\n")
+    assert peak < 1 << 20, peak
+
+
+def test_product_builds_match_recorded_hashes(tmp_path):
+    """`measure build` writes, byte for byte, the files whose sha256 is
+    recorded in tests/data/builds for every product kind: cantor_product,
+    lattice_falconer (q = 2, 4, 16 and 2^22), train_track and product_set's
+    cantor, lebesgue and point."""
+    data = Path(__file__).parent / "data" / "builds"
+    want = dict(line.split()[::-1] for line in (data / "sha256.txt").read_text().splitlines())
+    got = {}
+    for line in (data / "cases.txt").read_text().splitlines():
+        name, kind, depth, params = line.split(maxsplit=3)
+        out = tmp_path / f"{name}.txt"
+        assert main(["measure", "build", "--kind", kind, "--params", params, "--depth", depth,
+                     "--out", str(out)]) == 0
+        got[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == want
 
 
 def test_build_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):

@@ -5,15 +5,13 @@ import pytest
 
 from dimlab.generators import (
     _LEAF_BUDGET,
-    _lattice_1d,
-    _product,
     gen_cantor_product,
     gen_circle_pair,
     gen_lattice_falconer,
     gen_product_set,
     gen_train_track,
 )
-from oracles import lattice_1d_reference
+from oracles import cantor_1d_reference, lattice_1d_reference, product_reference
 
 
 def test_cantor_product_exponents():
@@ -45,10 +43,34 @@ def test_cantor_rejects_non_dyadic_ratio():
     # within 1e-12 of 2^-43 in absolute terms, but 12% off it
     with pytest.raises(ValueError, match="ratio 1e-13 is not of the form 2"):
         gen_cantor_product(1e-13, 2, 8)
-    # the points of ratio 2^-64 need 64 bits; those of 2^-63 fit in int64
+    # any ratio 2^-k builds: at depth 8 a digit of 2^-63 or 2^-64 keeps its
+    # top 8 bits
     assert len(gen_cantor_product(2.0 ** -63, 2, 8).masses) == 4
-    with pytest.raises(ValueError, match="too fine for depth 8"):
-        gen_cantor_product(2.0 ** -64, 2, 8)
+    assert len(gen_cantor_product(2.0 ** -64, 2, 8).masses) == 4
+
+
+def test_cantor_factor_equals_full_construction():
+    """The Cantor factor has the cells and masses, byte for byte, of all its
+    points made in full and binned to depth, for every ratio 2^-k
+    (k = 1-64) and depth whose full construction has at most 2^12 points,
+    and so has every product of it of at most 2^12 leaves."""
+    checked = 0
+    for k in range(1, 65):
+        for depth in range(1, 41):
+            if math.ceil(depth / k) > 12:
+                continue
+            want = cantor_1d_reference(k, depth)
+            mu = gen_cantor_product(2.0 ** -k, 1, depth)
+            assert [mu.coords[:, 0].tobytes(), mu.masses.tobytes()] == \
+                [a.tobytes() for a in want], (k, depth)
+            checked += 1
+            for d in (2, 3):
+                if len(want[0]) ** d <= 1 << 12:
+                    mu = gen_cantor_product(2.0 ** -k, d, depth)
+                    ref = product_reference(want, d)
+                    assert mu.coords.tobytes() == ref[0].tobytes()
+                    assert mu.masses.tobytes() == ref[1].tobytes()
+    assert checked > 2000
 
 
 def test_lattice_falconer_aligned_exponent():
@@ -71,7 +93,7 @@ def test_lattice_factor_makes_only_the_cells_at_depth():
     full digit blocks binned to depth, for every q = 2^p and depth whose
     full blocks hold at most 2^16 points, and so has every product of it;
     q = 2^22 at depth 8, whose full block of 4,194,304 points is over the
-    leaf budget, has its 256 cells, and a factor over the budget is
+    leaf budget, has its 256 cells, and a product over the budget is
     rejected before its cells exist."""
     checked = 0
     for p in range(2, 23):
@@ -79,22 +101,24 @@ def test_lattice_factor_makes_only_the_cells_at_depth():
             if p * math.ceil(math.ceil(depth / p) / 2) > 16:
                 continue
             want = lattice_1d_reference(p, depth)
-            got = _lattice_1d(p, depth)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (p, depth)
+            mu = gen_lattice_falconer(1 << p, 1, depth)
+            assert [mu.coords[:, 0].tobytes(), mu.masses.tobytes()] == \
+                [a.tobytes() for a in want], (p, depth)
             checked += 1
             for d in (1, 2, 3):
-                if len(got[0]) ** d <= 1 << 12:
+                if len(want[0]) ** d <= 1 << 12:
                     mu = gen_lattice_falconer(1 << p, d, depth)
-                    ref = _product([want] * d, depth)
-                    assert mu.coords.tobytes() == ref.coords.tobytes()
-                    assert mu.masses.tobytes() == ref.masses.tobytes()
+                    ref = product_reference(want, d)
+                    assert mu.coords.tobytes() == ref[0].tobytes()
+                    assert mu.masses.tobytes() == ref[1].tobytes()
     assert checked > 300
     mu = gen_lattice_falconer(1 << 22, 2, 8)
     assert len(mu.masses) == 256 ** 2 and mu.masses.min() == mu.masses.max() == 2.0 ** -16
-    assert _lattice_1d(22, 8)[0].tolist() == list(range(256))
-    assert len(_lattice_1d(22, 21)[0]) == _LEAF_BUDGET
-    with pytest.raises(ValueError, match="has 4,194,304 cells, more than the leaf budget"):
-        _lattice_1d(22, 22)
+    assert gen_lattice_falconer(1 << 22, 1, 8).coords[:, 0].tolist() == list(range(256))
+    assert len(gen_lattice_falconer(1 << 22, 1, 21).masses) == _LEAF_BUDGET
+    with pytest.raises(ValueError, match="the product has 4,194,304 leaves, more than the leaf "
+                                         "budget"):
+        gen_lattice_falconer(1 << 22, 1, 22)
 
 
 def test_train_track_geometry():

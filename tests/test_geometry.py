@@ -487,6 +487,16 @@ def test_3d_direction_products_in_blocks():
     assert rho.masses.tolist() == expect[expect > 0].tolist()
     _, peak = _peak_bytes(project_radial, mu, pin, 4000)
     assert peak < 32e6, peak
+    # its blocks are bounded by their entries, so 50,000 declared cells cost
+    # the 24 bytes a cell of their centers (about 1 KB a cell in blocks of a
+    # fixed 128 leaves), and a block of one leaf has the one-piece cells too
+    _, peak = _peak_bytes(project_radial, gen_cantor_product(0.25, 3, 6), pin, 50_000)
+    assert peak < 64 * 50_000, peak
+    few = gen_cantor_product(0.25, 3, 2)
+    diff = few.leaf_centers() - np.asarray(pin)
+    unit = diff / np.linalg.norm(diff, axis=1, keepdims=True)
+    one_piece = np.argmax(unit @ _sphere_lattice(50_000, np.arange(50_000)).T, axis=1)
+    assert project_radial(few, pin, 50_000).index.tolist() == np.unique(one_piece).tolist()
 
     rho = DirectionMeasure(3, 512, np.arange(512), rng.uniform(0.5, 1.5, 512))
     normals = np.concatenate(list(_hemisphere_blocks(0.2 / 4.0)))
